@@ -18,7 +18,6 @@ import numpy as np
 
 from . import harness, learners, measures
 from .harness import ExperimentConfig, UsageError
-from .sphere import RngStream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,24 +43,13 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _dataset_csv(data) -> str:
+def _dataset_csv(X, y) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    d = len(data[0].x)
-    writer.writerow([f"x{i}" for i in range(d)] + ["label"])
-    for p in data:
-        writer.writerow([repr(float(v)) for v in p.x] + [p.y])
+    writer.writerow([f"x{i}" for i in range(X.shape[1])] + ["label"])
+    for x, label in zip(X, y):
+        writer.writerow([repr(float(v)) for v in x] + [int(label)])
     return buf.getvalue()
-
-
-def _train_model(config):
-    spec = config.make_spec()
-    base = RngStream(config.seed, 0)
-    train = measures.sample_dataset(spec, config.n_train, base.child(1))
-    return learners.train_kernel_program(
-        train, config.make_kernel(), config.make_loss(), config.C,
-        config.solver_opts(),
-    )
 
 
 def main(argv=None) -> int:
@@ -107,16 +95,35 @@ def _dispatch(args) -> int:
             c.seed = args.seed
     config = configs[0]
 
+    if args.command in ("gap", "integrality"):
+        # integrality prints the same rows as JSON; its surrogate_optimum and
+        # gap_ratio fields are the integrality figures
+        report = harness.run_gap_experiment(config)
+        if args.format == "json" or args.command == "integrality":
+            _emit(report.to_json() + "\n", args.out)
+        else:
+            _emit(harness.sweep_to_csv(report.rows), args.out)
+        # non-convergence is carried in the solver_gap column here; only the
+        # train subcommand maps it to exit code 3
+        return EXIT_OK
+
+    if args.command == "sweep":
+        rows = harness.sweep(configs, threads=args.threads)
+        if args.format == "json":
+            _emit(json.dumps(rows, sort_keys=True, default=float) + "\n",
+                  args.out)
+        else:
+            _emit(harness.sweep_to_csv(rows), args.out)
+        return EXIT_OK
+
+    trial = harness.Trial(config, config.seed)
+
     if args.command == "gen":
-        spec = config.make_spec()
-        data = measures.sample_dataset(
-            spec, config.n_train, RngStream(config.seed, 0).child(1)
-        )
-        _emit(_dataset_csv(data), args.out)
+        _emit(_dataset_csv(*trial.train_data), args.out)
         return EXIT_OK
 
     if args.command == "train":
-        model = _train_model(config)
+        model = trial.model
         doc = json.loads(model.to_json())
         doc["config"] = json.loads(config.to_json())
         _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
@@ -135,42 +142,9 @@ def _dispatch(args) -> int:
                 loss=model_config.make_loss(),
             )
         else:
-            model = _train_model(config)
-        spec = config.make_spec()
-        test = measures.sample_dataset(
-            spec, config.n_test, RngStream(config.seed, 0).child(2)
-        )
-        err01, err_margin, err_surr = learners.evaluate(
-            model, test, config.gamma, config.boundary_counts
-        )
-        doc = {
-            "err01": err01,
-            "err_margin_certified": measures.certified_margin_bound(spec),
-            "err_margin_empirical": err_margin,
-            "err_surrogate": err_surr,
-        }
-        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
-        return EXIT_OK
-
-    if args.command in ("gap", "integrality"):
-        runner = (harness.run_gap_experiment if args.command == "gap"
-                  else harness.run_integrality_report)
-        report = runner(config)
-        if args.format == "json" or args.command == "integrality":
-            _emit(report.to_json() + "\n", args.out)
-        else:
-            _emit(harness.sweep_to_csv(report.rows), args.out)
-        # non-convergence is carried in the solver_gap column here; only the
-        # train subcommand maps it to exit code 3
-        return EXIT_OK
-
-    if args.command == "sweep":
-        rows = harness.sweep(configs, threads=args.threads)
-        if args.format == "json":
-            _emit(json.dumps(rows, sort_keys=True, default=float) + "\n",
-                  args.out)
-        else:
-            _emit(harness.sweep_to_csv(rows), args.out)
+            model = trial.model
+        _emit(json.dumps(trial.evaluate(model), sort_keys=True) + "\n",
+              args.out)
         return EXIT_OK
 
     raise UsageError(f"unknown command {args.command}")

@@ -1,5 +1,5 @@
-"""Experiment orchestration: gap experiments, integrality reports, sweeps over
-configurations, and the lemma verification suites behind `mgl verify`.
+"""Experiment orchestration: the (config, seed) trial, gap experiments, sweeps
+over configurations, and the lemma verification suites behind `mgl verify`.
 
 Everything here is deterministic given the config: per-(config, seed) random
 streams are derived from the seed alone, so sweeps are byte-identical across
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -27,7 +28,8 @@ SWEEP_COLUMNS = [
     "config_id", "seed", "gamma", "d", "kernel", "C", "loss",
     "lambda2", "lambda3", "lambdaN", "n_train",
     "err01", "err_margin_certified", "err_margin_empirical", "err_surrogate",
-    "ratio", "band_gap", "band_bound", "solver_gap", "error",
+    "ratio", "surrogate_optimum", "gap_ratio",
+    "band_gap", "band_bound", "solver_gap", "error",
 ]
 
 
@@ -141,33 +143,80 @@ def _blank_row(config: ExperimentConfig, config_id, seed) -> dict:
     return row
 
 
+class Trial:
+    """One (config, seed) trial: the training set, the test set and the
+    trained model, each made on first use.
+
+    This is the only place the trial's random streams are derived (child 1
+    samples the training set, child 2 the test set, child 3 the band check)
+    and the kernel program is trained, so every command that samples, trains
+    or evaluates a config sees the same data and model.
+    """
+
+    def __init__(self, config: ExperimentConfig, seed: int):
+        self.config = config
+        self.spec = config.make_spec()
+        base = RngStream(seed, 0)
+        self.train_rng, self.test_rng, self.band_rng = (
+            base.child(1), base.child(2), base.child(3))
+
+    @functools.cached_property
+    def train_data(self) -> tuple:
+        return measures.sample_dataset(self.spec, self.config.n_train,
+                                       self.train_rng)
+
+    @functools.cached_property
+    def test_data(self) -> tuple:
+        return measures.sample_dataset(self.spec, self.config.n_test,
+                                       self.test_rng)
+
+    @functools.cached_property
+    def model(self) -> learners.KernelModel:
+        c = self.config
+        return learners.train_kernel_program(
+            self.train_data, c.make_kernel(), c.make_loss(), c.C,
+            c.solver_opts(),
+        )
+
+    def evaluate(self, model: learners.KernelModel) -> dict:
+        """Test-set errors of the model next to the certified margin error."""
+        err01, err_margin, err_surr = learners.evaluate(
+            model, self.test_data, self.config.gamma,
+            self.config.boundary_counts,
+        )
+        return {
+            "err01": err01,
+            "err_margin_certified": measures.certified_margin_bound(self.spec),
+            "err_margin_empirical": err_margin,
+            "err_surrogate": err_surr,
+        }
+
+
 def run_single(config: ExperimentConfig, seed: int, config_id: int = 0) -> dict:
-    """One (config, seed) trial: sample, train, evaluate, band-check."""
+    """One (config, seed) trial: sample, train, evaluate, band-check.
+
+    ratio is err01 over the certified margin error; gap_ratio is the trained
+    surrogate optimum over it, an empirical lower bound on the surrogate
+    program's integrality gap at this instance.  Both are +inf when the
+    certified margin error is 0.
+    """
     row = _blank_row(config, config_id, seed)
     try:
-        spec = config.make_spec()
-        kernel = config.make_kernel()
-        loss = config.make_loss()
-        base = RngStream(seed, 0)
-        train = measures.sample_dataset(spec, config.n_train, base.child(1))
-        test = measures.sample_dataset(spec, config.n_test, base.child(2))
-        model = learners.train_kernel_program(
-            train, kernel, loss, config.C, config.solver_opts()
-        )
-        err01, err_margin, err_surr = learners.evaluate(
-            model, test, config.gamma, config.boundary_counts
-        )
-        certified = measures.certified_margin_bound(spec)
-        ratio = err01 / certified if certified > 0 else float("inf")
+        trial = Trial(config, seed)
+        model = trial.model
+        row.update(trial.evaluate(model))
+        certified = row["err_margin_certified"]
         row.update(
-            err01=err01, err_margin_certified=certified,
-            err_margin_empirical=err_margin, err_surrogate=err_surr,
-            ratio=ratio, solver_gap=model.gap_certificate,
+            ratio=row["err01"] / certified if certified > 0 else float("inf"),
+            surrogate_optimum=model.objective,
+            gap_ratio=(model.objective / certified if certified > 0
+                       else float("inf")),
+            solver_gap=model.gap_certificate,
         )
         try:
             report = lemma_lab.check_band_gap(
-                model, spec.e, config.gamma, config.band_cutoff,
-                n_mc=config.n_mc, rng=base.child(3),
+                model, trial.spec.e, config.gamma, config.band_cutoff,
+                n_mc=config.n_mc, rng=trial.band_rng,
             )
             row.update(band_gap=report.gap, band_bound=report.bound)
         except lemma_lab.GapViolationError as exc:
@@ -179,35 +228,6 @@ def run_single(config: ExperimentConfig, seed: int, config_id: int = 0) -> dict:
 
 def run_gap_experiment(config: ExperimentConfig) -> ExperimentReport:
     rows = [run_single(config, config.seed + i) for i in range(config.n_seeds)]
-    return ExperimentReport(config.config_hash, _versions(), rows)
-
-
-def run_integrality_report(config: ExperimentConfig) -> ExperimentReport:
-    """Trained surrogate optimum over the certified margin bound: an empirical
-    lower bound on the surrogate program's integrality gap at this instance."""
-    rows = []
-    for i in range(config.n_seeds):
-        seed = config.seed + i
-        row = {"seed": seed, "surrogate_optimum": float("nan"),
-               "err_margin_certified": float("nan"),
-               "gap_ratio": float("nan"), "error": ""}
-        try:
-            spec = config.make_spec()
-            base = RngStream(seed, 0)
-            train = measures.sample_dataset(spec, config.n_train, base.child(1))
-            model = learners.train_kernel_program(
-                train, config.make_kernel(), config.make_loss(), config.C,
-                config.solver_opts(),
-            )
-            certified = measures.certified_margin_bound(spec)
-            opt = model.objective
-            row.update(
-                surrogate_optimum=opt, err_margin_certified=certified,
-                gap_ratio=opt / certified if certified > 0 else float("inf"),
-            )
-        except Exception as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
     return ExperimentReport(config.config_hash, _versions(), rows)
 
 

@@ -9,7 +9,6 @@ function f = sum_n alpha_n P_{d,n}(<e, .>) is sqrt(sum alpha_n^2 / b_n).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -75,17 +74,6 @@ class KernelSpec:
                 vals = vals / float(np.sum(b))
             return vals
         raise KernelError("profile_value needs a zonal kernel")
-
-
-def kernel_eval(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise KernelError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if k.is_zonal:
-        return float(k.profile_value(np.dot(x, y)))
-    fx, fy = k.feature_map(x[None, :])[0], k.feature_map(y[None, :])[0]
-    return float(np.dot(fx, fy))
 
 
 def cross_gram(k: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -258,21 +246,6 @@ def symmetrize_mc(k: KernelSpec, d: int, n_rotations: int, rng: RngStream) -> Ke
         params={"n_rotations": n_rotations, "grid": grid, "values": vals},
         profile_std_err=lambda s: np.interp(s, grid, std_err),
     )
-
-
-def save_profile_csv(k: KernelSpec, path: str, n_points: int = SYMMETRIZE_GRID):
-    """Two-column CSV (s, kappa(s)) of a zonal profile."""
-    if not k.is_zonal:
-        raise KernelError("only zonal kernels serialize to a profile CSV")
-    if "grid" in k.params:
-        grid = np.asarray(k.params["grid"])
-    else:
-        grid = np.cos(np.linspace(np.pi, 0.0, n_points))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "kappa_s"])
-        for s, v in zip(grid, k.profile_value(grid)):
-            writer.writerow([f"{s:.17g}", f"{v:.17g}"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Surrogate losses, the norm-constrained kernel program and the
-finite-dimensional program as empirical solvers, evaluation metrics, and a
-brute-force 1-D oracle.
+finite-dimensional program as empirical solvers, and evaluation metrics.
 
 Both trainers run projected subgradient with iterate averaging.  On top of the
 base schedule eta_t = R / (Lhat sqrt(t)) they restart with a geometrically
@@ -18,7 +17,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .kernels import KernelSpec, cross_gram, gram
-from .measures import LabeledPoint
 
 GRAM_JITTER = 1e-10
 NORM_SLACK = 1e-9
@@ -133,7 +131,6 @@ class SolverOptions:
     n_restarts: int = 10
     eps_opt: float = 0.1
     bias_box: float = 10.0
-    seed: int = 0
     strict: bool = False
 
 
@@ -207,20 +204,18 @@ class FiniteDimModel:
 # ---------------------------------------------------------------------------
 
 def _as_arrays(data):
-    if isinstance(data, tuple):
-        X, y = data[0], data[1]
-        wts = data[2] if len(data) > 2 else None
-    else:
-        X = np.array([p.x for p in data])
-        y = np.array([p.y for p in data], dtype=float)
-        wts = None
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if wts is None:
-        wts = np.full(len(y), 1.0 / len(y))
-    else:
-        wts = np.asarray(wts, dtype=float)
+    """(X, y, normalized weights) from a dataset tuple (X, y) or (X, y, w)."""
+    X = np.atleast_2d(np.asarray(data[0], dtype=float))
+    y = np.asarray(data[1], dtype=float)
+    if len(y) == 0:
+        raise LossError("empty dataset")
+    if not np.all(np.abs(y) == 1.0):
+        raise LossError("labels must be +/-1")
+    if len(data) > 2:
+        wts = np.asarray(data[2], dtype=float)
         wts = wts / wts.sum()
+    else:
+        wts = np.full(len(y), 1.0 / len(y))
     return X, y, wts
 
 
@@ -400,18 +395,13 @@ def train_finite_program(data, feature_map, constraint, loss: SurrogateLoss,
 
 
 # ---------------------------------------------------------------------------
-# Metrics and oracles.
+# Metrics.
 # ---------------------------------------------------------------------------
 
 def evaluate(model, data, gamma: float, boundary_counts: bool = False):
-    """(err01, err_margin, err_surrogate) of the model's score function."""
-    if isinstance(data, tuple):
-        X, y = np.atleast_2d(np.asarray(data[0], float)), np.asarray(data[1], float)
-    else:
-        X = np.array([p.x for p in data])
-        y = np.array([p.y for p in data], dtype=float)
-    if len(y) == 0:
-        raise LossError("empty dataset")
+    """(err01, err_margin, err_surrogate) of the model's score function on a
+    dataset tuple (X, y)."""
+    X, y, _ = _as_arrays(data)
     margins = y * model.decision_function(X)
     err01 = float(np.mean(margins <= 0.0))
     if boundary_counts:
@@ -420,42 +410,3 @@ def evaluate(model, data, gamma: float, boundary_counts: bool = False):
         err_margin = float(np.mean(margins < gamma))
     err_surrogate = float(np.mean(model.loss.value(margins)))
     return err01, err_margin, err_surrogate
-
-
-def brute_force_1d(atoms, loss: SurrogateLoss, C: float,
-                   n_slope: int = 2001, n_bias: int = 4001) -> float:
-    """Dense grid search over slope in [-C, C] and bias in [-2C, 2C] for the
-    weighted 1-D objective sum_i w_i l(y_i (slope t_i + bias)), refined once
-    around the incumbent.  Ties break toward smallest |slope|, then |bias|.
-    """
-    if len(atoms) > 10:
-        raise LossError("oracle restricted to <= 10 atoms")
-    t = np.array([a[0] for a in atoms])
-    y = np.array([a[1] for a in atoms], dtype=float)
-    w = np.array([a[2] for a in atoms], dtype=float)
-    w = w / w.sum()
-    bias_half = max(2.0 * C, 1.0)
-
-    def search(slopes, biases):
-        best = (math.inf, math.inf, math.inf)  # (obj, |slope|, |bias|)
-        best_sb = (0.0, 0.0)
-        for s in slopes:
-            scores = y[None, :] * (s * t[None, :] + biases[:, None])
-            objs = loss.value(scores) @ w
-            j = int(np.lexsort((np.abs(biases), objs))[0])
-            key = (round(float(objs[j]), 15), abs(s), abs(biases[j]))
-            if key < best:
-                best = key
-                best_sb = (s, float(biases[j]))
-        return best_sb, best[0]
-
-    slopes = np.linspace(-C, C, n_slope) if C > 0 else np.array([0.0])
-    biases = np.linspace(-bias_half, bias_half, n_bias)
-    (s0, b0), _ = search(slopes, biases)
-    ds = (slopes[1] - slopes[0]) if len(slopes) > 1 else 0.0
-    db = biases[1] - biases[0]
-    fine_s = (np.clip(np.linspace(s0 - ds, s0 + ds, n_slope), -C, C)
-              if C > 0 else np.array([0.0]))
-    fine_b = np.linspace(b0 - db, b0 + db, n_bias)
-    _, obj = search(fine_s, fine_b)
-    return obj

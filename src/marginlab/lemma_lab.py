@@ -74,7 +74,7 @@ def check_band_gap(model, e, gamma: float, K: int, n_mc: int = 512,
         d = model.support.shape[1]
 
         def batch_mean(a, n):
-            X = np.array([sample_band(e, a, rng) for _ in range(n)])
+            X = sample_band(e, np.full(n, a), rng)
             vals = model.decision_function(X) - model.b
             return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
 

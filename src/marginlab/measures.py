@@ -30,17 +30,6 @@ class DegenerateLossError(ValueError):
     """No grid triple satisfies the theta inequality for this loss."""
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if self.y not in (-1, 1):
-            raise SpecError(f"label must be +/-1, got {self.y}")
-
-
 @dataclass
 class AdversarialSpec:
     """Full recipe for one hard distribution on S^{d-1} x {+/-1}."""
@@ -124,49 +113,37 @@ class AdversarialSpec:
         )
 
 
-def arcsine_density(t: float) -> float:
-    """Density 8 / (pi sqrt(1 - (8t)^2)) on [-1/8, 1/8], 0 outside."""
-    a = abs(t)
-    if a > BAND_HALF_WIDTH:
-        return 0.0
-    if a == BAND_HALF_WIDTH:
-        return math.inf
-    return 8.0 / (math.pi * math.sqrt(1.0 - (8.0 * t) ** 2))
+def sample_dataset(spec: AdversarialSpec, n: int, rng: RngStream):
+    """n draws from the pullback distribution of the mixture, as arrays
+    (X of shape (n, d), y of +/-1 labels).
 
-
-def sample_arcsine_t(rng: RngStream) -> float:
-    """Draw t from the arcsine band measure on [-1/8, 1/8]."""
-    u = rng.gen.uniform(-math.pi / 2, math.pi / 2)
-    return math.sin(u) * BAND_HALF_WIDTH
-
-
-def sample_labeled(spec: AdversarialSpec, rng: RngStream) -> LabeledPoint:
-    """One draw from the pullback distribution of the mixture."""
+    The component of each draw, a label coin, the band heights, the atom
+    choices and the orthogonal Gaussians are each drawn as one array.
+    """
     g = rng.gen
-    u = g.uniform()
-    c1 = spec.clean_weight
-    if u < c1:
-        if g.uniform() < spec.theta:
-            t, y = spec.gamma, 1
-        else:
-            t, y = -spec.gamma, -1
-    elif u < c1 + spec.lambda2:
-        t, y = -spec.gamma, 1
-    elif u < c1 + spec.lambda2 + spec.lambda3:
-        t = sample_arcsine_t(rng)
-        y = 1 if g.uniform() < 0.5 else -1
-    else:
-        atoms = spec.noise_atoms.atoms
-        weights = np.array([w for _, _, w in atoms])
-        idx = g.choice(len(atoms), p=weights / weights.sum())
-        p, y, _ = atoms[idx]
-        return LabeledPoint(np.asarray(p, dtype=float), int(y))
-    x = sample_band(spec.e, t, rng)
-    return LabeledPoint(x, y)
-
-
-def sample_dataset(spec: AdversarialSpec, n: int, rng: RngStream) -> list[LabeledPoint]:
-    return [sample_labeled(spec, rng) for _ in range(n)]
+    edges = np.cumsum([spec.clean_weight, spec.lambda2, spec.lambda3])
+    component = np.searchsorted(edges, g.uniform(size=n), side="right")
+    coin = g.uniform(size=n)
+    # clean pair: (gamma, +1) with probability theta, else (-gamma, -1)
+    y = np.where(coin < spec.theta, 1.0, -1.0)
+    t = spec.gamma * y
+    flipped = component == 1
+    t[flipped], y[flipped] = -spec.gamma, 1.0
+    band = component == 2
+    phase = g.uniform(-math.pi / 2, math.pi / 2, size=int(band.sum()))
+    t[band] = BAND_HALF_WIDTH * np.sin(phase)
+    y[band] = np.where(coin[band] < 0.5, 1.0, -1.0)
+    X = np.empty((n, spec.d))
+    atom = component == 3
+    X[~atom] = sample_band(spec.e, t[~atom], rng)
+    if atom.any():
+        points, labels, weights = zip(*spec.noise_atoms.atoms)
+        weights = np.asarray(weights, dtype=float)
+        idx = g.choice(len(weights), size=int(atom.sum()),
+                       p=weights / weights.sum())
+        X[atom] = np.asarray(points, dtype=float)[idx]
+        y[atom] = np.asarray(labels, dtype=float)[idx]
+    return X, y
 
 
 def certified_margin_bound(spec: AdversarialSpec) -> float:
@@ -197,23 +174,6 @@ def certified_margin_bound(spec: AdversarialSpec) -> float:
         )
         bound += spec.clean_weight
     return bound
-
-
-def empirical_margin_error(
-    data: list[LabeledPoint],
-    w: np.ndarray,
-    b: float,
-    gamma: float,
-    boundary_counts: bool = False,
-) -> float:
-    """Fraction of samples with y(<w,x> + b) < gamma (or <= with the flag)."""
-    if not data:
-        raise SpecError("empty dataset")
-    w = np.asarray(w, dtype=float)
-    scores = np.array([p.y * (np.dot(w, p.x) + b) for p in data])
-    if boundary_counts:
-        return float(np.mean(scores <= gamma))
-    return float(np.mean(scores < gamma))
 
 
 def choose_theta(loss, slack: float = 1e-6):

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sphere import DomainError
+
 MAX_DEGREE = 512
 DOMAIN_TOL = 1e-12
 
@@ -24,10 +26,6 @@ DOMAIN_TOL = 1e-12
 BAND_HALF_WIDTH = 0.125
 
 DEFAULT_QUAD_NODES = 256
-
-
-class DomainError(ValueError):
-    """Argument outside the mathematical domain of an operation."""
 
 
 @dataclass(frozen=True)

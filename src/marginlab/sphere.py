@@ -19,7 +19,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class DomainError(ValueError):
-    pass
+    """Argument outside the mathematical domain of an operation."""
 
 
 @dataclass
@@ -58,31 +58,35 @@ def sample_unit_sphere(d: int, rng: RngStream) -> np.ndarray:
             return g / norm
 
 
-def sample_band(e: np.ndarray, a: float, rng: RngStream) -> np.ndarray:
-    """Point x on S^{d-1} with <x, e> = a, uniform on the codimension-1 sphere.
+def sample_band(e: np.ndarray, a, rng: RngStream) -> np.ndarray:
+    """Points x on S^{d-1} with <x, e> = a, uniform on the codimension-1 sphere.
 
     Constructs x = a e + sqrt(1 - a^2) z with z uniform on the unit sphere of
-    the orthogonal complement of e.
+    the orthogonal complement of e.  A scalar height gives one point of shape
+    (d,); an array of n heights gives n points of shape (n, d), drawn in one
+    pass.
     """
     e = np.asarray(e, dtype=float)
     d = len(e)
     if abs(np.linalg.norm(e) - 1.0) > NORM_TOL:
         raise DomainError("direction must be a unit vector")
-    if abs(a) > 1.0 + 1e-12:
+    a = np.asarray(a, dtype=float)
+    if np.any(np.abs(a) > 1.0 + 1e-12):
         raise DomainError("band height must be in [-1, 1]")
-    a = float(np.clip(a, -1.0, 1.0))
-    if abs(a) == 1.0:
-        return math.copysign(1.0, a) * e
-    if d < 2:
+    heights = np.clip(np.atleast_1d(a), -1.0, 1.0)
+    todo = np.flatnonzero(np.abs(heights) < 1.0)
+    if d < 2 and len(todo):
         raise DomainError("band sampling needs d >= 2 when |a| < 1")
-    while True:
-        g = rng.gen.standard_normal(d)
-        g -= np.dot(g, e) * e
-        norm = np.linalg.norm(g)
-        if norm > 1e-12:
-            z = g / norm
-            break
-    return a * e + math.sqrt(1.0 - a * a) * z
+    z = np.zeros((len(heights), d))
+    while len(todo):  # redraw the rows whose orthogonal part is degenerate
+        g = rng.gen.standard_normal((len(todo), d))
+        g -= np.outer(g @ e, e)
+        norm = np.linalg.norm(g, axis=1)
+        ok = norm > 1e-12
+        z[todo[ok]] = g[ok] / norm[ok, None]
+        todo = todo[~ok]
+    x = heights[:, None] * e + np.sqrt(1.0 - heights * heights)[:, None] * z
+    return x[0] if a.ndim == 0 else x
 
 
 def haar_orthogonal(d: int, rng: RngStream) -> np.ndarray:
@@ -111,15 +115,3 @@ def sphere_area(d: int) -> float:
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     return 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
-
-
-def band_average(f, e: np.ndarray, a: float, n_samples: int, rng: RngStream):
-    """Monte-Carlo estimate (mean, std_err) of the band average of f at height a."""
-    if n_samples < 2:
-        raise DomainError("need at least 2 samples")
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        vals[i] = f(sample_band(e, a, rng))
-    mean = float(np.mean(vals))
-    std_err = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-    return mean, std_err

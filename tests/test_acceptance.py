@@ -16,6 +16,8 @@ from marginlab import learners as L
 from marginlab.harness import ExperimentConfig
 from marginlab.sphere import RngStream
 
+from test_learners import hinge_lp_oracle
+
 
 def report(num, name, ok, detail=""):
     print(f"\nACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'} {detail}")
@@ -155,7 +157,7 @@ def test_acceptance_6_solver_vs_oracle():
         y = np.array([a[1] for a in atoms], float)
         w = np.array([a[2] for a in atoms], float)
         model = L.train_kernel_program((X, y, w), lin, hinge, C, opts)
-        oracle = L.brute_force_1d(atoms, hinge, C)
+        oracle = hinge_lp_oracle(atoms, C, bias_half=opts.bias_box)
         worst = max(worst, abs(model.objective - oracle))
     # loss-scaling identity: truncated-margin error of f = hinge error of C f
     C = 9.0

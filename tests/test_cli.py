@@ -50,6 +50,10 @@ def test_train_eval_roundtrip(config_path, tmp_path):
     metrics = json.load(open(out))
     assert 0.0 <= metrics["err01"] <= 1.0
     assert metrics["err_margin_certified"] > 0.0
+    # without --model, eval trains the same model on the same data
+    fresh = os.path.join(tmp_path, "eval_fresh.json")
+    assert cli.main(["eval", "--config", config_path, "--out", fresh]) == 0
+    assert json.load(open(fresh)) == metrics
 
 
 def test_gap_csv_output(config_path, tmp_path):
@@ -58,6 +62,14 @@ def test_gap_csv_output(config_path, tmp_path):
     lines = open(out).read().splitlines()
     assert lines[0].startswith("config_id,seed,gamma")
     assert len(lines) == 2
+    # integrality prints the same trial rows as JSON
+    out_json = os.path.join(tmp_path, "integ.json")
+    assert cli.main(["integrality", "--config", config_path,
+                     "--out", out_json]) == 0
+    row = json.load(open(out_json))["rows"][0]
+    header = lines[0].split(",")
+    assert repr(row["gap_ratio"]) == lines[1].split(",")[header.index("gap_ratio")]
+    assert row["gap_ratio"] >= row["ratio"]
 
 
 def test_sweep_reproducible_across_threads(config_path, tmp_path):

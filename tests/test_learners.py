@@ -6,7 +6,6 @@ from scipy.optimize import linprog
 
 from marginlab import kernels
 from marginlab import learners as L
-from marginlab.measures import LabeledPoint
 from marginlab.sphere import RngStream
 
 
@@ -119,36 +118,6 @@ def test_project_l1():
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle.
-# ---------------------------------------------------------------------------
-
-def test_brute_force_matches_lp():
-    rng = np.random.default_rng(5)
-    hinge = L.make_loss("hinge")
-    for _ in range(15):
-        n = int(rng.integers(2, 6))
-        atoms = [(float(rng.uniform(-1, 1)), int(rng.choice([-1, 1])),
-                  float(rng.uniform(0.1, 1))) for _ in range(n)]
-        C = float(rng.uniform(0.5, 3.0))
-        bf = L.brute_force_1d(atoms, hinge, C)
-        lp = hinge_lp_oracle(atoms, C)
-        assert bf == pytest.approx(lp, abs=2e-3)
-
-
-def test_brute_force_separable_example():
-    hinge = L.make_loss("hinge")
-    atoms = [(0.01, 1, 0.7), (-0.01, -1, 0.3)]
-    assert L.brute_force_1d(atoms, hinge, 200.0) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_brute_force_atom_cap():
-    hinge = L.make_loss("hinge")
-    atoms = [(0.1 * i, 1, 1.0) for i in range(11)]
-    with pytest.raises(L.LossError):
-        L.brute_force_1d(atoms, hinge, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # Kernel program.
 # ---------------------------------------------------------------------------
 
@@ -181,14 +150,24 @@ def test_norm_constraint_respected():
 
 
 def test_labeled_point_input_and_json():
-    pts = [LabeledPoint(np.array([1.0, 0, 0]), 1),
-           LabeledPoint(np.array([-1.0, 0, 0]), -1)]
+    X = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
     lin = kernels.standard_kernel("linear")
-    model = L.train_kernel_program(pts, lin, L.make_loss("hinge"), 2.0,
-                                   L.SolverOptions(max_iters=100, n_restarts=4))
+    opts = L.SolverOptions(max_iters=100, n_restarts=4)
+    model = L.train_kernel_program((X, [1, -1]), lin, L.make_loss("hinge"),
+                                   2.0, opts)
     assert model.objective == pytest.approx(0.0, abs=1e-3)
     doc = model.to_json()
     assert '"C": 2.0' in doc
+    # labels outside +/-1 are rejected by every entry point
+    for bad in ([1, 0], [1, 2], [1.0, np.nan]):
+        with pytest.raises(L.LossError):
+            L.train_kernel_program((X, bad), lin, L.make_loss("hinge"), 2.0,
+                                   opts)
+        with pytest.raises(L.LossError):
+            L.train_finite_program((X, bad), lambda Z: Z, L.L2Ball(1.0),
+                                   L.make_loss("hinge"), opts)
+        with pytest.raises(L.LossError):
+            L.evaluate(model, (X, bad), 0.01)
 
 
 def test_strict_nonconvergence_raises_with_partial_model():

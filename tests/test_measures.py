@@ -40,22 +40,16 @@ def test_json_roundtrip():
     assert spec2.clean_weight == pytest.approx(0.83)
 
 
-def test_arcsine_density():
-    assert measures.arcsine_density(0.2) == 0.0
-    assert measures.arcsine_density(0.125) == math.inf
-    assert measures.arcsine_density(0.0) == pytest.approx(8.0 / math.pi)
-    # integrates to 1
-    from scipy.integrate import quad
-
-    total, _ = quad(measures.arcsine_density, -0.125, 0.125,
-                    points=[-0.125, 0.125])
-    assert total == pytest.approx(1.0, rel=1e-9)
+def band_rows(spec, X):
+    """Rows whose height is not a clean/flipped atom height."""
+    return ~np.isclose(np.abs(X @ spec.e), spec.gamma, rtol=0, atol=1e-12)
 
 
 def test_sample_arcsine_distribution():
-    rng = RngStream(0, 0)
-    ts = np.array([measures.sample_arcsine_t(rng) for _ in range(20000)])
-    assert np.all(np.abs(ts) <= 0.125)
+    spec = make_spec(lambda3=0.9)
+    X, _ = measures.sample_dataset(spec, 20000, RngStream(0, 0))
+    ts = (X @ spec.e)[band_rows(spec, X)]
+    assert np.all(np.abs(ts) <= 0.125 + 1e-12)
     # CDF of the arcsine law: F(t) = 1/2 + arcsin(8t)/pi
     for q in (-0.1, -0.05, 0.0, 0.06):
         expect = 0.5 + math.asin(8 * q) / math.pi
@@ -64,24 +58,50 @@ def test_sample_arcsine_distribution():
 
 def test_sampled_points_on_sphere_with_correct_heights():
     spec = make_spec(lambda3=0.3)
-    rng = RngStream(1, 0)
-    data = measures.sample_dataset(spec, 500, rng)
-    for p in data:
-        assert np.linalg.norm(p.x) == pytest.approx(1.0, abs=1e-9)
-        t = float(p.x @ spec.e)
-        assert abs(t) <= 0.125 + 1e-12
-    heights = {round(float(p.x @ spec.e), 6) for p in data}
-    assert 0.01 in heights and -0.01 in heights  # clean atoms present
+    X, y = measures.sample_dataset(spec, 500, RngStream(1, 0))
+    assert X.shape == (500, 10) and y.shape == (500,)
+    assert set(np.unique(y)) == {-1.0, 1.0}
+    assert np.allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-9)
+    heights = X @ spec.e
+    assert np.all(np.abs(heights) <= 0.125 + 1e-12)
+    rounded = set(np.round(heights, 6))
+    assert 0.01 in rounded and -0.01 in rounded  # clean atoms present
+    # the same stream replays the same draws
+    X2, y2 = measures.sample_dataset(spec, 500, RngStream(1, 0))
+    assert np.array_equal(X, X2) and np.array_equal(y, y2)
 
 
 def test_clean_component_frequencies():
     spec = make_spec(theta=0.8)
-    rng = RngStream(2, 0)
-    data = measures.sample_dataset(spec, 5000, rng)
-    pos = sum(1 for p in data if p.y == 1)
-    assert pos / len(data) == pytest.approx(0.8, abs=0.02)
-    for p in data:
-        assert float(p.x @ spec.e) * p.y == pytest.approx(0.01, abs=1e-12)
+    X, y = measures.sample_dataset(spec, 5000, RngStream(2, 0))
+    assert np.mean(y == 1) == pytest.approx(0.8, abs=0.02)
+    assert np.allclose((X @ spec.e) * y, 0.01, atol=1e-12)
+
+
+def test_component_shares():
+    atoms = WeightedAtomMeasure([(np.eye(10)[1], 1, 0.75),
+                                 (-np.eye(10)[2], -1, 0.25)])
+    spec = make_spec(lambda2=0.1, lambda3=0.2, lambdaN=0.15, noise_atoms=atoms)
+    n = 20000
+    X, y = measures.sample_dataset(spec, n, RngStream(4, 0))
+    t = X @ spec.e
+    hits = [np.all(X == p, axis=1) for p, _, _ in atoms.atoms]
+    atom = np.any(hits, axis=0)
+    flipped = np.isclose(t, -spec.gamma, rtol=0, atol=1e-12) & (y == 1)
+    clean = np.isclose(t * y, spec.gamma, rtol=0, atol=1e-12)
+    band = band_rows(spec, X) & ~atom
+    assert not np.any(atom & (flipped | clean))
+    assert np.all(atom | flipped | clean | band)
+    tol = 4 * math.sqrt(0.25 / n)
+    assert np.mean(clean) == pytest.approx(spec.clean_weight, abs=tol)
+    assert np.mean(flipped) == pytest.approx(0.1, abs=tol)
+    assert np.mean(band) == pytest.approx(0.2, abs=tol)
+    # band labels are fair coins
+    assert np.mean(y[band] == 1) == pytest.approx(0.5, abs=0.03)
+    # noise atoms come back with their own labels, at frequency lambdaN w
+    for hit, (_, label, w) in zip(hits, atoms.atoms):
+        assert np.all(y[hit] == label)
+        assert np.mean(hit) == pytest.approx(spec.lambdaN * w, abs=tol)
 
 
 def test_certified_margin_bound_values():
@@ -107,8 +127,8 @@ def test_certified_margin_bound_monte_carlo_agreement():
     # empirical margin error of the reference halfspace matches the bound
     spec = make_spec(lambda2=0.03, lambda3=0.1)
     rng = RngStream(3, 0)
-    data = measures.sample_dataset(spec, 40000, rng)
-    emp = measures.empirical_margin_error(data, spec.e, 0.0, spec.gamma)
+    X, y = measures.sample_dataset(spec, 40000, rng)
+    emp = float(np.mean(y * (X @ spec.e) < spec.gamma))
     assert emp == pytest.approx(measures.certified_margin_bound(spec), abs=0.005)
 
 
@@ -117,17 +137,6 @@ def test_boundary_counts_adds_clean_mass():
     with pytest.warns(UserWarning):
         bound = measures.certified_margin_bound(spec)
     assert bound == pytest.approx(1.0)
-
-
-def test_empirical_margin_error_conventions():
-    e = np.eye(4)[0]
-    data = [measures.LabeledPoint(e * 1.0, 1)]
-    # score exactly gamma: strict convention excludes, boundary includes
-    assert measures.empirical_margin_error(data, 0.01 * e, 0.0, 0.01) == 0.0
-    assert measures.empirical_margin_error(
-        data, 0.01 * e, 0.0, 0.01, boundary_counts=True) == 1.0
-    with pytest.raises(measures.SpecError):
-        measures.empirical_margin_error([], e, 0.0, 0.01)
 
 
 def test_choose_theta_satisfies_inequality():

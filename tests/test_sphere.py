@@ -45,21 +45,58 @@ def test_sample_band_height_and_norm():
     e = sphere.sample_unit_sphere(6, rng)
     for a in (-0.99, -0.3, 0.0, 0.125, 0.8):
         x = sphere.sample_band(e, a, rng)
+        assert x.shape == (6,)
         assert float(e @ x) == pytest.approx(a, abs=1e-12)
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(sphere.sample_band(e, 1.0, rng), e)
     assert np.allclose(sphere.sample_band(e, -1.0, rng), -e)
+    # an array of heights gives one point per height
+    heights = np.array([-1.0, -0.99, -0.3, 0.0, 0.125, 0.8, 1.0])
+    X = sphere.sample_band(e, heights, rng)
+    assert X.shape == (7, 6)
+    assert np.allclose(X @ e, heights, atol=1e-12)
+    assert np.allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-12)
+    assert np.allclose(X[0], -e) and np.allclose(X[-1], e)
     with pytest.raises(sphere.DomainError):
         sphere.sample_band(e, 1.5, rng)
     with pytest.raises(sphere.DomainError):
+        sphere.sample_band(e, np.array([0.2, -1.5]), rng)
+    with pytest.raises(sphere.DomainError):
         sphere.sample_band(2 * e, 0.5, rng)
+    # d = 1 only has the poles
+    assert np.allclose(sphere.sample_band(np.ones(1), np.array([1.0, -1.0]), rng),
+                       [[1.0], [-1.0]])
+    with pytest.raises(sphere.DomainError):
+        sphere.sample_band(np.ones(1), np.array([1.0, 0.5]), rng)
+
+
+def test_sample_band_redraws_degenerate_rows():
+    # a Gaussian row parallel to e has no orthogonal part: only that row is
+    # drawn again
+    e = np.eye(3)[0]
+
+    class Scripted:
+        def __init__(self, draws):
+            self.draws = list(draws)
+
+        def standard_normal(self, shape):
+            out = self.draws.pop(0)
+            assert out.shape == shape
+            return out
+
+    rng = RngStream(0, 0)
+    rng._gen = Scripted([np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 0.0]]),
+                         np.array([[5.0, 0.0, -1.0]])])
+    X = sphere.sample_band(e, np.array([0.0, 0.6]), rng)
+    assert np.allclose(X, [[0.0, 0.0, 1.0], [0.6, 0.0, -0.8]])
+    assert rng._gen.draws == []
 
 
 def test_band_sampling_uniform_on_complement():
     # the orthogonal part is isotropic: mean of the complement component is 0
     rng = RngStream(3, 0)
     e = np.eye(5)[0]
-    pts = np.array([sphere.sample_band(e, 0.2, rng) for _ in range(4000)])
+    pts = sphere.sample_band(e, np.full(4000, 0.2), rng)
     comp = pts[:, 1:]
     assert np.max(np.abs(comp.mean(axis=0))) < 0.05
 
@@ -94,12 +131,14 @@ def test_sphere_area_known_values():
 
 
 def test_band_average_constant_and_linear():
+    # band averages over points drawn at one height: exact for functions of
+    # <x, e> and of the orthogonal norm, and near 0 (within 4 standard
+    # errors) for an orthogonal linear function
     rng = RngStream(5, 0)
     e = np.eye(6)[0]
-    mean, se = sphere.band_average(lambda x: 3.0, e, 0.4, 50, rng)
-    assert mean == pytest.approx(3.0)
-    assert se == pytest.approx(0.0)
-    mean, se = sphere.band_average(lambda x: x[0], e, 0.4, 50, rng)
-    assert mean == pytest.approx(0.4, abs=1e-12)
-    with pytest.raises(sphere.DomainError):
-        sphere.band_average(lambda x: 0.0, e, 0.4, 1, rng)
+    X = sphere.sample_band(e, np.full(2000, 0.4), rng)
+    assert np.mean(X[:, 0]) == pytest.approx(0.4, abs=1e-12)
+    assert np.mean(np.sum(X[:, 1:] ** 2, axis=1)) == pytest.approx(0.84)
+    vals = X[:, 1]
+    se = np.std(vals, ddof=1) / math.sqrt(len(vals))
+    assert abs(np.mean(vals)) <= 4 * se
