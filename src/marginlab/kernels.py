@@ -23,6 +23,9 @@ GRAM_EIG_TOL = 1e-8
 COEFF_ZERO_REL_TOL = 1e-12
 DEFAULT_NMAX = 64
 SYMMETRIZE_GRID = 257
+# rows per block when a profile is applied to a kernel matrix; a 256 x 4000
+# block of float64 (8 MB) stays in cache
+ROW_BLOCK = 256
 
 
 class KernelError(ValueError):
@@ -77,19 +80,39 @@ class KernelSpec:
 
 
 def cross_gram(k: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Kernel matrix k(X_i, Y_j), shape (len(X), len(Y))."""
+    """Kernel matrix k(X_i, Y_j), shape (len(X), len(Y)).
+
+    The inner products fill the one output buffer and a zonal profile is
+    applied in place, ROW_BLOCK rows at a time, so no temporary is larger
+    than a row block.
+    """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if k.is_zonal:
-        return k.profile_value(X @ Y.T)
-    return k.feature_map(X) @ k.feature_map(Y).T
+    if not k.is_zonal:
+        return k.feature_map(X) @ k.feature_map(Y).T
+    K = X @ Y.T
+    for lo in range(0, len(K), ROW_BLOCK):
+        K[lo:lo + ROW_BLOCK] = k.profile_value(K[lo:lo + ROW_BLOCK])
+    return K
+
 
 def gram(k: KernelSpec, points: np.ndarray, check_psd: bool = True) -> np.ndarray:
+    """Symmetric Gram matrix of the points, (P + P') / 2 of cross_gram's P.
+
+    Symmetrized in place, one row strip against its column strip, so the
+    result is exactly symmetric (a feature map's product need not be) with
+    no n x n temporary.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         raise KernelError("empty point list")
     G = cross_gram(k, points, points)
-    G = 0.5 * (G + G.T)
+    for lo in range(0, len(G), ROW_BLOCK):
+        hi = lo + ROW_BLOCK
+        strip = G[lo:hi, lo:] + G[lo:, lo:hi].T
+        strip *= 0.5
+        G[lo:hi, lo:] = strip
+        G[lo:, lo:hi] = strip.T
     if check_psd:
         min_eig = float(np.linalg.eigvalsh(G)[0])
         if min_eig < -GRAM_EIG_TOL * len(points):

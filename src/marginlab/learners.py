@@ -1,11 +1,14 @@
 """Surrogate losses, the norm-constrained kernel program and the
 finite-dimensional program as empirical solvers, and evaluation metrics.
 
-Both trainers run projected subgradient with iterate averaging.  On top of the
-base schedule eta_t = R / (Lhat sqrt(t)) they restart with a geometrically
-shrinking radius around the incumbent, which recovers high accuracy on the
-piecewise-linear objectives used here; the reported gap certificate comes from
-the standard averaged-subgradient bound of the final stage.
+Both trainers run one projected-subgradient loop with iterate averaging.  On
+top of the base schedule eta_t = R / (Lhat sqrt(t)) they restart with a
+geometrically shrinking radius around the incumbent, which recovers high
+accuracy on the piecewise-linear objectives used here.  The loop carries the
+scores on the training points as state, so an iteration makes one product
+with the Gram (or feature) matrix; the reported gap certificate is the
+smaller of the first stage's averaged-subgradient bound and the best
+objective less the best linearization (Frank-Wolfe) lower bound.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_gram, gram
+from .kernels import ROW_BLOCK, KernelSpec, cross_gram, gram
 
 GRAM_JITTER = 1e-10
 NORM_SLACK = 1e-9
@@ -154,12 +157,12 @@ class KernelModel:
         )
         return math.sqrt(max(float(self.alpha @ G @ self.alpha), 0.0))
 
-    def decision_function(self, X: np.ndarray, block: int = 2048) -> np.ndarray:
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.empty(len(X))
-        for lo in range(0, len(X), block):
-            hi = min(lo + block, len(X))
-            out[lo:hi] = cross_gram(self.kernel, X[lo:hi], self.support) @ self.alpha
+        for lo in range(0, len(X), ROW_BLOCK):
+            out[lo:lo + ROW_BLOCK] = cross_gram(
+                self.kernel, X[lo:lo + ROW_BLOCK], self.support) @ self.alpha
         return out + self.b
 
     def to_json(self) -> str:
@@ -233,45 +236,93 @@ def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(a - tau, 0.0)
 
 
-def _subgradient_solve(objective, subgrad, project, z0, radius, lip_bound, opts):
+def _linearization_bound(f, u, scores, b, gb, support, bias_box):
+    """Lower bound on the optimum from the linearization at an iterate.
+
+    For a convex objective, OPT >= f(z) + min over the feasible set of
+    <grad, z' - z>.  With the loss-gradient weights u (grad = sum_i u_i times
+    the i-th point's feature, and gb = sum u for the bias) that minimum is
+    -support - bias_box |gb| less <grad, z> = u . scores + b gb, where
+    support is the largest <grad, w'> over the norm ball.  This is the
+    Frank-Wolfe duality gap (Jaggi, ICML 2013).
+    """
+    return f - float(u @ scores) - b * gb - support - bias_box * abs(gb)
+
+
+def _subgradient_solve(y, wts, loss, direction, project, dim, radius,
+                       lip_bound, opts):
     """Shared projected-subgradient loop with step-size annealing restarts.
 
-    objective(z) -> float; subgrad(z) -> (g, gnorm) with gnorm measured in the
-    geometry the projection works in; project(z) -> z.  Restart k reruns the
-    schedule eta_t = (R / 2^k) / (Lhat sqrt(t)) from the incumbent, which
-    polishes the piecewise-linear objectives used here.  The gap certificate
-    is the standard averaged-iterate bound of the first stage only (the later
-    stages are heuristic step shrinking).
-    Returns (best z, best objective, gap certificate).
+    The iterate is (w, b) together with its scores K w on the training points
+    (K = G for the kernel program, F for the finite-dimensional one), carried
+    as state so that an iteration touches K only inside `direction`:
+
+    - direction(u) -> (g, Kg, gnorm, support) for the loss-gradient weights
+      u_i = wts_i y_i l'(y_i (K w + b)_i): g is the functional part of the
+      subgradient in the coordinates the projection works in, Kg its scores
+      (None when project recomputes the scores itself), gnorm its norm in the
+      projection's geometry and support the largest <g, w'> over the ball;
+    - project(w, Kw) -> (w, Kw), the projection onto the ball with the
+      scores following along.
+
+    Restart k reruns the schedule eta_t = (R / 2^k) / (Lhat sqrt(t)) from the
+    incumbent, which polishes the piecewise-linear objectives used here.
+
+    The gap certificate is the smaller of two bounds on best objective - OPT:
+    the averaged-iterate bound of the first stage (later stages are heuristic
+    step shrinking) and best objective - the best linearization lower bound
+    over all iterates (_linearization_bound).  Both need a convex loss; the
+    non-convex margin_loss gets no valid certificate.
+    Returns (w, b, best objective, gap certificate).
     """
-    z = project(z0.copy())
-    best_z, best_f = z.copy(), objective(z)
+    bias_box = opts.bias_box
+    wy = wts * y
+
+    def objective_at(scores, b):
+        margins = y * (scores + b)
+        return margins, float(wts @ loss.value(margins))
+
+    w, scores = project(np.zeros(dim), np.zeros(len(y)))
+    b = 0.0
+    margins, best_f = objective_at(scores, b)
+    best = (w, b, scores, margins)
+    lower = -math.inf
     cert = math.inf
     for stage in range(max(opts.n_restarts, 1)):
         R = radius / 2**stage
-        z = best_z.copy()
-        avg = np.zeros_like(z)
+        (w, b, scores, margins), f = best, best_f
+        avg_w, avg_b, avg_scores = np.zeros(dim), 0.0, np.zeros(len(y))
         sum_eta = 0.0
         sum_eta2_g2 = 0.0
         lhat = max(lip_bound, 1e-12)
         for t in range(1, opts.max_iters + 1):
-            g, gnorm = subgrad(z)
+            u = wy * loss.subgradient(margins)
+            gb = float(u.sum())
+            g, Kg, gnorm_w, support = direction(u)
+            lower = max(lower, _linearization_bound(f, u, scores, b, gb,
+                                                    support, bias_box))
+            gnorm = math.hypot(gnorm_w, gb)
             lhat = max(lhat, gnorm)
             eta = R / (lhat * math.sqrt(t))
-            z = project(z - eta * g)
+            w, scores = project(w - eta * g,
+                                None if Kg is None else scores - eta * Kg)
+            b = min(max(b - eta * gb, -bias_box), bias_box)
             sum_eta += eta
             sum_eta2_g2 += eta * eta * gnorm * gnorm
-            avg += eta * z
-            f = objective(z)
+            avg_w += eta * w
+            avg_b += eta * b
+            avg_scores += eta * scores
+            margins, f = objective_at(scores, b)
             if f < best_f:
-                best_f, best_z = f, z.copy()
-        z_avg = project(avg / sum_eta)
-        f_avg = objective(z_avg)
-        if f_avg < best_f:
-            best_f, best_z = f_avg, z_avg
+                best, best_f = (w, b, scores, margins), f
+        w, scores = project(avg_w / sum_eta, avg_scores / sum_eta)
+        b = min(max(avg_b / sum_eta, -bias_box), bias_box)
+        margins, f = objective_at(scores, b)
+        if f < best_f:
+            best, best_f = (w, b, scores, margins), f
         if stage == 0:
             cert = (radius * radius + sum_eta2_g2) / (2.0 * sum_eta)
-    return best_z, best_f, cert
+    return best[0], best[1], best_f, min(cert, best_f - lower)
 
 
 def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float,
@@ -281,7 +332,10 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
     Restricting f to span{k(., x_i)} is lossless (it preserves sample
     predictions and never increases the norm), so the search runs over dual
     coefficients alpha with the ellipsoidal projection
-    alpha <- alpha * min(1, C / sqrt(alpha' G alpha)).
+    alpha <- alpha * min(1, C / sqrt(alpha' G alpha)).  The scores G alpha
+    are carried through the step alpha' = s (alpha - eta u) as
+    G alpha' = s (G alpha - eta G u), so each iteration makes the one Gram
+    product G u, which also gives the RKHS norm sqrt(u' G u) of the step.
     """
     if C < 0:
         raise LossError("norm bound must be >= 0")
@@ -292,40 +346,24 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
     if eig_floor < -1e-8 * n:
         raise LossError("Gram diagonal negative beyond tolerance: invalid kernel")
     G[np.diag_indices_from(G)] += GRAM_JITTER
-    bias_box = opts.bias_box
 
-    def split(z):
-        return z[:n], z[n]
+    def direction(u):
+        Gu = G @ u
+        # RKHS norm of the functional part sum u_i k(., x_i) of the step
+        norm = math.sqrt(max(float(u @ Gu), 0.0))
+        return u, Gu, norm, C * norm
 
-    def objective(z):
-        alpha, b = split(z)
-        return float(wts @ loss.value(y * (G @ alpha + b)))
-
-    def subgrad(z):
-        alpha, b = split(z)
-        u = wts * y * loss.subgradient(y * (G @ alpha + b))
-        g = np.empty(n + 1)
-        g[:n] = u
-        g[n] = u.sum()
-        # norm in the geometry the update lives in: RKHS norm of the
-        # functional part sum u_i k(., x_i) plus the bias coordinate
-        gnorm = math.hypot(math.sqrt(max(float(u @ G @ u), 0.0)), g[n])
-        return g, gnorm
-
-    def project(z):
-        alpha, b = split(z)
-        q = float(alpha @ G @ alpha)
+    def project(alpha, Galpha):
+        q = float(alpha @ Galpha)
         if q > C * C:
-            alpha = alpha * (C / math.sqrt(q))
-        z = np.append(alpha, np.clip(b, -bias_box, bias_box))
-        return z
+            scale = C / math.sqrt(q)
+            return alpha * scale, Galpha * scale
+        return alpha, Galpha
 
     lip = loss.lipschitz if math.isfinite(loss.lipschitz) else 1.0
-    z0 = np.zeros(n + 1)
-    radius = 2.0 * C + 2.0 * bias_box
-    z, f_best, cert = _subgradient_solve(objective, subgrad, project, z0,
-                                         radius, lip, opts)
-    alpha, b = split(z)
+    radius = 2.0 * C + 2.0 * opts.bias_box
+    alpha, b, f_best, cert = _subgradient_solve(
+        y, wts, loss, direction, project, n, radius, lip, opts)
     model = KernelModel(
         support=X, alpha=alpha, b=float(b), C=C, kernel=kernel, loss=loss,
         objective=f_best, gap_certificate=cert,
@@ -343,45 +381,41 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
 def train_finite_program(data, feature_map, constraint, loss: SurrogateLoss,
                          opts: SolverOptions = SolverOptions()):
     """Approximately solve  min mean l(y (<w, psi(x)> + b))  over w in the
-    constraint set (L2 or L1 ball) and free bias."""
+    constraint set (L2 or L1 ball) and free bias.
+
+    The scores F w are carried like the kernel program's G alpha: scaled
+    along with w by the L2 projection, recomputed after an L1 projection
+    (which is not a scaling).  The linearization bound uses the dual norm of
+    F' u: L2 for the L2 ball, L-infinity for the L1 ball.
+    """
     X, y, wts = _as_arrays(data)
     F = np.atleast_2d(np.asarray(feature_map(X), dtype=float))
     m = F.shape[1]
     R_w = constraint.radius
     feat_bound = float(np.max(np.linalg.norm(F, axis=1))) if len(F) else 1.0
-    bias_box = opts.bias_box
+    l2 = isinstance(constraint, L2Ball)
 
-    def split(z):
-        return z[:m], z[m]
+    def direction(u):
+        g = F.T @ u
+        norm = float(np.linalg.norm(g))
+        if l2:
+            return g, F @ g, norm, R_w * norm
+        return g, None, norm, R_w * float(np.max(np.abs(g), initial=0.0))
 
-    def objective(z):
-        w, b = split(z)
-        return float(wts @ loss.value(y * (F @ w + b)))
-
-    def subgrad(z):
-        w, b = split(z)
-        u = wts * y * loss.subgradient(y * (F @ w + b))
-        g = np.empty(m + 1)
-        g[:m] = F.T @ u
-        g[m] = u.sum()
-        return g, float(np.linalg.norm(g))
-
-    def project(z):
-        w, b = split(z)
-        if isinstance(constraint, L2Ball):
+    def project(w, Fw):
+        if l2:
             nw = np.linalg.norm(w)
             if nw > R_w:
-                w = w * (R_w / max(nw, 1e-300))
-        else:
-            w = project_l1(w, R_w)
-        return np.append(w, np.clip(b, -bias_box, bias_box))
+                scale = R_w / max(nw, 1e-300)
+                return w * scale, Fw * scale
+            return w, Fw
+        w = project_l1(w, R_w)
+        return w, F @ w
 
     lip = loss.lipschitz if math.isfinite(loss.lipschitz) else 1.0
-    z0 = np.zeros(m + 1)
-    radius = 2.0 * R_w * max(feat_bound, 1.0) + 2.0 * bias_box
-    z, f_best, cert = _subgradient_solve(objective, subgrad, project, z0,
-                                         radius, lip, opts)
-    w, b = split(z)
+    radius = 2.0 * R_w * max(feat_bound, 1.0) + 2.0 * opts.bias_box
+    w, b, f_best, cert = _subgradient_solve(
+        y, wts, loss, direction, project, m, radius, lip, opts)
     model = FiniteDimModel(
         w=w, b=float(b), constraint=constraint, feature_map=feature_map,
         loss=loss, objective=f_best, gap_certificate=cert,

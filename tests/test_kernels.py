@@ -49,6 +49,41 @@ def test_gram_psd_shipped_kernels():
             assert np.linalg.eigvalsh(G)[0] >= -1e-8 * len(X)
 
 
+def test_blocked_gram_matches_unblocked_product():
+    # n is not a multiple of the row block, so the last strip is partial
+    X = sphere_points(7, kernels.ROW_BLOCK + 37)
+    Y = sphere_points(7, 50, 1)
+    shipped = [
+        kernels.standard_kernel("linear"),
+        kernels.standard_kernel("sss"),
+        kernels.standard_kernel("rbf", sigma=1.0),
+        kernels.standard_kernel("poly", degree=3),
+    ]
+    for k in shipped:
+        P = k.profile_value(X @ X.T)
+        G = kernels.gram(k, X, check_psd=False)
+        assert np.array_equal(G, 0.5 * (P + P.T))
+        assert np.array_equal(G, G.T)
+        assert np.array_equal(kernels.cross_gram(k, X, Y),
+                              k.profile_value(X @ Y.T))
+    series = kernels.KernelSpec(name="series",
+                                legendre=(7, np.array([0.4, 0.3, 0.2, 0.1])))
+    A = np.random.default_rng(3).standard_normal((12, 7))
+    feat = kernels.KernelSpec(
+        name="feat", feature_map=lambda Z: np.tanh(np.atleast_2d(Z) @ A.T))
+    unblocked = {
+        "series": lambda U, V: series.profile_value(U @ V.T),
+        "feat": lambda U, V: feat.feature_map(U) @ feat.feature_map(V).T,
+    }
+    for k in (series, feat):
+        P = unblocked[k.name](X, X)
+        G = kernels.gram(k, X, check_psd=False)
+        assert np.allclose(G, 0.5 * (P + P.T), rtol=0.0, atol=1e-14)
+        assert np.array_equal(G, G.T)
+        assert np.allclose(kernels.cross_gram(k, X, Y), unblocked[k.name](X, Y),
+                           rtol=0.0, atol=1e-14)
+
+
 def test_gram_rejects_non_kernel():
     bad = kernels.KernelSpec(name="bad", profile=lambda s: -np.abs(s) - 1.0)
     X = sphere_points(5, 10)

@@ -1,7 +1,11 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from marginlab import kernels
@@ -171,13 +175,144 @@ def test_labeled_point_input_and_json():
 
 
 def test_strict_nonconvergence_raises_with_partial_model():
-    lin = kernels.standard_kernel("linear")
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((20, 5))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    y = np.sign(rng.standard_normal(20))
     opts = L.SolverOptions(max_iters=3, n_restarts=1, eps_opt=1e-9, strict=True)
-    X = np.array([[0.5, 0.0], [-0.5, 0.0]])
-    y = np.array([1.0, -1.0])
     with pytest.raises(L.NonConvergenceError) as err:
-        L.train_kernel_program((X, y), lin, L.make_loss("hinge"), 1.0, opts)
+        L.train_kernel_program((X, y), kernels.standard_kernel("rbf"),
+                               L.make_loss("hinge"), 1.0, opts)
     assert err.value.model is not None
+    assert err.value.model.gap_certificate > opts.eps_opt
+
+
+def counting_gram_type(counter):
+    """ndarray subclass that counts the matrix products made with it."""
+
+    def plain(arrays):
+        return tuple(a.view(np.ndarray) if isinstance(a, CountingGram) else a
+                     for a in arrays)
+
+    class CountingGram(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            if ufunc is np.matmul:
+                counter["products"] += 1
+            if out is not None:
+                kwargs["out"] = plain(out)
+            return getattr(ufunc, method)(*plain(inputs), **kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            if func in (np.dot, np.vdot, np.inner, np.einsum, np.tensordot):
+                counter["products"] += 1
+            return func(*plain(args), **kwargs)
+
+    return CountingGram
+
+
+def test_one_gram_product_per_iteration(monkeypatch):
+    counter = {"products": 0, "iters": 0}
+    CountingGram = counting_gram_type(counter)
+    monkeypatch.setattr(
+        L, "gram", lambda *a, **kw: kernels.gram(*a, **kw).view(CountingGram))
+    hinge = L.make_loss("hinge")
+
+    def subgradient(x):
+        counter["iters"] += 1
+        return hinge.subgradient(x)
+
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((40, 6))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    y = np.sign(X[:, 0] + 0.2 * rng.standard_normal(40))
+    opts = L.SolverOptions(max_iters=30, n_restarts=3)
+    L.train_kernel_program((X, y), kernels.standard_kernel("rbf"),
+                           dataclasses.replace(hinge, subgradient=subgradient),
+                           2.0, opts)
+    assert counter["iters"] == opts.max_iters * opts.n_restarts
+    assert counter["products"] == counter["iters"]
+
+
+def test_carried_scores_match_recomputed_objective():
+    # the solver updates G alpha instead of recomputing it; the returned
+    # objective must still be the objective of the returned iterate
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((80, 6))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    y = np.sign(X[:, 0] + 0.3 * rng.standard_normal(80))
+    opts = L.SolverOptions(max_iters=200, n_restarts=5)
+    for name in ("hinge", "logistic", "absolute"):
+        loss = L.make_loss(name)
+        model = L.train_kernel_program((X, y), kernels.standard_kernel("rbf"),
+                                       loss, 3.0, opts)
+        scores = model._gram @ model.alpha + model.b
+        assert float(np.mean(loss.value(y * scores))) == pytest.approx(
+            model.objective, abs=1e-12)
+    for ball in (L.L2Ball(1.5), L.L1Ball(1.5)):
+        model = L.train_finite_program((X, y), lambda Z: Z, ball,
+                                       L.make_loss("hinge"), opts)
+        margins = y * (X @ model.w + model.b)
+        assert float(np.mean(np.maximum(1 - margins, 0))) == pytest.approx(
+            model.objective, abs=1e-12)
+
+
+def solve_recording_bound(atoms, C, opts, flip_support=False):
+    """Train a tiny linear-kernel hinge program; also return the best
+    linearization lower bound the solver computed.  flip_support plants a
+    sign error in the C sqrt(u' G u) term."""
+    original = L._linearization_bound
+    best = [-math.inf]
+
+    def recording(f, u, scores, b, gb, support, bias_box):
+        bound = original(f, u, scores, b, gb,
+                         -support if flip_support else support, bias_box)
+        best[0] = max(best[0], bound)
+        return bound
+
+    with mock.patch.object(L, "_linearization_bound", recording):
+        model = L.train_kernel_program(
+            lift(atoms), kernels.standard_kernel("linear"),
+            L.make_loss("hinge"), C, opts)
+    return model, best[0]
+
+
+TINY_OPTS = L.SolverOptions(max_iters=100, n_restarts=3)
+atom_lists = st.lists(
+    st.tuples(st.floats(-1.0, 1.0), st.sampled_from([-1, 1]),
+              st.floats(0.1, 1.0)),
+    min_size=2, max_size=5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(atom_lists, st.floats(0.5, 3.0))
+def test_linearization_bound_brackets_lp_optimum(atoms, C):
+    model, lower = solve_recording_bound(atoms, C, TINY_OPTS)
+    lp = hinge_lp_oracle(atoms, C, bias_half=TINY_OPTS.bias_box)
+    assert lower <= lp + 1e-9
+    assert model.objective - model.gap_certificate <= lp + 1e-9
+    # the Gram jitter eps lets the solver move each score by up to
+    # C sqrt(eps) beyond the LP's feasible set (all atoms at t = 0 reach it)
+    assert lp <= model.objective + C * math.sqrt(L.GRAM_JITTER)
+
+
+def test_mutated_support_sign_is_caught():
+    # adding C sqrt(u' G u) instead of subtracting it must break the
+    # bracket lower bound <= LP optimum on some random tiny program
+    rng = np.random.default_rng(11)
+    caught = 0
+    for _ in range(10):
+        n = int(rng.integers(2, 6))
+        atoms = [(float(rng.uniform(-1, 1)), int(rng.choice([-1, 1])),
+                  float(rng.uniform(0.1, 1))) for _ in range(n)]
+        C = float(rng.uniform(0.5, 3.0))
+        lp = hinge_lp_oracle(atoms, C, bias_half=TINY_OPTS.bias_box)
+        _, lower = solve_recording_bound(atoms, C, TINY_OPTS)
+        assert lower <= lp + 1e-9
+        model, mutated = solve_recording_bound(atoms, C, TINY_OPTS,
+                                               flip_support=True)
+        caught += (mutated > lp + 1e-9
+                   and model.objective - model.gap_certificate > lp + 1e-9)
+    assert caught > 0
 
 
 # ---------------------------------------------------------------------------
