@@ -1,10 +1,14 @@
 """Minimum-volume enclosing ellipsoids, convex decomposition over point hulls,
 and the finitely supported noise measure they induce for feature-map learners.
 
-The MVEE solver is Khachiyan's barycentric coordinate ascent.  In the
-symmetric case the ellipsoid is centered at the origin and the shrunk copy
-E / sqrt(m (1+eps)) lies inside the convex hull of the input points, which is
-what makes the basis-vector decompositions below feasible.
+The MVEE solver is one Khachiyan barycentric coordinate ascent with
+Todd-Yildirim away steps, run on the points themselves in the symmetric case
+and on the points lifted to (p, 1) in the general case.  It carries V^-1 and
+the leverages through rank-one (Sherman-Morrison) updates and stops only on
+leverages recomputed exactly from the weights.  In the symmetric case the
+ellipsoid is centered at the origin and the shrunk copy E / sqrt(m (1+eps))
+lies inside the convex hull of the points and their negatives, which is what
+makes the basis-vector decompositions below feasible.
 """
 
 from __future__ import annotations
@@ -103,6 +107,61 @@ class WeightedAtomMeasure:
         return cls(atoms)
 
 
+def _exact_state(Q: np.ndarray, u: np.ndarray):
+    """V^-1 and the leverages w_i = q_i' V^-1 q_i for V = Q' diag(u) Q."""
+    Vinv = np.linalg.inv((Q.T * u) @ Q)
+    return Vinv, np.einsum("ij,jk,ik->i", Q, Vinv, Q)
+
+
+def _khachiyan(Q: np.ndarray, eps: float) -> np.ndarray:
+    """Barycentric weights u with max_i q_i' V(u)^-1 q_i <= (1+eps) dim.
+
+    Khachiyan's coordinate ascent with Todd-Yildirim away steps.  V^-1 and
+    the leverages are carried through Sherman-Morrison updates, O(n dim) per
+    step; the stopping test recomputes both exactly from u, so rounding drift
+    in the carried state cannot end the loop early.
+    """
+    n, dim = Q.shape
+    u = np.full(n, 1.0 / n)
+    Vinv, w = _exact_state(Q, u)
+    bound = (1.0 + eps) * dim
+    for _ in range(MVEE_MAX_ITERS):
+        j = int(np.argmax(w))
+        if w[j] <= bound:
+            Vinv, w = _exact_state(Q, u)
+            if np.max(w) <= bound:
+                return u
+            continue
+        k = int(np.argmin(np.where(u > 0.0, w, np.inf)))
+        if dim - w[k] > w[j] - dim:
+            # away step: shift weight off the support point with the
+            # smallest leverage, at most down to zero (a drop step)
+            i = k
+            floor = -u[k] / (1.0 - u[k])
+            tau = floor
+            if w[k] > 1.0:
+                tau = max((w[k] - dim) / (dim * (w[k] - 1.0)), floor)
+            drop = tau == floor
+        else:
+            i, drop = j, False
+            tau = (w[j] - dim) / (dim * (w[j] - 1.0))
+            if tau >= 1.0:  # dim = 1: all weight on the longest point
+                u = np.zeros(n)
+                u[j] = 1.0
+                Vinv, w = _exact_state(Q, u)
+                continue
+        g = Vinv @ Q[i]
+        h = Q @ g
+        c = tau / ((1.0 - tau) + tau * w[i])
+        Vinv = (Vinv - c * np.outer(g, g)) / (1.0 - tau)
+        w = (w - c * h * h) / (1.0 - tau)
+        u *= 1.0 - tau
+        u[i] += tau
+        if drop:
+            u[i] = 0.0
+    raise GeometryError("MVEE iteration cap exceeded")
+
+
 def mvee(points, symmetric: bool = False, eps: float = MVEE_EPS) -> Ellipsoid:
     """Approximate minimum-volume enclosing ellipsoid of a finite point set.
 
@@ -114,45 +173,15 @@ def mvee(points, symmetric: bool = False, eps: float = MVEE_EPS) -> Ellipsoid:
     n, m = P.shape
     if not 0.0 < eps <= 0.1:
         raise GeometryError(f"eps must be in (0, 0.1], got {eps}")
-    if symmetric:
-        rank = np.linalg.matrix_rank(P)
-        if rank < m:
-            raise RankDeficiencyError(rank, m)
-        u = np.full(n, 1.0 / n)
-        for _ in range(MVEE_MAX_ITERS):
-            V = (P.T * u) @ P
-            w = np.einsum("ij,ji->i", P @ np.linalg.inv(V), P.T)
-            j = int(np.argmax(w))
-            wmax = w[j]
-            if wmax <= (1.0 + eps) * m:
-                break
-            step = (wmax - m) / (m * (wmax - 1.0))
-            u *= 1.0 - step
-            u[j] += step
-        else:
-            raise GeometryError("MVEE iteration cap exceeded")
-        V = (P.T * u) @ P
-        return Ellipsoid(np.zeros(m), np.linalg.inv(V) / m)
-
-    # general case via the standard lift to homogeneous coordinates
-    Q = np.hstack([P, np.ones((n, 1))])
+    # the general case lifts to homogeneous coordinates: the symmetric MVEE
+    # of the points (p, 1) in R^(m+1) cut by the plane x_(m+1) = 1
+    Q = P if symmetric else np.hstack([P, np.ones((n, 1))])
     rank = np.linalg.matrix_rank(Q)
-    if rank < m + 1:
-        raise RankDeficiencyError(rank - 1, m)
-    u = np.full(n, 1.0 / n)
-    dim = m + 1
-    for _ in range(MVEE_MAX_ITERS):
-        V = (Q.T * u) @ Q
-        w = np.einsum("ij,ji->i", Q @ np.linalg.inv(V), Q.T)
-        j = int(np.argmax(w))
-        wmax = w[j]
-        if wmax <= (1.0 + eps) * dim:
-            break
-        step = (wmax - dim) / (dim * (wmax - 1.0))
-        u *= 1.0 - step
-        u[j] += step
-    else:
-        raise GeometryError("MVEE iteration cap exceeded")
+    if rank < Q.shape[1]:
+        raise RankDeficiencyError(rank if symmetric else rank - 1, m)
+    u = _khachiyan(Q, eps)
+    if symmetric:
+        return Ellipsoid(np.zeros(m), np.linalg.inv((P.T * u) @ P) / m)
     c = P.T @ u
     V = (P.T * u) @ P - np.outer(c, c)
     # lifted termination gives (p-c)' V^-1 (p-c) <= m + eps (m+1); fold the
@@ -252,9 +281,6 @@ def build_noise_measure(psi, probe_points, m: int, eps: float = MVEE_EPS,
     images = np.array([np.asarray(psi(p), dtype=float).ravel() for p in probes])
     if images.shape[1] != m:
         raise GeometryError(f"feature map has dimension {images.shape[1]}, expected {m}")
-    rank = np.linalg.matrix_rank(images)
-    if rank < m:
-        raise RankDeficiencyError(rank, m)
 
     ell = mvee(images, symmetric=True, eps=eps)
     M = ell.shape

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from marginlab import geometry, sphere
 from marginlab.geometry import WeightedAtomMeasure
@@ -32,6 +34,23 @@ def brute_force_symmetric_ellipse(points, grid=400):
         if best is None or area < best[0]:
             best = (area, ax, c_max)
     return best[1], best[2]
+
+
+def unit_rows(rng, n, m):
+    g = rng.standard_normal((n, m))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def assert_john_ratio(pts, ell, rng, probes=200):
+    # the shrunk ellipsoid E / sqrt(m (1+eps)) lies in conv(+/-pts): compare
+    # support functions along random directions
+    m = pts.shape[1]
+    Minv = np.linalg.inv(ell.shape)
+    for _ in range(probes):
+        u = sphere.sample_unit_sphere(m, rng)
+        lhs = float(np.max(np.abs(pts @ u)))
+        rhs = math.sqrt(float(u @ Minv @ u) / (m * (1 + geometry.MVEE_EPS)))
+        assert lhs >= rhs * (1.0 - 1e-12)
 
 
 def test_mvee_symmetric_cross():
@@ -75,13 +94,110 @@ def test_john_ratio_support_function():
     for m in (2, 3, 5, 10):
         pts = np.array([sphere.sample_unit_sphere(m, rng)
                         for _ in range(15 * m)])
-        ell = geometry.mvee(pts, symmetric=True)
-        Minv = np.linalg.inv(ell.shape)
-        for _ in range(200):
-            u = sphere.sample_unit_sphere(m, rng)
-            lhs = float(np.max(np.abs(pts @ u)))
-            rhs = math.sqrt(float(u @ Minv @ u) / (m * (1 + geometry.MVEE_EPS)))
-            assert lhs >= rhs - 1e-12
+        assert_john_ratio(pts, geometry.mvee(pts, symmetric=True), rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1),
+       st.data())
+def test_mvee_contains_random_points(m, symmetric, seed, data):
+    dim = m if symmetric else m + 1
+    n = data.draw(st.integers(dim, 20 * dim))
+    spread = data.draw(st.floats(0.0, 2.0))
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-spread, spread, m)
+    if not symmetric:
+        pts += data.draw(st.floats(0.0, 5.0)) * rng.standard_normal(m)
+    lifted = pts if symmetric else np.hstack([pts, np.ones((n, 1))])
+    assume(np.linalg.matrix_rank(lifted) == dim)
+    ell = geometry.mvee(pts, symmetric=symmetric)
+    assert float(np.max(ell.quad(pts))) <= 1 + geometry.MVEE_EPS
+    if symmetric:
+        assert_john_ratio(pts, ell, RngStream(seed, 1), probes=50)
+
+
+def test_mvee_one_dimension():
+    pts = np.array([[0.3], [-1.7], [1.2], [0.9]])
+    # symmetric: one full step onto the longest point gives the exact interval
+    ell = geometry.mvee(pts, symmetric=True)
+    assert ell.shape[0, 0] == pytest.approx(1.0 / 1.7**2, rel=1e-12)
+    assert float(np.max(ell.quad(pts))) <= 1 + geometry.MVEE_EPS
+    # general: the interval [min, max] within eps
+    ell = geometry.mvee(pts)
+    assert float(np.max(ell.quad(pts))) <= 1 + geometry.MVEE_EPS
+    assert ell.center[0] == pytest.approx(-0.25, abs=2e-2)
+    assert ell.shape[0, 0] == pytest.approx(1.0 / 1.45**2, rel=5e-3)
+
+
+def test_mvee_as_many_points_as_dimensions():
+    # n = dim: uniform weights are optimal, so every point lies on the boundary
+    rng = RngStream(8, 0)
+    for m in (1, 3, 6):
+        P = rng.gen.standard_normal((m, m))
+        quad = geometry.mvee(P, symmetric=True).quad(P)
+        assert np.allclose(quad, 1.0, atol=1e-9)
+        S = rng.gen.standard_normal((m + 1, m))  # a simplex
+        quad = geometry.mvee(S).quad(S)
+        assert np.allclose(quad, m / (m + geometry.MVEE_EPS * (m + 1)),
+                           atol=1e-9)
+
+
+def test_mvee_iteration_budget(monkeypatch):
+    # m = 30 with 600 points takes about 20 000 Khachiyan steps without away
+    # steps; with them it converges well inside 8000
+    monkeypatch.setattr(geometry, "MVEE_MAX_ITERS", 8000)
+    pts = unit_rows(np.random.default_rng(30), 600, 30)
+    for symmetric in (True, False):
+        ell = geometry.mvee(pts, symmetric=symmetric)
+        assert float(np.max(ell.quad(pts))) <= 1 + geometry.MVEE_EPS
+
+
+def mutated_khachiyan(Q, eps):
+    """geometry._khachiyan with the sign of tau * w_i in the Sherman-Morrison
+    coefficient flipped and the exact stopping test removed: the loop stops
+    on its carried leverages alone.  (Flipping the whole correction makes the
+    carried leverages grow without bound, which the iteration cap catches.)"""
+    n, dim = Q.shape
+    u = np.full(n, 1.0 / n)
+    Vinv, w = geometry._exact_state(Q, u)
+    for _ in range(geometry.MVEE_MAX_ITERS):
+        j = int(np.argmax(w))
+        if w[j] <= (1.0 + eps) * dim:
+            return u
+        k = int(np.argmin(np.where(u > 0.0, w, np.inf)))
+        if dim - w[k] > w[j] - dim:
+            i = k
+            floor = -u[k] / (1.0 - u[k])
+            tau = floor
+            if w[k] > 1.0:
+                tau = max((w[k] - dim) / (dim * (w[k] - 1.0)), floor)
+            drop = tau == floor
+        else:
+            i, drop = j, False
+            tau = (w[j] - dim) / (dim * (w[j] - 1.0))
+        g = Vinv @ Q[i]
+        h = Q @ g
+        c = tau / ((1.0 - tau) - tau * w[i])  # planted bug: - tau * w[i]
+        Vinv = (Vinv - c * np.outer(g, g)) / (1.0 - tau)
+        w = (w - c * h * h) / (1.0 - tau)
+        u *= 1.0 - tau
+        u[i] += tau
+        if drop:
+            u[i] = 0.0
+    raise geometry.GeometryError("MVEE iteration cap exceeded")
+
+
+def test_mutated_rank_one_sign_is_caught():
+    # the exact recomputation of the leverages exposes weights the mutated
+    # loop wrongly takes for converged
+    rng = np.random.default_rng(5)
+    for m in (3, 5, 10):
+        P = unit_rows(rng, 20 * m, m)
+        u = mutated_khachiyan(P, geometry.MVEE_EPS)
+        _, w = geometry._exact_state(P, u)
+        assert float(np.max(w)) > (1 + geometry.MVEE_EPS) * m
+        ell = geometry.mvee(P, symmetric=True)
+        assert float(np.max(ell.quad(P))) <= 1 + geometry.MVEE_EPS
 
 
 def test_convex_decompose_examples():
