@@ -8,7 +8,10 @@ the leverages through rank-one (Sherman-Morrison) updates and stops only on
 leverages recomputed exactly from the weights.  In the symmetric case the
 ellipsoid is centered at the origin and the shrunk copy E / sqrt(m (1+eps))
 lies inside the convex hull of the points and their negatives, which is what
-makes the basis-vector decompositions below feasible.
+makes the basis-vector decompositions below feasible.  Each decomposition is
+one nonnegative least-squares solve; the noise measure built from them is
+certified by the mean-absolute-score lower bound it supplies to the
+feature-map lower bound.
 """
 
 from __future__ import annotations
@@ -181,101 +184,66 @@ def mvee(points, symmetric: bool = False, eps: float = MVEE_EPS) -> Ellipsoid:
         raise RankDeficiencyError(rank if symmetric else rank - 1, m)
     u = _khachiyan(Q, eps)
     if symmetric:
-        return Ellipsoid(np.zeros(m), np.linalg.inv((P.T * u) @ P) / m)
-    c = P.T @ u
-    V = (P.T * u) @ P - np.outer(c, c)
-    # lifted termination gives (p-c)' V^-1 (p-c) <= m + eps (m+1); fold the
-    # overshoot into the shape so containment holds within eps
-    return Ellipsoid(c, np.linalg.inv(V) / (m + eps * (m + 1)))
+        c = np.zeros(m)
+        S = np.linalg.inv((P.T * u) @ P) / m
+    else:
+        c = P.T @ u
+        V = (P.T * u) @ P - np.outer(c, c)
+        # lifted termination gives (p-c)' V^-1 (p-c) <= m + eps (m+1); fold
+        # the overshoot into the shape so containment holds within eps
+        S = np.linalg.inv(V) / (m + eps * (m + 1))
+    # on badly scaled points the inverse is symmetric only up to rounding
+    # amplified by the condition number
+    return Ellipsoid(c, (S + S.T) / 2.0)
 
 
-def _caratheodory_prune(weights: np.ndarray, points: np.ndarray, m: int):
-    """Reduce the support of an exact convex combination to <= m+1 atoms by
-    walking along null directions of the lifted point matrix."""
-    w = weights.copy()
-    while True:
-        support = np.nonzero(w > WEIGHT_TOL)[0]
-        if len(support) <= m + 1:
-            break
-        Q = np.vstack([points[support].T, np.ones(len(support))])
-        _, s, vt = np.linalg.svd(Q)
-        null = vt[-1]
-        pos = null > 1e-14
-        if not np.any(pos):
-            null = -null
-            pos = null > 1e-14
-        tau = np.min(w[support][pos] / null[pos])
-        w[support] = np.maximum(w[support] - tau * null, 0.0)
-        total = w.sum()
-        if total <= 0:
-            raise InfeasibleError("pruning collapsed the decomposition")
-        w /= total
-    w[w <= WEIGHT_TOL] = 0.0
-    return w / w.sum()
+def convex_decompose(target, points) -> np.ndarray:
+    """Weights lambda >= 0, sum 1, with || sum lambda_j p_j - target || <=
+    DECOMP_TOL and at most m+1 nonzero entries.
 
-
-def convex_decompose(target, points, tol: float = DECOMP_TOL,
-                     max_iters: int = 5000) -> np.ndarray:
-    """Weights lambda >= 0, sum 1, with || sum lambda_j p_j - target || <= tol
-    and at most m+1 nonzero entries.
-
-    Frank-Wolfe on the squared residual locates the active vertices; because
-    plain Frank-Wolfe stalls sublinearly, the active set is then polished with
-    a nonnegative least-squares solve before Caratheodory pruning.
+    One Lawson-Hanson NNLS solve of [P'; 1'] lambda = (target, 1).  Its
+    passive set stays linearly independent, so the solution is already a
+    Caratheodory basis; the support bound is checked, not assumed.
     """
     t = np.asarray(target, dtype=float)
     P = np.atleast_2d(np.asarray(points, dtype=float))
     n, m = P.shape
-    lam = np.zeros(n)
-    lam[int(np.argmin(P @ -t))] = 1.0  # best single vertex for <p, t>
-    for _ in range(max_iters):
-        r = P.T @ lam - t
-        if np.linalg.norm(r) <= tol:
-            break
-        j = int(np.argmin(P @ r))
-        d = P[j] - P.T @ lam
-        denom = float(d @ d)
-        if denom <= 0:
-            break
-        step = float(np.clip(-(r @ d) / denom, 0.0, 1.0))
-        if step <= 0:
-            break
-        lam *= 1.0 - step
-        lam[j] += step
-
-    if np.linalg.norm(P.T @ lam - t) > tol:
-        # polish: equality-weighted NNLS over the simplex, first on the
-        # Frank-Wolfe active set, then over all vertices if needed
-        rho = 1e6
-        for cols in (np.nonzero(lam > 1e-12)[0], np.arange(n)):
-            A = np.vstack([P[cols].T, rho * np.ones(len(cols))])
-            b = np.append(t, rho)
-            sol, _ = nnls(A, b)
-            cand = np.zeros(n)
-            cand[cols] = sol
-            s = cand.sum()
-            if s > 0:
-                cand /= s
-            if np.linalg.norm(P.T @ cand - t) <= tol:
-                lam = cand
-                break
-        else:
-            raise InfeasibleError(
-                f"residual {np.linalg.norm(P.T @ lam - t):.3e} > tol {tol:.1e}: "
-                "target outside the convex hull"
-            )
-    return _caratheodory_prune(lam, P, m)
+    lam, _ = nnls(np.vstack([P.T, np.ones(n)]), np.append(t, 1.0))
+    lam[lam <= WEIGHT_TOL] = 0.0
+    total = lam.sum()
+    if total <= 0.0:
+        raise InfeasibleError("no nonnegative weights: target outside the "
+                              "convex hull")
+    lam /= total
+    resid = float(np.linalg.norm(P.T @ lam - t))
+    if resid > DECOMP_TOL:
+        raise InfeasibleError(
+            f"residual {resid:.3e} > tol {DECOMP_TOL:.1e}: "
+            "target outside the convex hull"
+        )
+    support = np.count_nonzero(lam)
+    if support > m + 1:
+        raise GeometryError(f"decomposition has {support} atoms in R^{m}, "
+                            f"more than {m + 1}")
+    return lam
 
 
 def build_noise_measure(psi, probe_points, m: int, eps: float = MVEE_EPS,
                         rng: RngStream | None = None):
     """John-ellipsoid noise measure for a feature map psi into R^m.
 
-    Returns (inner_product, mu_N): the John shape matrix of the symmetric hull
-    of the probe images, and a probability measure on labeled probe points
-    whose atoms decompose each John-orthonormal basis direction scaled by
-    1/sqrt(m (1+eps)).  Certifies on 100 random John-norm-1 linear functionals
-    that the hinge error under mu_N is at least 1/(2 m^1.5) - 1e-9.
+    Returns (inner_product, mu_N): the John shape matrix M of the symmetric
+    hull of the probe images, and a probability measure on labeled probe
+    points.  Each John-orthonormal direction e_i (e_i' M e_j = delta_ij),
+    shrunk by 1/sqrt(m (1+eps)), is decomposed over the signed images
+    +/-psi(x); the probe x gets mass lambda/(2m) with each label.  That gives,
+    for every functional w,
+
+        E_mu |<w, psi(x)>| >= ||w||_{M^-1} / (m sqrt(m (1+eps))),
+
+    the lower bound the noise measure supplies.  It is certified on 100
+    random functionals drawn from rng, with a slack of DECOMP_TOL ||w||_2
+    for the decomposition residuals; GeometryError if any falls short.
     """
     probes = [np.asarray(p, dtype=float) for p in probe_points]
     images = np.array([np.asarray(psi(p), dtype=float).ravel() for p in probes])
@@ -284,41 +252,30 @@ def build_noise_measure(psi, probe_points, m: int, eps: float = MVEE_EPS,
 
     ell = mvee(images, symmetric=True, eps=eps)
     M = ell.shape
-    L = np.linalg.cholesky(M)
-    basis = np.linalg.inv(L).T  # columns e_i with e_i' M e_j = delta_ij
+    basis = np.linalg.inv(np.linalg.cholesky(M)).T  # columns e_i
 
+    n = len(images)
     signed = np.vstack([images, -images])
     shrink = math.sqrt(m * (1.0 + eps))
-    merged = {}
+    mass = np.zeros(n)  # per probe and label
     for i in range(m):
         lam = convex_decompose(basis[:, i] / shrink, signed)
-        for j in np.nonzero(lam)[0]:
-            # the signed vertex +/-psi(x) contributes the point x with both
-            # labels, weight lambda/(2m) each
-            probe_idx = j % len(images)
-            w = lam[j] / (2.0 * m)
-            for y in (1, -1):
-                key = (probe_idx, y)
-                merged[key] = merged.get(key, 0.0) + w
-    atoms = [(probes[idx], y, w) for (idx, y), w in sorted(merged.items())]
-    mu_N = WeightedAtomMeasure(atoms)
+        mass += (lam[:n] + lam[n:]) / (2.0 * m)
+    support = np.nonzero(mass)[0]
+    mu_N = WeightedAtomMeasure([(probes[j], y, mass[j])
+                                for j in support for y in (-1, 1)])
 
-    # certificate on random norm-1 functionals
-    Minv = np.linalg.inv(M)
     gen = rng if rng is not None else RngStream(0, 0)
-    floor = 1.0 / (2.0 * m**1.5) - 1e-9
-    for _ in range(100):
-        w_vec = gen.gen.standard_normal(m)
-        w_vec /= math.sqrt(float(w_vec @ Minv @ w_vec))
-        err = 0.0
-        for p, y, wt in mu_N.atoms:
-            score = y * float(np.asarray(psi(p), dtype=float).ravel() @ w_vec)
-            err += wt * max(1.0 - score, 0.0)
-        if err < floor:
-            raise GeometryError(
-                f"noise-measure certificate failed: hinge error {err:.3e} "
-                f"< {floor:.3e}"
-            )
+    W = gen.gen.standard_normal((100, m))
+    measured = 2.0 * mass[support] @ np.abs(images[support] @ W.T)
+    john = np.linalg.norm(W @ basis, axis=1)  # ||w||_{M^-1}
+    floor = john / (m * shrink) - DECOMP_TOL * np.linalg.norm(W, axis=1)
+    if np.any(measured < floor):
+        k = int(np.argmin(measured - floor))
+        raise GeometryError(
+            f"noise-measure certificate failed: E|<w, psi>| {measured[k]:.3e} "
+            f"< {floor[k]:.3e}"
+        )
     return M, mu_N
 
 

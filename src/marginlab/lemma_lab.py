@@ -1,5 +1,4 @@
-"""Band-difference verification for zonal expansions and trained models, and
-Monte-Carlo symmetrization of a function around a direction.
+"""Band-difference verification for zonal expansions and trained models.
 
 The band-difference estimate says the band averages of a norm-bounded RKHS
 function at heights +/-gamma differ by at most
@@ -24,7 +23,7 @@ from .orthopoly import (
     gauss_chebyshev_nodes,
     legendre_tail_bound,
 )
-from .sphere import RngStream, haar_orthogonal, sample_band
+from .sphere import RngStream, sample_band
 
 GAP_SLACK_SIGMAS = 4.0
 
@@ -103,75 +102,3 @@ def check_band_gap(model, e, gamma: float, K: int, n_mc: int = 512,
         )
     return report
 
-
-def stabilizer_rotation(e: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Haar-random rotation of S^{d-1} fixing e, lifted through a Householder
-    completion of e."""
-    e = np.asarray(e, dtype=float)
-    d = len(e)
-    first = np.zeros(d)
-    first[0] = 1.0
-    v = e - first
-    nv = np.linalg.norm(v)
-    if nv < 1e-12:
-        Q = np.eye(d)
-    else:
-        v = v / nv
-        Q = np.eye(d) - 2.0 * np.outer(v, v)
-    inner = np.eye(d)
-    inner[1:, 1:] = haar_orthogonal(d - 1, rng)
-    return Q @ inner @ Q.T
-
-
-@dataclass
-class SymmetrizedFunction:
-    """Tabulated band-average estimate g(a) of a function around e."""
-
-    e: np.ndarray
-    grid: np.ndarray
-    values: np.ndarray
-    std_errs: np.ndarray
-
-    def __call__(self, a):
-        return np.interp(a, self.grid, self.values)
-
-
-def symmetrize_function(model, e, n_rotations: int = 64,
-                        rng: RngStream | None = None,
-                        grid: np.ndarray | None = None) -> SymmetrizedFunction:
-    """Monte-Carlo estimate of the rotation average of the model around e.
-
-    Averages f(A x_a) over Haar rotations A fixing e, at one representative
-    point x_a per grid height a.  Works for any object exposing
-    decision_function; plain callables are wrapped.
-    """
-    if n_rotations < 16:
-        raise ValueError("need at least 16 rotations")
-    if rng is None:
-        rng = RngStream(0, 0)
-    e = np.asarray(e, dtype=float)
-    d = len(e)
-    if grid is None:
-        grid = np.linspace(-1.0, 1.0, 65)
-    fn = model.decision_function if hasattr(model, "decision_function") else model
-
-    # representative point per height, fixed across rotations
-    reps = []
-    for a in grid:
-        if abs(a) >= 1.0:
-            reps.append(math.copysign(1.0, a) * e)
-        else:
-            reps.append(sample_band(e, float(a), rng))
-    reps = np.array(reps)
-
-    samples = np.empty((n_rotations, len(grid)))
-    for r in range(n_rotations):
-        A = stabilizer_rotation(e, rng)
-        pts = reps @ A.T
-        out = np.asarray(fn(pts), dtype=float)
-        if out.shape != (len(grid),):
-            out = np.array([float(fn(p)) for p in pts])
-        samples[r] = out
-    values = samples.mean(axis=0)
-    std_errs = samples.std(axis=0, ddof=1) / math.sqrt(n_rotations)
-    return SymmetrizedFunction(e, np.asarray(grid, float), values, std_errs)

@@ -26,10 +26,6 @@ class SpecError(ValueError):
     pass
 
 
-class DegenerateLossError(ValueError):
-    """No grid triple satisfies the theta inequality for this loss."""
-
-
 @dataclass
 class AdversarialSpec:
     """Full recipe for one hard distribution on S^{d-1} x {+/-1}."""
@@ -175,20 +171,3 @@ def certified_margin_bound(spec: AdversarialSpec) -> float:
         bound += spec.clean_weight
     return bound
 
-
-def choose_theta(loss, slack: float = 1e-6):
-    """Find (alpha, beta, theta) with the strict mixture inequality
-    (1-theta) l(-beta) + theta l(beta) < theta l(alpha) by coarse grid search.
-    """
-    if loss.d_plus_at_0 >= 0:
-        raise DegenerateLossError("loss must be strictly decreasing at 0")
-    thetas = [round(0.7 + 0.01 * k, 2) for k in range(30)]
-    for theta in thetas:
-        for alpha in (0.25, 0.5):
-            for beta in (1.0, 2.0):
-                la, lb, lnb = loss.value(alpha), loss.value(beta), loss.value(-beta)
-                if la <= lb:
-                    continue
-                if (1 - theta) * lnb + theta * lb < theta * la - slack:
-                    return alpha, beta, theta
-    raise DegenerateLossError("no grid triple satisfies the theta inequality")

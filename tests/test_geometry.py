@@ -152,6 +152,19 @@ def test_mvee_iteration_budget(monkeypatch):
         assert float(np.max(ell.quad(pts))) <= 1 + geometry.MVEE_EPS
 
 
+def test_mvee_badly_scaled_points_give_symmetric_shape():
+    # axis scales up to 10^+-3 and a shift drawn up to 50: inv(V) is
+    # symmetric only up to rounding amplified by its condition number, which
+    # the Ellipsoid check rejected before mvee symmetrized the shape
+    rng = np.random.default_rng(379)
+    m = int(rng.integers(1, 9))
+    pts = rng.standard_normal((20 * (m + 1), m)) * 10.0 ** rng.uniform(-3, 3, m)
+    pts += rng.uniform(0, 50) * rng.standard_normal(m)
+    ell = geometry.mvee(pts)
+    assert np.array_equal(ell.shape, ell.shape.T)
+    assert float(np.max(ell.quad(pts))) <= 1 + geometry.MVEE_EPS
+
+
 def mutated_khachiyan(Q, eps):
     """geometry._khachiyan with the sign of tau * w_i in the Sherman-Morrison
     coefficient flipped and the exact stopping test removed: the loop stops
@@ -226,6 +239,32 @@ def test_convex_decompose_caratheodory_cap():
     assert np.linalg.norm(lam @ pts - target) <= 1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.data())
+def test_convex_decompose_random_hulls(m, seed, data):
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(1, 10 * m))
+    spread = data.draw(st.floats(0.0, 2.0))
+    P = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-spread, spread, m)
+    dups = P[rng.integers(0, n, data.draw(st.integers(0, n)))]
+    a, b = rng.integers(0, n, (2, data.draw(st.integers(0, n))))
+    s = rng.uniform(0, 1, (len(a), 1))
+    near = P[a] + s * (P[b] - P[a]) + 1e-9 * rng.standard_normal((len(a), m))
+    P = np.vstack([P, dups, near])
+    target = rng.dirichlet(np.full(len(P), 0.5)) @ P
+    lam = geometry.convex_decompose(target, P)
+    assert np.linalg.norm(lam @ P - target) <= geometry.DECOMP_TOL
+    assert lam.min() >= 0.0
+    assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.count_nonzero(lam) <= m + 1
+    # push the target past the supporting hyperplane along a unit direction
+    u = rng.standard_normal(m)
+    u /= np.linalg.norm(u)
+    gap = float(np.max(P @ u) - target @ u) + 1e-6 * (1.0 + np.abs(P).max())
+    with pytest.raises(geometry.InfeasibleError):
+        geometry.convex_decompose(target + gap * u, P)
+
+
 def test_weighted_atom_measure_validation_and_csv(tmp_path):
     with pytest.raises(geometry.GeometryError):
         WeightedAtomMeasure([(np.zeros(2), 1, 0.4)])  # mass != 1
@@ -259,25 +298,45 @@ def test_build_noise_measure_1d():
         assert errs >= (w * john) / 2.0 - 1e-9
 
 
+def noise_input(seed, m, d=8):
+    rng = RngStream(seed, 0)
+    A = rng.gen.standard_normal((m, d))
+    return A, geometry.default_probes(d, m, rng), rng
+
+
 def test_build_noise_measure_m2_certificate():
-    rng = RngStream(5, 0)
+    # E_mu |<w, A x>| >= ||w||_{M^-1} / (m sqrt(m (1+eps))) for every w,
+    # recomputed here atom by atom through A
     m = 2
-    A = rng.gen.standard_normal((m, 8))
-    probes = geometry.default_probes(8, m, rng)
+    A, probes, rng = noise_input(5, m)
     M, mu = geometry.build_noise_measure(lambda x: A @ x, probes, m,
                                          rng=rng.child(1))
     total = sum(w for _, _, w in mu.atoms)
     assert total == pytest.approx(1.0, abs=1e-9)
+    # each probe carries both labels, -1 first
+    assert [y for _, y, _ in mu.atoms] == [-1, 1] * (len(mu.atoms) // 2)
     Minv = np.linalg.inv(M)
-    floor = 1.0 / (2.0 * m**1.5) - 1e-9
+    shrink = math.sqrt(m * (1 + geometry.MVEE_EPS))
     gen = rng.child(2)
     for _ in range(100):
         w = gen.gen.standard_normal(m)
-        w /= math.sqrt(float(w @ Minv @ w))
-        err = sum(
-            wt * max(1.0 - y * float((A @ p) @ w), 0.0) for p, y, wt in mu.atoms
-        )
-        assert err >= floor
+        score = sum(wt * abs(float((A @ p) @ w)) for p, _, wt in mu.atoms)
+        floor = math.sqrt(float(w @ Minv @ w)) / (m * shrink)
+        assert score >= floor - geometry.DECOMP_TOL * np.linalg.norm(w)
+
+
+def test_mutated_decomposition_is_caught(monkeypatch):
+    # rolling each decomposition by one vertex moves every probe's mass to
+    # the next probe; the mean-absolute-score certificate must notice
+    m = 2
+    A, probes, rng = noise_input(5, m)
+    geometry.build_noise_measure(lambda x: A @ x, probes, m, rng=rng.child(1))
+    exact = geometry.convex_decompose
+    monkeypatch.setattr(geometry, "convex_decompose",
+                        lambda t, P: np.roll(exact(t, P), 1))
+    with pytest.raises(geometry.GeometryError, match="certificate"):
+        geometry.build_noise_measure(lambda x: A @ x, probes, m,
+                                     rng=rng.child(1))
 
 
 def test_build_noise_measure_span_failure():

@@ -6,7 +6,6 @@ import pytest
 from marginlab import kernels, lemma_lab
 from marginlab import learners as L
 from marginlab import orthopoly as op
-from marginlab import sphere
 from marginlab.sphere import RngStream
 
 
@@ -62,72 +61,3 @@ def test_check_band_gap_type_error():
     with pytest.raises(TypeError):
         lemma_lab.check_band_gap(lambda x: 0.0, np.eye(5)[0], 0.01, K=3)
 
-
-def test_stabilizer_rotation_fixes_e():
-    rng = RngStream(2, 0)
-    for d in (3, 6):
-        e = sphere.sample_unit_sphere(d, rng)
-        for _ in range(5):
-            A = lemma_lab.stabilizer_rotation(e, rng)
-            assert np.allclose(A @ A.T, np.eye(d), atol=1e-12)
-            assert np.allclose(A @ e, e, atol=1e-12)
-
-
-def test_symmetrize_invariant_function_fixed_point():
-    d = 6
-    e = np.eye(d)[0]
-    fn = lambda X: np.atleast_2d(X)[:, 0] ** 2  # already O(e)-invariant
-    g = lemma_lab.symmetrize_function(fn, e, 32, RngStream(3, 0))
-    assert np.allclose(g.values, g.grid**2, atol=1e-9)
-    assert float(g(0.5)) == pytest.approx(0.25, abs=1e-6)
-
-
-def test_symmetrize_orthogonal_linear_vanishes():
-    d = 6
-    e, v = np.eye(d)[0], np.eye(d)[1]
-    fn = lambda X: np.atleast_2d(X) @ v
-    g = lemma_lab.symmetrize_function(fn, e, 512, RngStream(4, 0))
-    assert np.all(np.abs(g.values) <= 4 * g.std_errs + 1e-9)
-
-
-def test_symmetrize_zonal_product_identity():
-    # averaging P_{d,n}(<v, .>) over the stabilizer of e gives
-    # P_{d,n}(<v, e>) P_{d,n}(a) at band height a
-    d, n = 6, 3
-    rng = RngStream(5, 0)
-    e = np.eye(d)[0]
-    v = sphere.sample_unit_sphere(d, rng)
-    fn = lambda X: op.legendre_eval(d, n, np.atleast_2d(X) @ v)
-    g = lemma_lab.symmetrize_function(fn, e, 3000, RngStream(6, 0))
-    pred = op.legendre_eval(d, n, float(v @ e)) * op.legendre_eval(d, n, g.grid)
-    assert np.all(np.abs(g.values - pred) <= 5 * g.std_errs + 2e-3)
-
-
-def test_symmetrize_rotation_floor():
-    with pytest.raises(ValueError):
-        lemma_lab.symmetrize_function(lambda X: 0.0, np.eye(4)[0], 8)
-
-
-def test_symmetrization_contracts_convex_error():
-    # mean hinge loss of the symmetrized score profile is at most the
-    # rotation-averaged loss of the original function (within MC noise)
-    d = 6
-    e = np.eye(d)[0]
-    rng = RngStream(7, 0)
-    w = sphere.sample_unit_sphere(d, rng)
-    fn = lambda X: np.atleast_2d(X) @ w
-    hinge = L.make_loss("hinge")
-    heights = np.array([0.05, -0.05, 0.1])
-    labels = np.array([1.0, -1.0, 1.0])
-    reps = np.array([sphere.sample_band(e, a, rng) for a in heights])
-    g = lemma_lab.symmetrize_function(fn, e, 1024, RngStream(8, 0),
-                                      grid=np.linspace(-0.2, 0.2, 41))
-    err_sym = float(np.mean(hinge.value(labels * g(heights))))
-    rots = [lemma_lab.stabilizer_rotation(e, rng) for _ in range(1024)]
-    losses = []
-    for A in rots:
-        scores = (reps @ A.T) @ w
-        losses.append(float(np.mean(hinge.value(labels * scores))))
-    avg_err = float(np.mean(losses))
-    sigma = float(np.std(losses) / np.sqrt(len(losses))) + float(np.max(g.std_errs))
-    assert err_sym <= avg_err + 4 * sigma + 1e-6
