@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: gen, train, eval, gap, integrality, sweep, verify.
+Subcommands: gen, train, eval, gap, sweep, verify.
 Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 solver non-convergence.
 """
@@ -58,8 +58,8 @@ def main(argv=None) -> int:
         description="Hard-distribution experiments for large-margin learning",
     )
     parser.add_argument("command",
-                        choices=["gen", "train", "eval", "gap", "integrality",
-                                 "sweep", "verify"])
+                        choices=["gen", "train", "eval", "gap", "sweep",
+                                 "verify"])
     parser.add_argument("--config", help="experiment config JSON path")
     parser.add_argument("--seed", type=int, help="override config seed")
     parser.add_argument("--out", help="output path (default stdout)")
@@ -95,11 +95,9 @@ def _dispatch(args) -> int:
             c.seed = args.seed
     config = configs[0]
 
-    if args.command in ("gap", "integrality"):
-        # integrality prints the same rows as JSON; its surrogate_optimum and
-        # gap_ratio fields are the integrality figures
+    if args.command == "gap":
         report = harness.run_gap_experiment(config)
-        if args.format == "json" or args.command == "integrality":
+        if args.format == "json":
             _emit(report.to_json() + "\n", args.out)
         else:
             _emit(harness.sweep_to_csv(report.rows), args.out)

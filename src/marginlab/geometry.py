@@ -236,14 +236,15 @@ def build_noise_measure(psi, probe_points, m: int, eps: float = MVEE_EPS,
     hull of the probe images, and a probability measure on labeled probe
     points.  Each John-orthonormal direction e_i (e_i' M e_j = delta_ij),
     shrunk by 1/sqrt(m (1+eps)), is decomposed over the signed images
-    +/-psi(x); the probe x gets mass lambda/(2m) with each label.  That gives,
-    for every functional w,
+    +/-psi(x); the probe x gets mass lambda/(2m) with each label.  By the
+    triangle inequality over each decomposition, for every functional w,
 
-        E_mu |<w, psi(x)>| >= ||w||_{M^-1} / (m sqrt(m (1+eps))),
+        E_mu |<w, psi(x)>| >= sum_i |<w, e_i>| / (m sqrt(m (1+eps))),
 
-    the lower bound the noise measure supplies.  It is certified on 100
-    random functionals drawn from rng, with a slack of DECOMP_TOL ||w||_2
-    for the decomposition residuals; GeometryError if any falls short.
+    which is at least the bound ||w||_{M^-1} / (m sqrt(m (1+eps))) the noise
+    measure supplies.  The first bound is certified on 100 random
+    functionals drawn from rng, with a slack of DECOMP_TOL ||w||_2 for the
+    decomposition residuals; GeometryError if any falls short.
     """
     probes = [np.asarray(p, dtype=float) for p in probe_points]
     images = np.array([np.asarray(psi(p), dtype=float).ravel() for p in probes])
@@ -268,8 +269,8 @@ def build_noise_measure(psi, probe_points, m: int, eps: float = MVEE_EPS,
     gen = rng if rng is not None else RngStream(0, 0)
     W = gen.gen.standard_normal((100, m))
     measured = 2.0 * mass[support] @ np.abs(images[support] @ W.T)
-    john = np.linalg.norm(W @ basis, axis=1)  # ||w||_{M^-1}
-    floor = john / (m * shrink) - DECOMP_TOL * np.linalg.norm(W, axis=1)
+    floor = (np.abs(W @ basis).sum(axis=1) / (m * shrink)
+             - DECOMP_TOL * np.linalg.norm(W, axis=1))
     if np.any(measured < floor):
         k = int(np.argmin(measured - floor))
         raise GeometryError(

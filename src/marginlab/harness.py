@@ -31,6 +31,9 @@ SWEEP_COLUMNS = [
     "ratio", "surrogate_optimum", "gap_ratio",
     "band_gap", "band_bound", "solver_gap", "error",
 ]
+# sup over [-1, 1] of |sum_n b_n P_{d,n} - kappa| allowed for the exact
+# Legendre expansion of a shipped kernel (measured: below 1e-15)
+REPRODUCTION_TOL = 1e-13
 
 
 class UsageError(ValueError):
@@ -56,7 +59,6 @@ class ExperimentConfig:
     max_iters: int = 150
     n_restarts: int = 4
     eps_opt: float | None = None
-    n_mc: int = 256
     boundary_counts: bool = False
     noise_atoms_csv: str | None = None
 
@@ -148,17 +150,16 @@ class Trial:
     trained model, each made on first use.
 
     This is the only place the trial's random streams are derived (child 1
-    samples the training set, child 2 the test set, child 3 the band check)
-    and the kernel program is trained, so every command that samples, trains
-    or evaluates a config sees the same data and model.
+    samples the training set, child 2 the test set) and the kernel program
+    is trained, so every command that samples, trains or evaluates a config
+    sees the same data and model.
     """
 
     def __init__(self, config: ExperimentConfig, seed: int):
         self.config = config
         self.spec = config.make_spec()
         base = RngStream(seed, 0)
-        self.train_rng, self.test_rng, self.band_rng = (
-            base.child(1), base.child(2), base.child(3))
+        self.train_rng, self.test_rng = base.child(1), base.child(2)
 
     @functools.cached_property
     def train_data(self) -> tuple:
@@ -215,9 +216,7 @@ def run_single(config: ExperimentConfig, seed: int, config_id: int = 0) -> dict:
         )
         try:
             report = lemma_lab.check_band_gap(
-                model, trial.spec.e, config.gamma, config.band_cutoff,
-                n_mc=config.n_mc, rng=trial.band_rng,
-            )
+                model, trial.spec.e, config.gamma, config.band_cutoff)
             row.update(band_gap=report.gap, band_bound=report.bound)
         except lemma_lab.GapViolationError as exc:
             row["error"] = f"band: {exc}"
@@ -365,22 +364,19 @@ def _suite_kernels(n_sets: int = 25) -> list:
             G = kernels.gram(k, X, check_psd=False)
             min_eig = min(min_eig, float(np.linalg.eigvalsh(G)[0]))
     checks.append(("gram_psd", min_eig >= -1e-8, {"min_eig": min_eig}))
-    for name in ("sss", "rbf", "poly"):
-        k = (kernels.standard_kernel(name, sigma=1.0) if name == "rbf"
-             else kernels.standard_kernel(name, degree=3) if name == "poly"
-             else kernels.standard_kernel(name))
-        for d in (6, 10):
-            prof = kernels.RkhsProfile.from_kernel(k, d, nmax=40)
-            bmin = float(np.min(prof.b))
-            total = float(np.sum(prof.b))
-            k1 = k.profile_value(1.0)
-            checks.append((f"legendre_coeffs_{name}_d{d}",
-                           bmin >= -1e-8 and abs(total - k1) <= 1e-6,
-                           {"bmin": bmin, "sum": total, "k1": k1}))
+    # the exact Legendre expansion must reproduce each profile on [-1, 1]
+    grid = np.linspace(-1.0, 1.0, 401)
+    for k in shipped:
+        k1 = float(k.profile_value(1.0))
+        for d in (6, 10, 25):
+            prof = kernels.RkhsProfile.from_kernel(k, d)
+            err = float(np.max(np.abs(orthopoly.PolyCoeffs(d, prof.b)(grid)
+                                      - k.profile_value(grid))))
+            checks.append((f"legendre_reproduction_{k.name}_d{d}",
+                           err <= REPRODUCTION_TOL, {"max_err": err}))
             # reproducing identity: ||k(.,x0)||^2 = kappa(1)
-            alpha = prof.b.copy()
-            nrm = kernels.rkhs_norm_symmetric(alpha, prof)
-            checks.append((f"reproducing_norm_{name}_d{d}",
+            nrm = kernels.rkhs_norm_symmetric(prof.b, prof)
+            checks.append((f"reproducing_norm_{k.name}_d{d}",
                            abs(nrm - math.sqrt(k1)) <= 1e-6, {"norm": nrm}))
     return checks
 

@@ -1,27 +1,29 @@
-"""Kernels on the sphere: zonal profiles, feature maps, Legendre decomposition
-of symmetric kernels, RKHS norms of zonal functions, and Monte-Carlo kernel
-symmetrization.
+"""Kernels on the sphere: zonal profiles, feature maps, the exact Legendre
+expansion of the shipped kernels, RKHS norms of zonal functions, and
+Monte-Carlo kernel symmetrization.
 
 A symmetric (zonal) kernel k(x, y) = kappa(<x, y>) decomposes as
 kappa(s) = sum_n b_n P_{d,n}(s) with b_n >= 0, and the RKHS norm of a zonal
 function f = sum_n alpha_n P_{d,n}(<e, .>) is sqrt(sum alpha_n^2 / b_n).
+Each shipped profile is a power series sum_k c_k s^k with c_k >= 0 that does
+not depend on d (Schoenberg 1942).  RkhsProfile.from_kernel turns these
+Taylor coefficients into the b_n at any d >= 3 with a recursion whose
+coefficients are all positive, so the expansion is exact to rounding: b >= 0
+exactly, sum b_n = kappa(1) and sum b_n P_{d,n} = kappa within a few ulps.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_gegenbauer
+from scipy.special import gammaln
 
-from .orthopoly import PolyCoeffs, legendre_table
-from .sphere import RngStream, haar_orthogonal, harmonic_dim, sphere_area
+from .orthopoly import PolyCoeffs
+from .sphere import RngStream, haar_orthogonal
 
 GRAM_EIG_TOL = 1e-8
-COEFF_ZERO_REL_TOL = 1e-12
-DEFAULT_NMAX = 64
 SYMMETRIZE_GRID = 257
 # rows per block when a profile is applied to a kernel matrix; a 256 x 4000
 # block of float64 (8 MB) stays in cache
@@ -38,23 +40,22 @@ class InfiniteNormError(ValueError):
 
 @dataclass
 class KernelSpec:
-    """A kernel given as a zonal profile, a feature map, or a Legendre series.
+    """A kernel given as a zonal profile or a feature map.
 
-    Exactly one of profile / feature_map / legendre is set.  With normalize,
-    zonal evaluation divides by kappa(1) so that sup k(x, x) = 1.
+    Exactly one of profile / feature_map is set.  A zonal kernel may carry
+    the Taylor coefficients taylor[k] >= 0 of its profile, kappa(s) =
+    sum_k taylor[k] s^k, from which its Legendre expansion is exact.
     """
 
     name: str = "custom"
     profile: object | None = None  # vectorized callable on [-1, 1]
     feature_map: object | None = None  # callable mapping (n, d) -> (n, m)
-    legendre: tuple[int, np.ndarray] | None = None  # (d, coefficient array b)
-    normalize: bool = False
+    taylor: np.ndarray | None = None
     params: dict = field(default_factory=dict)
     profile_std_err: object | None = None  # for tabulated MC estimates
 
     def __post_init__(self):
-        forms = [self.profile, self.feature_map, self.legendre]
-        if sum(f is not None for f in forms) != 1:
+        if (self.profile is None) == (self.feature_map is None):
             raise KernelError("exactly one kernel form must be given")
 
     @property
@@ -62,21 +63,11 @@ class KernelSpec:
         return self.feature_map is None
 
     def profile_value(self, s):
-        """kappa(s) for zonal kernels (normalized if the flag is set)."""
+        """kappa(s) for zonal kernels."""
+        if self.profile is None:
+            raise KernelError("profile_value needs a zonal kernel")
         s = np.clip(np.asarray(s, dtype=float), -1.0, 1.0)
-        if self.profile is not None:
-            vals = np.asarray(self.profile(s), dtype=float)
-            if self.normalize:
-                vals = vals / float(self.profile(np.asarray(1.0)))
-            return vals
-        if self.legendre is not None:
-            d, b = self.legendre
-            table = legendre_table(d, len(b) - 1, s)
-            vals = np.tensordot(np.asarray(b, float), table, axes=(0, 0))
-            if self.normalize:
-                vals = vals / float(np.sum(b))
-            return vals
-        raise KernelError("profile_value needs a zonal kernel")
+        return np.asarray(self.profile(s), dtype=float)
 
 
 def cross_gram(k: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -121,88 +112,53 @@ def gram(k: KernelSpec, points: np.ndarray, check_psd: bool = True) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Legendre decomposition and RKHS norms.
+# Legendre expansion and RKHS norms.
 # ---------------------------------------------------------------------------
 
-def profile_to_legendre(kappa, d: int, nmax: int = DEFAULT_NMAX,
-                        tail_tol: float = 1e-8) -> np.ndarray:
-    """Legendre coefficients b_n of a continuous zonal profile.
+def _taylor_to_legendre(c: np.ndarray, d: int) -> np.ndarray:
+    """b_n with sum_k c_k s^k = sum_n b_n P_{d,n}(s), by Horner's rule in the
+    Legendre basis.
 
-    b_n = <kappa, P_{d,n}> / <P_{d,n}, P_{d,n}> against the Gegenbauer weight
-    (1 - s^2)^((d-3)/2), by Gauss-Gegenbauer quadrature (exact for the
-    polynomial parts).  Raises if the geometric fit of the last coefficients
-    estimates a truncation tail above tail_tol.
+    Multiplying by s uses
+        s P_{d,m} = [(m+d-2) P_{d,m+1} + m P_{d,m-1}] / (2m+d-2),
+    whose coefficients are all positive, so c >= 0 gives b >= 0 with no
+    cancellation, and the sum of the coefficients is kept at each step.
     """
     if d < 3:
-        raise KernelError(f"decomposition needs d >= 3, got {d}")
-    n_nodes = max(256, 2 * (nmax + 1))
-    nodes, weights = roots_gegenbauer(n_nodes, (d - 2) / 2.0)
-    table = legendre_table(d, nmax, nodes)
-    kv = np.asarray(kappa(nodes), dtype=float)
-    num = table @ (weights * kv)
-    den = (table**2) @ weights
-    b = num / den
-    _check_tail(b, tail_tol)
+        raise KernelError(f"Legendre expansion needs d >= 3, got {d}")
+    c = np.asarray(c, dtype=float)
+    m = np.arange(len(c))
+    up = (m + d - 2) / (2 * m + d - 2)
+    down = m / (2 * m + d - 2)
+    b = np.zeros(len(c))
+    for ck in c[::-1]:  # b <- s b + c_k; b has degree < len(c) - 1 here
+        sb = np.zeros(len(c))
+        sb[1:] = up[:-1] * b[:-1]
+        sb[:-1] += down[1:] * b[1:]
+        sb[0] += ck
+        b = sb
     return b
-
-
-def _check_tail(b: np.ndarray, tail_tol: float):
-    """Estimate sum of |b_n| past the cutoff from a geometric fit of the last 8."""
-    tail_mags = np.abs(b[-8:])
-    # quadrature noise floor: ratios of pure noise look divergent
-    if np.all(tail_mags < 1e-10):
-        return
-    ratios = tail_mags[1:] / np.maximum(tail_mags[:-1], 1e-300)
-    q = float(np.median(ratios))
-    last = float(tail_mags[-1])
-    est = last * q / (1.0 - q) if q < 1.0 else math.inf
-    if est > tail_tol:
-        raise KernelError(
-            f"Legendre series not converged at nmax={len(b) - 1}: "
-            f"estimated tail {est:.3e}"
-        )
 
 
 @dataclass
 class RkhsProfile:
-    """Harmonic structure of a symmetric kernel: coefficients b_n >= 0, the
-    active index set, and the induced per-degree norm weights."""
+    """Harmonic structure of a symmetric kernel: the coefficients b_n >= 0 of
+    kappa = sum_n b_n P_{d,n}; degree n is in the RKHS iff b_n > 0."""
 
     d: int
     b: np.ndarray
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
-        if np.any(self.b < -GRAM_EIG_TOL):
+        if np.any(self.b < 0):
             raise KernelError("negative Legendre coefficient: not a kernel")
-        total = float(np.sum(self.b))
-        self.index_set = np.flatnonzero(self.b > COEFF_ZERO_REL_TOL * total)
 
     @classmethod
-    def from_kernel(cls, k: KernelSpec, d: int, nmax: int = DEFAULT_NMAX) -> "RkhsProfile":
-        if not k.is_zonal:
-            raise KernelError("only zonal kernels have a Legendre profile")
-        if k.legendre is not None:
-            kd, b = k.legendre
-            if kd != d:
-                raise KernelError("dimension mismatch")
-            b = np.asarray(b, float)
-            return cls(d, b / np.sum(b) if k.normalize else b)
-        return cls(d, profile_to_legendre(k.profile_value, d, nmax))
-
-    def a_sq(self, n: int) -> float:
-        """a_n^2 = N_{d,n} / (|S^{d-1}| b_n) for active degrees."""
-        if n not in self.index_set:
-            raise InfiniteNormError(f"degree {n} outside the index set")
-        return harmonic_dim(self.d, n) / (sphere_area(self.d) * self.b[n])
-
-    def to_json(self) -> str:
-        return json.dumps({"d": self.d, "b": self.b.tolist()}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RkhsProfile":
-        doc = json.loads(text)
-        return cls(int(doc["d"]), np.asarray(doc["b"], dtype=float))
+    def from_kernel(cls, k: KernelSpec, d: int) -> "RkhsProfile":
+        """The exact expansion of a kernel that carries Taylor coefficients."""
+        if k.taylor is None:
+            raise KernelError(f"kernel {k.name!r} has no Taylor coefficients")
+        return cls(d, _taylor_to_legendre(k.taylor, d))
 
 
 def rkhs_norm_symmetric(f_coeffs, profile: RkhsProfile) -> float:
@@ -214,20 +170,12 @@ def rkhs_norm_symmetric(f_coeffs, profile: RkhsProfile) -> float:
         alpha = f_coeffs.alpha
     else:
         alpha = np.asarray(f_coeffs, dtype=float)
+    n = np.flatnonzero(alpha)
     b = profile.b
-    norm_sq = 0.0
-    active = set(int(n) for n in profile.index_set)
-    # coefficients at the quadrature noise floor are treated as exact zeros
-    zero_tol = 1e-10 * max(1.0, float(np.max(np.abs(alpha))) if len(alpha) else 1.0)
-    for n, a in enumerate(alpha):
-        if abs(a) <= zero_tol:
-            continue
-        if n >= len(b) or n not in active:
-            raise InfiniteNormError(
-                f"coefficient at degree {n} outside the kernel's index set"
-            )
-        norm_sq += a * a / b[n]
-    return math.sqrt(norm_sq)
+    if len(n) and (n[-1] >= len(b) or np.any(b[n] <= 0)):
+        raise InfiniteNormError(
+            "a nonzero coefficient lies outside the kernel's index set")
+    return math.sqrt(float(np.sum(alpha[n] ** 2 / b[n])))
 
 
 # ---------------------------------------------------------------------------
@@ -275,26 +223,40 @@ def symmetrize_mc(k: KernelSpec, d: int, n_rotations: int, rng: RngStream) -> Ke
 # Shipped kernels.
 # ---------------------------------------------------------------------------
 
+def _truncated(c: np.ndarray) -> np.ndarray:
+    """Leading Taylor coefficients, cut where the rest sums to at most machine
+    epsilon times kappa(1) = sum c."""
+    tail = np.cumsum(c[::-1])[::-1]  # tail[k] = sum_{j >= k} c_j
+    return c[:np.count_nonzero(tail > np.finfo(float).eps * tail[0])]
+
+
 def standard_kernel(name: str, **params) -> KernelSpec:
-    """Factory for the shipped zonal kernels.
+    """Factory for the shipped zonal kernels, with their Taylor coefficients.
 
     linear: kappa(s) = s.
-    sss:    kappa(s) = 1 / (1 - s/2), normalized by kappa(1) = 2.
-    rbf:    kappa(s) = exp((s - 1) / sigma^2).
-    poly:   kappa(s) = ((1 + s) / 2)^degree.
+    sss:    kappa(s) = 1 / (2 - s) = sum_k s^k / 2^(k+1).
+    rbf:    kappa(s) = exp((s - 1) / sigma^2)
+                     = exp(-1/sigma^2) sum_k s^k / (sigma^(2k) k!).
+    poly:   kappa(s) = ((1 + s) / 2)^degree = sum_k C(degree, k) s^k / 2^degree.
     """
     if name == "linear":
-        return KernelSpec(name="linear", profile=lambda s: np.asarray(s, float))
+        return KernelSpec(name="linear", profile=lambda s: np.asarray(s, float),
+                          taylor=np.array([0.0, 1.0]))
     if name == "sss":
         return KernelSpec(
-            name="sss", profile=lambda s: 1.0 / (1.0 - 0.5 * np.asarray(s, float)),
-            normalize=True,
+            name="sss", profile=lambda s: 1.0 / (2.0 - np.asarray(s, float)),
+            taylor=_truncated(0.5 ** np.arange(1, 65)),
         )
     if name == "rbf":
         sigma = float(params.get("sigma", 1.0))
+        lam = sigma**-2
+        # c_k is e^-lam times a Poisson(lam) weight: past lam + 12 sqrt(lam)
+        # + 40 terms the tail is far below machine epsilon
+        k = np.arange(int(lam + 12.0 * math.sqrt(lam)) + 40)
         return KernelSpec(
             name="rbf",
             profile=lambda s: np.exp((np.asarray(s, float) - 1.0) / sigma**2),
+            taylor=_truncated(np.exp(k * math.log(lam) - lam - gammaln(k + 1))),
             params={"sigma": sigma},
         )
     if name == "poly":
@@ -302,6 +264,8 @@ def standard_kernel(name: str, **params) -> KernelSpec:
         return KernelSpec(
             name="poly",
             profile=lambda s: ((1.0 + np.asarray(s, float)) / 2.0) ** degree,
+            taylor=np.array([math.comb(degree, k) / 2.0**degree
+                             for k in range(degree + 1)]),
             params={"degree": degree},
         )
     raise KernelError(f"unknown kernel {name!r}")

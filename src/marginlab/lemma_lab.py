@@ -3,29 +3,34 @@
 The band-difference estimate says the band averages of a norm-bounded RKHS
 function at heights +/-gamma differ by at most
 32 gamma K^3.5 ||f||_{1,mu_e} + (32 gamma K^3.5 + 2) C tail(K, d).
-For zonal coefficient vectors the check is exact quadrature; for trained
-kernel models both sides are estimated by Monte Carlo over bands.
+For zonal coefficient vectors the check is exact quadrature.  For a trained
+kernel model the band average is exact too: by Funk-Hecke, averaging
+k(x_i, x) = sum_n b_n P_{d,n}(<x_i, x>) over the band <x, e> = a gives
+sum_n b_n P_{d,n}(<x_i, e>) P_{d,n}(a), so the band-average profile is the
+zonal series with coefficients b_n sum_i alpha_i P_{d,n}(<x_i, e>), with b_n
+the kernel's exact Legendre expansion (kernels.RkhsProfile.from_kernel).
+
+For trained models this is a consistency check, not a test that can bite:
+at d = 25 the tail term alone is (32 gamma K^3.5 + 2) C 12 s^23 >= 0.86 C
+(about 17 at C = 20), against measured gaps of about 0.05-0.1.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import RkhsProfile
 from .learners import KernelModel
 from .orthopoly import (
     PolyCoeffs,
     TailConstants,
+    arcsine_norm,
     changes_slowly_gap,
-    gauss_chebyshev_nodes,
+    legendre_table,
     legendre_tail_bound,
 )
-from .sphere import RngStream, sample_band
-
-GAP_SLACK_SIGMAS = 4.0
 
 
 class GapViolationError(AssertionError):
@@ -38,67 +43,39 @@ class BandReport:
     f_bar_minus: float
     gap: float
     bound: float
-    std_errs: tuple
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "f_bar_plus": self.f_bar_plus,
-                "f_bar_minus": self.f_bar_minus,
-                "gap": self.gap,
-                "bound": self.bound,
-                "std_errs": list(self.std_errs),
-            },
-            sort_keys=True,
-        )
 
 
-def check_band_gap(model, e, gamma: float, K: int, n_mc: int = 512,
-                   rng: RngStream | None = None,
+def _band_average(model: KernelModel, e) -> PolyCoeffs:
+    """The band-average profile a -> E[f(x) - b | <x, e> = a] of a zonal
+    kernel model, as an exact zonal series."""
+    d = model.support.shape[1]
+    b = RkhsProfile.from_kernel(model.kernel, d).b
+    table = legendre_table(d, len(b) - 1, model.support @ np.asarray(e, float))
+    return PolyCoeffs(d, b * (table @ model.alpha))
+
+
+def check_band_gap(model, e, gamma: float, K: int,
                    consts: TailConstants = TailConstants()) -> BandReport:
     """Band averages of the model at heights +/-gamma versus the analytic bound.
 
-    Raises GapViolationError when the measured gap exceeds the bound by more
-    than 4 combined standard errors.
+    Raises GapViolationError when the gap exceeds the bound.
     """
     if isinstance(model, PolyCoeffs):
         gap, bound = changes_slowly_gap(model, gamma, K, consts)
-        fp = float(model(gamma))
-        fm = float(model(-gamma))
-        report = BandReport(fp, fm, gap, bound, (0.0, 0.0))
+        report = BandReport(float(model(gamma)), float(model(-gamma)), gap,
+                            bound)
     elif isinstance(model, KernelModel):
-        if rng is None:
-            rng = RngStream(0, 0)
-        e = np.asarray(e, dtype=float)
-        d = model.support.shape[1]
-
-        def batch_mean(a, n):
-            X = sample_band(e, np.full(n, a), rng)
-            vals = model.decision_function(X) - model.b
-            return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
-
-        fp, se_p = batch_mean(gamma, n_mc)
-        fm, se_m = batch_mean(-gamma, n_mc)
-        # L1 norm of the band-average profile against the arcsine measure
-        nodes, wts = gauss_chebyshev_nodes(32)
-        inner = max(n_mc // 32, 8)
-        l1 = 0.0
-        for t, w in zip(nodes, wts):
-            mean_t, _ = batch_mean(float(t), inner)
-            l1 += w * abs(mean_t)
-        C = model.norm
+        f_bar = _band_average(model, e)
+        fp, fm = float(f_bar(gamma)), float(f_bar(-gamma))
         lead = 32.0 * gamma * K**3.5
-        bound = float(lead * l1
-                      + (lead + 2.0) * C * legendre_tail_bound(K, d, consts))
-        gap = abs(fp - fm)
-        report = BandReport(fp, fm, gap, bound, (se_p, se_m))
+        bound = float(lead * arcsine_norm(f_bar)
+                      + (lead + 2.0) * model.norm
+                      * legendre_tail_bound(K, f_bar.d, consts))
+        report = BandReport(fp, fm, abs(fp - fm), bound)
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
 
-    if report.gap > report.bound + GAP_SLACK_SIGMAS * sum(report.std_errs):
+    if report.gap > report.bound:
         raise GapViolationError(
-            f"band gap {report.gap:.6g} exceeds bound {report.bound:.6g} "
-            f"(+{GAP_SLACK_SIGMAS} sigma slack)"
-        )
+            f"band gap {report.gap:.6g} exceeds bound {report.bound:.6g}")
     return report
-

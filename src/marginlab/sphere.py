@@ -1,13 +1,12 @@
 """Geometry and sampling on the unit sphere S^{d-1}.
 
-Uniform and band sampling, Haar-random rotations, spherical-harmonic space
-dimensions and the sphere area constant.  All randomness flows through
-RngStream so runs are reproducible and parallel fan-out is deterministic.
+Uniform and band sampling and Haar-random rotations.  All randomness flows
+through RngStream so runs are reproducible and parallel fan-out is
+deterministic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,19 +98,3 @@ def haar_orthogonal(d: int, rng: RngStream) -> np.ndarray:
     signs[signs == 0] = 1.0
     return q * signs
 
-
-def harmonic_dim(d: int, n: int) -> int:
-    """Dimension of the space of degree-n spherical harmonics in d variables."""
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    second = math.comb(d + n - 3, d - 1) if d + n - 3 >= d - 1 else 0
-    return math.comb(d + n - 1, d - 1) - second
-
-
-def sphere_area(d: int) -> float:
-    """Surface area of S^{d-1}: 2 pi^{d/2} / Gamma(d/2)."""
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    return 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)

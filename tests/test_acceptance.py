@@ -119,7 +119,7 @@ def test_acceptance_5_kernel_suite():
     for name, kw in [("sss", {}), ("rbf", {"sigma": 1.0}),
                      ("poly", {"degree": 3})]:
         k = kernels.standard_kernel(name, **kw)
-        prof = kernels.RkhsProfile.from_kernel(k, 8, nmax=40)
+        prof = kernels.RkhsProfile.from_kernel(k, 8)
         k1 = float(k.profile_value(1.0))
         coeff_ok &= (float(np.min(prof.b)) >= -1e-8
                      and abs(float(np.sum(prof.b)) - k1) <= 1e-6)
@@ -212,7 +212,7 @@ def test_acceptance_8_reproducibility(tmp_path):
     cfg = dict(d=10, gamma=0.02, theta=0.7, lambda3=0.05, kernel="rbf",
                kernel_params={"sigma": 2.0}, C=4.0, loss="hinge",
                n_train=150, n_test=300, n_seeds=3, seed=0,
-               max_iters=60, n_restarts=3, n_mc=48)
+               max_iters=60, n_restarts=3)
     import json
 
     path = os.path.join(tmp_path, "cfg.json")

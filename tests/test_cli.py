@@ -12,7 +12,7 @@ def config_path(tmp_path):
         "d": 8, "gamma": 0.02, "theta": 0.7, "lambda3": 0.05,
         "kernel": "rbf", "kernel_params": {"sigma": 2.0}, "C": 3.0,
         "loss": "hinge", "n_train": 100, "n_test": 200, "n_seeds": 1,
-        "seed": 1, "max_iters": 50, "n_restarts": 3, "n_mc": 32,
+        "seed": 1, "max_iters": 50, "n_restarts": 3,
     }
     path = os.path.join(tmp_path, "cfg.json")
     with open(path, "w") as fh:
@@ -62,9 +62,9 @@ def test_gap_csv_output(config_path, tmp_path):
     lines = open(out).read().splitlines()
     assert lines[0].startswith("config_id,seed,gamma")
     assert len(lines) == 2
-    # integrality prints the same trial rows as JSON
-    out_json = os.path.join(tmp_path, "integ.json")
-    assert cli.main(["integrality", "--config", config_path,
+    # --format json prints the same trial rows
+    out_json = os.path.join(tmp_path, "gap.json")
+    assert cli.main(["gap", "--config", config_path, "--format", "json",
                      "--out", out_json]) == 0
     row = json.load(open(out_json))["rows"][0]
     header = lines[0].split(",")

@@ -305,8 +305,9 @@ def noise_input(seed, m, d=8):
 
 
 def test_build_noise_measure_m2_certificate():
-    # E_mu |<w, A x>| >= ||w||_{M^-1} / (m sqrt(m (1+eps))) for every w,
-    # recomputed here atom by atom through A
+    # E_mu |<w, A x>| >= sum_i |<w, e_i>| / (m sqrt(m (1+eps))) >=
+    # ||w||_{M^-1} / (m sqrt(m (1+eps))) for every w, recomputed here atom by
+    # atom through A
     m = 2
     A, probes, rng = noise_input(5, m)
     M, mu = geometry.build_noise_measure(lambda x: A @ x, probes, m,
@@ -316,19 +317,20 @@ def test_build_noise_measure_m2_certificate():
     # each probe carries both labels, -1 first
     assert [y for _, y, _ in mu.atoms] == [-1, 1] * (len(mu.atoms) // 2)
     Minv = np.linalg.inv(M)
+    basis = np.linalg.inv(np.linalg.cholesky(M)).T  # John-orthonormal e_i
     shrink = math.sqrt(m * (1 + geometry.MVEE_EPS))
     gen = rng.child(2)
     for _ in range(100):
         w = gen.gen.standard_normal(m)
         score = sum(wt * abs(float((A @ p) @ w)) for p, _, wt in mu.atoms)
-        floor = math.sqrt(float(w @ Minv @ w)) / (m * shrink)
+        floor = float(np.sum(np.abs(w @ basis))) / (m * shrink)
+        assert floor >= math.sqrt(float(w @ Minv @ w)) / (m * shrink) - 1e-12
         assert score >= floor - geometry.DECOMP_TOL * np.linalg.norm(w)
 
 
-def test_mutated_decomposition_is_caught(monkeypatch):
+def assert_rolled_decomposition_caught(monkeypatch, m):
     # rolling each decomposition by one vertex moves every probe's mass to
     # the next probe; the mean-absolute-score certificate must notice
-    m = 2
     A, probes, rng = noise_input(5, m)
     geometry.build_noise_measure(lambda x: A @ x, probes, m, rng=rng.child(1))
     exact = geometry.convex_decompose
@@ -337,6 +339,17 @@ def test_mutated_decomposition_is_caught(monkeypatch):
     with pytest.raises(geometry.GeometryError, match="certificate"):
         geometry.build_noise_measure(lambda x: A @ x, probes, m,
                                      rng=rng.child(1))
+
+
+def test_mutated_decomposition_is_caught(monkeypatch):
+    assert_rolled_decomposition_caught(monkeypatch, 2)
+
+
+def test_mutated_decomposition_is_caught_m5(monkeypatch):
+    # on this input the rolled measure clears the floor
+    # ||w||_{M^-1} / (m sqrt(m (1+eps))) but not the certified floor
+    # sum_i |<w, e_i>| / (m sqrt(m (1+eps)))
+    assert_rolled_decomposition_caught(monkeypatch, 5)
 
 
 def test_build_noise_measure_span_failure():

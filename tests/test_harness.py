@@ -12,7 +12,7 @@ def small_config(**kw):
         d=8, gamma=0.02, theta=0.7, lambda3=0.05, kernel="rbf",
         kernel_params={"sigma": 2.0}, C=3.0, loss="hinge",
         n_train=120, n_test=300, n_seeds=1, seed=0,
-        max_iters=60, n_restarts=3, n_mc=48,
+        max_iters=60, n_restarts=3,
     )
     base.update(kw)
     return ExperimentConfig(**base)

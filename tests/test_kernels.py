@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_gegenbauer
 
-from marginlab import kernels, sphere
-from marginlab.orthopoly import PolyCoeffs, legendre_eval
+from marginlab import harness, kernels, sphere
+from marginlab.orthopoly import PolyCoeffs, legendre_table
 from marginlab.sphere import RngStream
+
+SHIPPED = [("linear", {}), ("sss", {}), ("rbf", {"sigma": 1.0}),
+           ("rbf", {"sigma": 0.5}), ("rbf", {"sigma": 2.0}),
+           ("poly", {"degree": 3})]
+GRID = np.linspace(-1.0, 1.0, 401)
 
 
 def sphere_points(d, n, seed=0):
@@ -23,7 +29,7 @@ def test_kernel_spec_exactly_one_form():
 def test_shipped_kernel_values():
     assert kernels.standard_kernel("linear").profile_value(0.3) == pytest.approx(0.3)
     sss = kernels.standard_kernel("sss")
-    # 1/(1 - s/2) normalized by its value 2 at s=1
+    # 1/(2 - s), the profile 1/(1 - s/2) over its value 2 at s=1
     assert sss.profile_value(1.0) == pytest.approx(1.0)
     assert sss.profile_value(0.0) == pytest.approx(0.5)
     rbf = kernels.standard_kernel("rbf", sigma=2.0)
@@ -33,6 +39,22 @@ def test_shipped_kernel_values():
     assert poly.profile_value(0.0) == pytest.approx(0.125)
     with pytest.raises(kernels.KernelError):
         kernels.standard_kernel("nope")
+
+
+def test_sss_profile_matches_normalized_form():
+    # 1/(2 - s) is bitwise (1/(1 - s/2)) / 2: scaling by 2 commutes with
+    # rounding, so sss Gram matrices keep their bytes
+    s = np.linspace(-1.0, 1.0, 4001)
+    sss = kernels.standard_kernel("sss")
+    assert np.array_equal(sss.profile_value(s), (1.0 / (1.0 - 0.5 * s)) / 2.0)
+
+
+def test_taylor_coefficients_sum_to_profile():
+    for name, params in SHIPPED:
+        k = kernels.standard_kernel(name, **params)
+        assert np.all(k.taylor >= 0.0)
+        series = np.polynomial.polynomial.polyval(GRID, k.taylor)
+        assert np.allclose(series, k.profile_value(GRID), rtol=0.0, atol=1e-14)
 
 
 def test_gram_psd_shipped_kernels():
@@ -66,8 +88,8 @@ def test_blocked_gram_matches_unblocked_product():
         assert np.array_equal(G, G.T)
         assert np.array_equal(kernels.cross_gram(k, X, Y),
                               k.profile_value(X @ Y.T))
-    series = kernels.KernelSpec(name="series",
-                                legendre=(7, np.array([0.4, 0.3, 0.2, 0.1])))
+    series = kernels.KernelSpec(
+        name="series", profile=PolyCoeffs(7, np.array([0.4, 0.3, 0.2, 0.1])))
     A = np.random.default_rng(3).standard_normal((12, 7))
     feat = kernels.KernelSpec(
         name="feat", feature_map=lambda Z: np.tanh(np.atleast_2d(Z) @ A.T))
@@ -114,46 +136,82 @@ def test_feature_map_kernel():
 # Legendre decomposition.
 # ---------------------------------------------------------------------------
 
+def reproduction_error(k, b, d):
+    return float(np.max(np.abs(PolyCoeffs(d, b)(GRID) - k.profile_value(GRID))))
+
+
 def test_linear_profile_decomposition():
-    b = kernels.profile_to_legendre(lambda s: np.asarray(s, float), 7, nmax=10)
-    expect = np.zeros(11)
-    expect[1] = 1.0
-    assert np.allclose(b, expect, atol=1e-10)
+    b = kernels.RkhsProfile.from_kernel(kernels.standard_kernel("linear"), 7).b
+    assert np.array_equal(b, [0.0, 1.0])
 
 
 def test_decomposition_reconstructs_profile():
+    # independent oracle: b_n = <kappa, P_{d,n}> / <P_{d,n}, P_{d,n}> under
+    # the weight (1 - s^2)^((d-3)/2), by Gauss-Gegenbauer quadrature, which
+    # is accurate at this small d
     k = kernels.standard_kernel("rbf", sigma=1.0)
     d = 8
-    b = kernels.profile_to_legendre(k.profile_value, d, nmax=40)
-    s = np.linspace(-1, 1, 21)
-    recon = sum(bn * legendre_eval(d, n, s) for n, bn in enumerate(b))
-    assert np.allclose(recon, k.profile_value(s), atol=1e-8)
+    b = kernels.RkhsProfile.from_kernel(k, d).b
+    nodes, weights = roots_gegenbauer(256, (d - 2) / 2.0)
+    table = legendre_table(d, len(b) - 1, nodes)
+    quad = (table @ (weights * k.profile_value(nodes))) / ((table**2) @ weights)
+    assert np.allclose(b, quad, rtol=0.0, atol=1e-10)
 
 
 def test_profile_coefficients_nonnegative_and_sum():
-    for name, kw in [("sss", {}), ("rbf", {"sigma": 1.0}),
-                     ("poly", {"degree": 3})]:
-        k = kernels.standard_kernel(name, **kw)
-        for d in (6, 10):
-            prof = kernels.RkhsProfile.from_kernel(k, d, nmax=40)
-            assert float(np.min(prof.b)) >= -1e-8
-            assert float(np.sum(prof.b)) == pytest.approx(
-                k.profile_value(1.0), abs=1e-6)
+    # exact at every d, including the headline d=25
+    for name, params in SHIPPED:
+        k = kernels.standard_kernel(name, **params)
+        k1 = float(k.profile_value(1.0))
+        for d in (3, 6, 10, 25, 50):
+            b = kernels.RkhsProfile.from_kernel(k, d).b
+            assert np.all(b >= 0.0), (name, params, d)
+            assert abs(float(np.sum(b)) - k1) <= 1e-14, (name, params, d)
+            assert reproduction_error(k, b, d) <= 1e-13, (name, params, d)
 
 
-def test_tail_nonconvergence_error():
-    # a kink converges only polynomially: the tail check must trip
-    with pytest.raises(kernels.KernelError):
-        kernels.profile_to_legendre(lambda s: np.abs(s), 5, nmax=24)
+def test_mutated_expansion_sign_is_caught():
+    # flipping the sign of the m P_{d,m-1} term of s P_{d,m} must break the
+    # reproduction check of the kernels suite
+    def flipped(c, d):
+        m = np.arange(len(c))
+        up = (m + d - 2) / (2 * m + d - 2)
+        down = m / (2 * m + d - 2)
+        b = np.zeros(len(c))
+        for ck in c[::-1]:
+            sb = np.zeros(len(c))
+            sb[1:] = up[:-1] * b[:-1]
+            sb[:-1] -= down[1:] * b[1:]
+            sb[0] += ck
+            b = sb
+        return b
+
+    for name, params in SHIPPED[1:]:
+        k = kernels.standard_kernel(name, **params)
+        for d in (6, 10, 25):
+            exact = kernels.RkhsProfile.from_kernel(k, d).b
+            assert reproduction_error(k, exact, d) <= harness.REPRODUCTION_TOL
+            mutant = flipped(k.taylor, d)
+            assert reproduction_error(k, mutant, d) > harness.REPRODUCTION_TOL
+
+
+def test_from_kernel_needs_taylor_coefficients():
+    feat = kernels.KernelSpec(name="feat",
+                              feature_map=lambda X: np.atleast_2d(X)[:, :2])
+    tabulated = kernels.symmetrize_mc(kernels.standard_kernel("rbf"), 6, 16,
+                                      RngStream(0, 0))
+    for k in (feat, tabulated):
+        with pytest.raises(kernels.KernelError):
+            kernels.RkhsProfile.from_kernel(k, 6)
 
 
 def test_rkhs_norm_and_reproducing_identity():
     k = kernels.standard_kernel("sss")
-    for d in (6, 10):
-        prof = kernels.RkhsProfile.from_kernel(k, d, nmax=48)
+    for d in (6, 10, 25):
+        prof = kernels.RkhsProfile.from_kernel(k, d)
         # ||k(., x0)||^2 = sum b_n = kappa(1) = 1
         nrm = kernels.rkhs_norm_symmetric(prof.b, prof)
-        assert nrm == pytest.approx(1.0, abs=1e-6)
+        assert nrm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rkhs_norm_infinite_outside_index_set():
@@ -164,32 +222,15 @@ def test_rkhs_norm_infinite_outside_index_set():
     alpha[1] = 1.0
     with pytest.raises(kernels.InfiniteNormError):
         kernels.rkhs_norm_symmetric(alpha, prof)
+    with pytest.raises(kernels.InfiniteNormError):
+        kernels.rkhs_norm_symmetric(np.append(b, 1e-3), prof)
     alpha = np.array([0.3, 0.0, 0.4])
     expect = math.sqrt(0.09 / 0.5 + 0.16 / 0.5)
     assert kernels.rkhs_norm_symmetric(alpha, prof) == pytest.approx(expect)
     assert kernels.rkhs_norm_symmetric(
         PolyCoeffs(6, alpha), prof) == pytest.approx(expect)
-
-
-def test_addition_constant_identity():
-    # sum_n N_{d,n}/|S^{d-1}| a_n^{-2} = sum_n b_n for a normalized kernel
-    k = kernels.standard_kernel("sss")
-    d = 7
-    prof = kernels.RkhsProfile.from_kernel(k, d, nmax=40)
-    total = sum(
-        sphere.harmonic_dim(d, int(n)) / sphere.sphere_area(d) / prof.a_sq(int(n))
-        for n in prof.index_set
-    )
-    assert total == pytest.approx(float(np.sum(prof.b)), rel=1e-9)
-    with pytest.raises(kernels.InfiniteNormError):
-        prof.a_sq(63)
-
-
-def test_profile_json_roundtrip():
-    prof = kernels.RkhsProfile(5, np.array([0.5, 0.25, 0.25]))
-    prof2 = kernels.RkhsProfile.from_json(prof.to_json())
-    assert prof2.d == 5
-    assert np.allclose(prof2.b, prof.b)
+    with pytest.raises(kernels.KernelError):
+        kernels.RkhsProfile(6, [0.5, -1e-300])
 
 
 # ---------------------------------------------------------------------------

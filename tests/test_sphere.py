@@ -111,25 +111,6 @@ def test_haar_orthogonal():
     assert abs(samples.mean()) < 0.05
 
 
-def test_harmonic_dim_known_values():
-    # d=3: 2n+1; d=2: 2 for n>=1
-    for n in range(8):
-        assert sphere.harmonic_dim(3, n) == 2 * n + 1
-    assert sphere.harmonic_dim(2, 0) == 1
-    for n in range(1, 6):
-        assert sphere.harmonic_dim(2, n) == 2
-    # sum over degrees equals the polynomial space dimension on the sphere
-    assert sphere.harmonic_dim(4, 2) == 9
-    with pytest.raises(sphere.DomainError):
-        sphere.harmonic_dim(3, -1)
-
-
-def test_sphere_area_known_values():
-    assert sphere.sphere_area(2) == pytest.approx(2 * math.pi)
-    assert sphere.sphere_area(3) == pytest.approx(4 * math.pi)
-    assert sphere.sphere_area(4) == pytest.approx(2 * math.pi**2)
-
-
 def test_band_average_constant_and_linear():
     # band averages over points drawn at one height: exact for functions of
     # <x, e> and of the orthogonal norm, and near 0 (within 4 standard
