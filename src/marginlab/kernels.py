@@ -2,6 +2,13 @@
 expansion of the shipped kernels, RKHS norms of zonal functions, and
 Monte-Carlo kernel symmetrization.
 
+Kernel matrices are built in one output buffer: the inner products (or the
+feature products) come from one BLAS call, and a zonal profile is applied in
+place, in blocks of about PROFILE_BLOCK entries, so its temporaries stay in
+a core's L2 cache.  numpy computes a Gram product X X' with syrk and mirrors
+its triangle, so with an elementwise profile the Gram matrix is exactly
+symmetric and needs no symmetrization pass.
+
 A symmetric (zonal) kernel k(x, y) = kappa(<x, y>) decomposes as
 kappa(s) = sum_n b_n P_{d,n}(s) with b_n >= 0, and the RKHS norm of a zonal
 function f = sum_n alpha_n P_{d,n}(<e, .>) is sqrt(sum alpha_n^2 / b_n).
@@ -25,9 +32,9 @@ from .sphere import RngStream, haar_orthogonal
 
 GRAM_EIG_TOL = 1e-8
 SYMMETRIZE_GRID = 257
-# rows per block when a profile is applied to a kernel matrix; a 256 x 4000
-# block of float64 (8 MB) stays in cache
-ROW_BLOCK = 256
+# entries per block when a profile is applied to a kernel matrix: 2^18 float64
+# (2 MB), so the profile's temporaries stay in a 2 MB per-core L2 cache
+PROFILE_BLOCK = 2**18
 
 
 class KernelError(ValueError):
@@ -48,7 +55,7 @@ class KernelSpec:
     """
 
     name: str = "custom"
-    profile: object | None = None  # vectorized callable on [-1, 1]
+    profile: object | None = None  # elementwise callable on [-1, 1]
     feature_map: object | None = None  # callable mapping (n, d) -> (n, m)
     taylor: np.ndarray | None = None
     params: dict = field(default_factory=dict)
@@ -74,36 +81,34 @@ def cross_gram(k: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Kernel matrix k(X_i, Y_j), shape (len(X), len(Y)).
 
     The inner products fill the one output buffer and a zonal profile is
-    applied in place, ROW_BLOCK rows at a time, so no temporary is larger
-    than a row block.
+    applied in place, in blocks of whole rows holding at most PROFILE_BLOCK
+    entries (or one row, if a row is longer).  With Y the same array as X
+    the one product is X @ X.T (or F @ F.T, the feature map evaluated once),
+    which numpy computes with syrk and mirrors, so the result is exactly
+    symmetric.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if not k.is_zonal:
-        return k.feature_map(X) @ k.feature_map(Y).T
+        FX = k.feature_map(X)
+        return FX @ (FX if Y is X else k.feature_map(Y)).T
     K = X @ Y.T
-    for lo in range(0, len(K), ROW_BLOCK):
-        K[lo:lo + ROW_BLOCK] = k.profile_value(K[lo:lo + ROW_BLOCK])
+    rows = max(PROFILE_BLOCK // max(K.shape[1], 1), 1)
+    for lo in range(0, len(K), rows):
+        K[lo:lo + rows] = k.profile_value(K[lo:lo + rows])
     return K
 
 
 def gram(k: KernelSpec, points: np.ndarray, check_psd: bool = True) -> np.ndarray:
-    """Symmetric Gram matrix of the points, (P + P') / 2 of cross_gram's P.
+    """Gram matrix of the points, cross_gram(k, points, points).
 
-    Symmetrized in place, one row strip against its column strip, so the
-    result is exactly symmetric (a feature map's product need not be) with
-    no n x n temporary.
+    Exactly symmetric: the product is one syrk, whose result numpy mirrors,
+    and a zonal profile is elementwise.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         raise KernelError("empty point list")
     G = cross_gram(k, points, points)
-    for lo in range(0, len(G), ROW_BLOCK):
-        hi = lo + ROW_BLOCK
-        strip = G[lo:hi, lo:] + G[lo:, lo:hi].T
-        strip *= 0.5
-        G[lo:hi, lo:] = strip
-        G[lo:, lo:hi] = strip.T
     if check_psd:
         min_eig = float(np.linalg.eigvalsh(G)[0])
         if min_eig < -GRAM_EIG_TOL * len(points):

@@ -63,8 +63,11 @@ class PolyCoeffs:
         return len(self.alpha) - 1
 
     def __call__(self, t):
+        # summed elementwise, so each value depends on its own t alone; a BLAS
+        # reduction over the table rounds by position and thread count, which
+        # would break the exact symmetry of a Gram matrix with this profile
         table = legendre_table(self.d, self.degree, t)
-        return np.tensordot(self.alpha, table, axes=(0, 0))
+        return np.einsum("n,n...->...", self.alpha, table)
 
 
 def _check_t(t, tol: float = DOMAIN_TOL):

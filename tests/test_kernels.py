@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_gegenbauer
 
-from marginlab import harness, kernels, sphere
+from marginlab import harness, kernels, learners, sphere
 from marginlab.orthopoly import PolyCoeffs, legendre_table
 from marginlab.sphere import RngStream
 
@@ -72,8 +72,8 @@ def test_gram_psd_shipped_kernels():
 
 
 def test_blocked_gram_matches_unblocked_product():
-    # n is not a multiple of the row block, so the last strip is partial
-    X = sphere_points(7, kernels.ROW_BLOCK + 37)
+    # n^2 spans three full profile blocks of whole rows and a partial fourth
+    X = sphere_points(7, math.isqrt(3 * kernels.PROFILE_BLOCK) + 37)
     Y = sphere_points(7, 50, 1)
     shipped = [
         kernels.standard_kernel("linear"),
@@ -104,6 +104,20 @@ def test_blocked_gram_matches_unblocked_product():
         assert np.array_equal(G, G.T)
         assert np.allclose(kernels.cross_gram(k, X, Y), unblocked[k.name](X, Y),
                            rtol=0.0, atol=1e-14)
+
+
+def test_decision_function_matches_one_cross_gram():
+    # n_test is not a multiple of the test-point block, so the last is partial
+    X = sphere_points(7, 2 * learners.TEST_BLOCK + 37, 2)
+    support = sphere_points(7, 600, 3)
+    alpha = np.random.default_rng(4).standard_normal(len(support))
+    for name, params in SHIPPED:
+        k = kernels.standard_kernel(name, **params)
+        model = learners.KernelModel(support=support, alpha=alpha, b=0.25,
+                                     C=1.0, kernel=k,
+                                     loss=learners.make_loss("hinge"))
+        assert np.array_equal(model.decision_function(X),
+                              kernels.cross_gram(k, X, support) @ alpha + 0.25)
 
 
 def test_gram_rejects_non_kernel():
