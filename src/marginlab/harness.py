@@ -34,6 +34,11 @@ SWEEP_COLUMNS = [
 # sup over [-1, 1] of |sum_n b_n P_{d,n} - kappa| allowed for the exact
 # Legendre expansion of a shipped kernel (measured: below 1e-15)
 REPRODUCTION_TOL = 1e-13
+# rows p_0..p_28 of the arcsine orthonormal basis in the orthopoly suite, and
+# the largest entry of |Gram - I| allowed under 256-node quadrature (measured:
+# 1.6e-15)
+ARCSINE_ROWS = 29
+ORTHONORMALITY_TOL = 1e-12
 
 
 class UsageError(ValueError):
@@ -311,15 +316,21 @@ def _suite_orthopoly() -> list:
         u = orthopoly.chebyshev_eval("second", n, grid)
         sup_dev = max(sup_dev, abs(float(np.max(np.abs(u))) - (n + 1)))
     checks.append(("chebyshev_second_sup", sup_dev <= 1e-9, {"dev": sup_dev}))
-    # L1-L2 inequality for arcsine orthonormal polynomials
-    rng = np.random.default_rng(1234)
+    # arcsine orthonormal polynomials, one table for both checks: the Gram
+    # matrix of the rows under the quadrature must be the identity, and the
+    # L1-L2 inequality must hold on their span
     nodes, wts = orthopoly.gauss_chebyshev_nodes(256)
+    basis = orthopoly.arcsine_orthopoly_table(ARCSINE_ROWS - 1, nodes)
+    ortho = float(np.max(np.abs((basis * wts) @ basis.T
+                                - np.eye(ARCSINE_ROWS))))
+    checks.append(("arcsine_orthonormality", ortho <= ORTHONORMALITY_TOL,
+                   {"max_dev": ortho}))
+    rng = np.random.default_rng(1234)
     worst_l12 = -math.inf
     for _ in range(500):
-        K = int(rng.integers(1, 30))
+        K = int(rng.integers(1, ARCSINE_ROWS + 1))
         alpha = rng.standard_normal(K) * 10 ** rng.uniform(-2, 2)
-        vals = sum(a * orthopoly.arcsine_orthopoly_eval(n, nodes)
-                   for n, a in enumerate(alpha))
+        vals = alpha @ basis[:K]
         l1 = float(np.sum(wts * np.abs(vals)))
         l2 = float(np.sqrt(np.sum(wts * vals**2)))
         pmax = 1.0 if K == 1 else math.sqrt(2.0)

@@ -129,11 +129,6 @@ class L2Ball:
     radius: float
 
 
-@dataclass(frozen=True)
-class L1Ball:
-    radius: float
-
-
 @dataclass
 class SolverOptions:
     max_iters: int = 2000
@@ -197,7 +192,7 @@ class KernelModel:
 class FiniteDimModel:
     w: np.ndarray
     b: float
-    constraint: L2Ball | L1Ball
+    constraint: L2Ball
     feature_map: object
     loss: SurrogateLoss
     objective: float = math.nan
@@ -238,20 +233,6 @@ def _as_arrays(data):
     return X, y, wts
 
 
-def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the L1 ball (sorted simplex projection)."""
-    if radius <= 0:
-        return np.zeros_like(v)
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, len(u) + 1) > css - radius)[0][-1]
-    tau = (css[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(a - tau, 0.0)
-
-
 def _linearization_bound(f, u, scores, b, gb, support, bias_box):
     """Lower bound on the optimum from the linearization at an iterate.
 
@@ -275,9 +256,9 @@ def _subgradient_solve(y, wts, loss, direction, project, dim, radius,
 
     - direction(u) -> (g, Kg, gnorm, support) for the loss-gradient weights
       u_i = wts_i y_i l'(y_i (K w + b)_i): g is the functional part of the
-      subgradient in the coordinates the projection works in, Kg its scores
-      (None when project recomputes the scores itself), gnorm its norm in the
-      projection's geometry and support the largest <g, w'> over the ball;
+      subgradient in the coordinates the projection works in, Kg its scores,
+      gnorm its norm in the projection's geometry and support the largest
+      <g, w'> over the ball;
     - project(w, Kw) -> (w, Kw), the projection onto the ball with the
       scores following along.
 
@@ -320,8 +301,7 @@ def _subgradient_solve(y, wts, loss, direction, project, dim, radius,
             gnorm = math.hypot(gnorm_w, gb)
             lhat = max(lhat, gnorm)
             eta = R / (lhat * math.sqrt(t))
-            w, scores = project(w - eta * g,
-                                None if Kg is None else scores - eta * Kg)
+            w, scores = project(w - eta * g, scores - eta * Kg)
             b = min(max(b - eta * gb, -bias_box), bias_box)
             sum_eta += eta
             sum_eta2_g2 += eta * eta * gnorm * gnorm
@@ -397,36 +377,29 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
 def train_finite_program(data, feature_map, constraint, loss: SurrogateLoss,
                          opts: SolverOptions = SolverOptions()):
     """Approximately solve  min mean l(y (<w, psi(x)> + b))  over w in the
-    constraint set (L2 or L1 ball) and free bias.
+    L2 ball and free bias.
 
     The scores F w are carried like the kernel program's G alpha: scaled
-    along with w by the L2 projection, recomputed after an L1 projection
-    (which is not a scaling).  The linearization bound uses the dual norm of
-    F' u: L2 for the L2 ball, L-infinity for the L1 ball.
+    along with w by the projection.  The linearization bound uses the L2 norm
+    of F' u.
     """
     X, y, wts = _as_arrays(data)
     F = np.atleast_2d(np.asarray(feature_map(X), dtype=float))
     m = F.shape[1]
     R_w = constraint.radius
     feat_bound = float(np.max(np.linalg.norm(F, axis=1))) if len(F) else 1.0
-    l2 = isinstance(constraint, L2Ball)
 
     def direction(u):
         g = F.T @ u
         norm = float(np.linalg.norm(g))
-        if l2:
-            return g, F @ g, norm, R_w * norm
-        return g, None, norm, R_w * float(np.max(np.abs(g), initial=0.0))
+        return g, F @ g, norm, R_w * norm
 
     def project(w, Fw):
-        if l2:
-            nw = np.linalg.norm(w)
-            if nw > R_w:
-                scale = R_w / max(nw, 1e-300)
-                return w * scale, Fw * scale
-            return w, Fw
-        w = project_l1(w, R_w)
-        return w, F @ w
+        nw = np.linalg.norm(w)
+        if nw > R_w:
+            scale = R_w / max(nw, 1e-300)
+            return w * scale, Fw * scale
+        return w, Fw
 
     lip = loss.lipschitz if math.isfinite(loss.lipschitz) else 1.0
     radius = 2.0 * R_w * max(feat_bound, 1.0) + 2.0 * opts.bias_box

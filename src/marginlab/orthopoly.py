@@ -181,14 +181,16 @@ def arcsine_norm(f, p: int = 1, n_nodes: int = DEFAULT_QUAD_NODES) -> float:
     return float(np.sum(w * vals**p) ** (1.0 / p))
 
 
-def arcsine_orthopoly_eval(n: int, x):
-    """n-th orthonormal polynomial of the arcsine measure on [-1/8, 1/8]."""
+def arcsine_orthopoly_table(nmax: int, x) -> np.ndarray:
+    """Orthonormal polynomials p_0..p_nmax of the arcsine measure on
+    [-1/8, 1/8] at x, shape (nmax+1,) + shape(x): p_0 = 1 and
+    p_n = sqrt(2) T_n(8x), all rows from one Chebyshev recursion."""
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > BAND_HALF_WIDTH + DOMAIN_TOL):
         raise DomainError("argument outside [-1/8, 1/8]")
-    if n == 0:
-        return np.ones_like(x)
-    return math.sqrt(2.0) * chebyshev_eval("first", n, np.clip(x * 8.0, -1, 1))
+    table = legendre_table(2, nmax, np.clip(x * 8.0, -1, 1))
+    table[1:] *= math.sqrt(2.0)
+    return table
 
 
 def changes_slowly_gap(
@@ -208,8 +210,11 @@ def changes_slowly_gap(
         raise DomainError(f"gamma must be in (0, 1/8), got {gamma}")
     if f.d < 5:
         raise DomainError(f"dimension must be >= 5, got {f.d}")
-    gap = float(abs(f(gamma) - f(-gamma)))
-    l1 = arcsine_norm(f, p=1, n_nodes=n_nodes)
+    # one evaluation of f at +/-gamma and the quadrature nodes together
+    nodes, wts = gauss_chebyshev_nodes(n_nodes)
+    vals = f(np.concatenate(([gamma, -gamma], nodes)))
+    gap = float(abs(vals[0] - vals[1]))
+    l1 = float(np.sum(wts * np.abs(vals[2:])))
     C = float(np.max(np.abs(f.alpha))) if len(f.alpha) else 0.0
     lead = 32.0 * gamma * K**3.5
     bound = lead * l1 + (lead + 2.0) * C * legendre_tail_bound(K, f.d, consts)

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from marginlab import harness
+from marginlab import orthopoly as op
 from marginlab.harness import ExperimentConfig
 
 
@@ -116,25 +118,69 @@ def test_verify_orthopoly_passes():
     assert all(c["passed"] for c in report["orthopoly"])
 
 
-def test_mutated_recursion_sign_is_caught():
-    # flipping the recursion sign must break the sup-norm invariant the
-    # orthopoly suite checks
-    import numpy as np
+def flipped_table(d, nmax, t):
+    """legendre_table with a "+" on the P_{d,n-2} term."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty((nmax + 1,) + t.shape)
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = t
+    for n in range(2, nmax + 1):
+        out[n] = ((2 * n + d - 4) * t * out[n - 1]
+                  + (n - 1) * out[n - 2]) / (n + d - 3)
+    return out
 
-    from marginlab import orthopoly as op
 
-    def flipped_table(d, nmax, t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty((nmax + 1,) + t.shape)
-        out[0] = 1.0
-        if nmax >= 1:
-            out[1] = t
-        for n in range(2, nmax + 1):
-            out[n] = ((2 * n + d - 4) * t * out[n - 1]
-                      + (n - 1) * out[n - 2]) / (n + d - 3)
-        return out
+def failed_checks(suite):
+    passed, report = harness.verify_lemmas(suite)
+    return passed, {c["check"] for c in report[suite] if not c["passed"]}
 
-    grid = np.linspace(-1, 1, 101)
-    sup = float(np.max(np.abs(flipped_table(5, 20, grid))))
-    assert sup > 1.0 + 1e-9  # the invariant detects the mutation
-    assert float(np.max(np.abs(op.legendre_table(5, 20, grid)))) <= 1 + 1e-9
+
+def test_mutated_recursion_sign_is_caught(monkeypatch):
+    # flipping the recursion sign must fail the orthopoly suite
+    monkeypatch.setattr(op, "legendre_table", flipped_table)
+    passed, failed = failed_checks("orthopoly")
+    assert not passed
+    assert "legendre_sup_norm_d5" in failed
+
+
+def sqrt2_dropped(nmax, x):
+    return op.legendre_table(2, nmax, 8.0 * np.asarray(x))
+
+
+def unscaled_argument(nmax, x):
+    table = op.legendre_table(2, nmax, x)
+    table[1:] *= math.sqrt(2.0)
+    return table
+
+
+def flipped_sign(nmax, x):
+    table = flipped_table(2, nmax, 8.0 * np.asarray(x))
+    table[1:] *= math.sqrt(2.0)
+    return table
+
+
+@pytest.mark.parametrize("mutant", [sqrt2_dropped, unscaled_argument,
+                                    flipped_sign])
+def test_mutated_arcsine_table_is_caught(monkeypatch, mutant):
+    # the L1-L2 inequality passes on each of these bases; the orthonormality
+    # check on the same table must not
+    monkeypatch.setattr(op, "arcsine_orthopoly_table", mutant)
+    passed, failed = failed_checks("orthopoly")
+    assert not passed
+    assert "arcsine_orthonormality" in failed
+
+
+def test_orthopoly_suite_builds_arcsine_table_once(monkeypatch):
+    nodes = op.gauss_chebyshev_nodes(256)[0]
+    table = op.legendre_table
+    calls = []
+
+    def counting(d, nmax, t):
+        calls.append((d, np.shape(t)))
+        return table(d, nmax, t)
+
+    monkeypatch.setattr(op, "legendre_table", counting)
+    passed, _ = harness.verify_lemmas("orthopoly")
+    assert passed
+    assert calls.count((2, nodes.shape)) == 1

@@ -103,25 +103,6 @@ def test_all_losses_dominate_01():
 
 
 # ---------------------------------------------------------------------------
-# Projections.
-# ---------------------------------------------------------------------------
-
-def test_project_l1():
-    v = np.array([3.0, -1.0, 0.5])
-    p = L.project_l1(v, 2.0)
-    assert np.abs(p).sum() == pytest.approx(2.0)
-    # projection is a contraction toward v
-    assert np.linalg.norm(p - v) <= np.linalg.norm(v)
-    inside = np.array([0.2, -0.1])
-    assert np.array_equal(L.project_l1(inside, 1.0), inside)
-    assert np.array_equal(L.project_l1(v, 0.0), np.zeros(3))
-    # matches a dense search on a 2-D example
-    v2 = np.array([1.0, 1.0])
-    p2 = L.project_l1(v2, 1.0)
-    assert np.allclose(p2, [0.5, 0.5])
-
-
-# ---------------------------------------------------------------------------
 # Kernel program.
 # ---------------------------------------------------------------------------
 
@@ -255,12 +236,11 @@ def test_carried_scores_match_recomputed_objective():
         scores = model._gram @ model.alpha + model.b
         assert float(np.mean(loss.value(y * scores))) == pytest.approx(
             model.objective, abs=1e-12)
-    for ball in (L.L2Ball(1.5), L.L1Ball(1.5)):
-        model = L.train_finite_program((X, y), lambda Z: Z, ball,
-                                       L.make_loss("hinge"), opts)
-        margins = y * (X @ model.w + model.b)
-        assert float(np.mean(np.maximum(1 - margins, 0))) == pytest.approx(
-            model.objective, abs=1e-12)
+    model = L.train_finite_program((X, y), lambda Z: Z, L.L2Ball(1.5),
+                                   L.make_loss("hinge"), opts)
+    margins = y * (X @ model.w + model.b)
+    assert float(np.mean(np.maximum(1 - margins, 0))) == pytest.approx(
+        model.objective, abs=1e-12)
 
 
 def solve_recording_bound(atoms, C, opts, flip_support=False):
@@ -335,18 +315,6 @@ def test_finite_program_l2_matches_kernel_linear():
         lift(atoms), lambda X: np.atleast_2d(X), L.L2Ball(C), hinge, opts)
     lp = hinge_lp_oracle(atoms, C, bias_half=opts.bias_box)
     assert m_fin.objective == pytest.approx(lp, abs=2e-3)
-
-
-def test_finite_program_l1_constraint():
-    rng = np.random.default_rng(3)
-    X = rng.standard_normal((30, 4))
-    y = np.sign(X[:, 0] + 0.1 * rng.standard_normal(30))
-    model = L.train_finite_program(
-        (X, y), lambda Z: np.atleast_2d(Z), L.L1Ball(1.0),
-        L.make_loss("hinge"), L.SolverOptions(max_iters=300, n_restarts=6))
-    assert np.abs(model.w).sum() <= 1.0 + 1e-9
-    # the informative coordinate dominates
-    assert abs(model.w[0]) > 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -130,12 +130,27 @@ def test_quadrature_matches_adaptive_integration():
     assert op.arcsine_norm(f, p=1) == pytest.approx(ref, rel=1e-8)
 
 
+def test_arcsine_table_rows_match_chebyshev():
+    # row n is sqrt(2) T_n(8x), bit for bit, from one recursion
+    x = np.concatenate((op.gauss_chebyshev_nodes(64)[0],
+                        np.linspace(-0.125, 0.125, 33)))
+    table = op.arcsine_orthopoly_table(40, x)
+    assert table.shape == (41, len(x))
+    assert np.array_equal(table[0], np.ones_like(x))
+    for n in range(1, 41):
+        ref = math.sqrt(2) * op.chebyshev_eval("first", n, 8.0 * x)
+        assert np.array_equal(table[n], ref), n
+    assert op.arcsine_orthopoly_table(3, 0.1).shape == (4,)
+    with pytest.raises(op.DomainError):
+        op.arcsine_orthopoly_table(3, np.array([0.0, 0.13]))
+
+
 def test_arcsine_orthonormality():
     x, w = op.gauss_chebyshev_nodes(128)
+    table = op.arcsine_orthopoly_table(5, x)
     for i in range(6):
         for j in range(6):
-            ip = float(np.sum(w * op.arcsine_orthopoly_eval(i, x)
-                              * op.arcsine_orthopoly_eval(j, x)))
+            ip = float(np.sum(w * table[i] * table[j]))
             assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 
 
@@ -143,11 +158,11 @@ def test_l1_l2_inequality_random():
     # ||f||_2 <= sqrt(K) ||f||_1 max_i ||p_i||_inf for f in span{p_0..p_{K-1}}
     rng = np.random.default_rng(3)
     x, w = op.gauss_chebyshev_nodes(256)
+    table = op.arcsine_orthopoly_table(23, x)
     for _ in range(500):
         K = int(rng.integers(1, 25))
         alpha = rng.standard_normal(K) * 10 ** rng.uniform(-3, 3)
-        vals = sum(a * op.arcsine_orthopoly_eval(n, x)
-                   for n, a in enumerate(alpha))
+        vals = alpha @ table[:K]
         l1 = float(np.sum(w * np.abs(vals)))
         l2 = float(np.sqrt(np.sum(w * vals**2)))
         pmax = 1.0 if K == 1 else math.sqrt(2.0)
@@ -163,6 +178,27 @@ def test_linear_zonal_gap_exact():
     gap, bound = op.changes_slowly_gap(f, 0.03, 5)
     assert gap == pytest.approx(2 * 0.03, rel=1e-12)
     assert gap <= bound
+
+
+def test_gap_evaluates_f_once(monkeypatch):
+    # f is evaluated at +/-gamma and the quadrature nodes in one table
+    calls = []
+    table = op.legendre_table
+
+    def counting(d, nmax, t):
+        calls.append(np.shape(t))
+        return table(d, nmax, t)
+
+    f = op.PolyCoeffs(8, np.array([0.3, -1.0, 0.5, 2.0]))
+    gap_ref = abs(float(f(0.03)) - float(f(-0.03)))
+    lead = 32.0 * 0.03 * 5**3.5
+    bound_ref = (lead * op.arcsine_norm(f)
+                 + (lead + 2.0) * 2.0 * op.legendre_tail_bound(5, 8))
+    monkeypatch.setattr(op, "legendre_table", counting)
+    gap, bound = op.changes_slowly_gap(f, 0.03, 5)
+    assert calls == [(2 + op.DEFAULT_QUAD_NODES,)]
+    assert gap == pytest.approx(gap_ref, rel=1e-12)
+    assert bound == pytest.approx(bound_ref, rel=1e-12)
 
 
 def test_gap_domain_errors():
