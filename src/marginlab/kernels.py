@@ -4,10 +4,13 @@ Monte-Carlo kernel symmetrization.
 
 Kernel matrices are built in one output buffer: the inner products (or the
 feature products) come from one BLAS call, and a zonal profile is applied in
-place, in blocks of about PROFILE_BLOCK entries, so its temporaries stay in
-a core's L2 cache.  numpy computes a Gram product X X' with syrk and mirrors
-its triangle, so with an elementwise profile the Gram matrix is exactly
-symmetric and needs no symmetrization pass.
+place, in blocks of at most PROFILE_BLOCK entries, so the blocks stay in a
+core's L2 cache.  A Gram matrix is one BLAS dsyrk, which computes the lower
+triangle only; the profile runs on that triangle alone and the strict upper
+triangle is left undefined, so every reader of a Gram matrix reads its lower
+triangle (dsymv with lower=1, eigvalsh with UPLO="L", the diagonal).  A
+profile may overwrite its argument: the shipped ones evaluate in place with
+out= ufuncs, which saves a fresh temporary per operation.
 
 A symmetric (zonal) kernel k(x, y) = kappa(<x, y>) decomposes as
 kappa(s) = sum_n b_n P_{d,n}(s) with b_n >= 0, and the RKHS norm of a zonal
@@ -25,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 from scipy.special import gammaln
 
 from .orthopoly import PolyCoeffs
@@ -55,7 +59,9 @@ class KernelSpec:
     """
 
     name: str = "custom"
-    profile: object | None = None  # elementwise callable on [-1, 1]
+    # elementwise callable on float arrays in [-1, 1]; it may overwrite its
+    # argument and returns kappa of it
+    profile: object | None = None
     feature_map: object | None = None  # callable mapping (n, d) -> (n, m)
     taylor: np.ndarray | None = None
     params: dict = field(default_factory=dict)
@@ -70,11 +76,34 @@ class KernelSpec:
         return self.feature_map is None
 
     def profile_value(self, s):
-        """kappa(s) for zonal kernels."""
+        """kappa(s) for zonal kernels; s is copied first, never written."""
         if self.profile is None:
             raise KernelError("profile_value needs a zonal kernel")
-        s = np.clip(np.asarray(s, dtype=float), -1.0, 1.0)
+        s = np.array(s, dtype=float)
+        np.clip(s, -1.0, 1.0, out=s)
         return np.asarray(self.profile(s), dtype=float)
+
+
+def _apply_profile(profile, block: np.ndarray) -> None:
+    """Overwrite a block of inner products with kappa of them, clipped to
+    [-1, 1]; a profile that returns a new array is copied back."""
+    np.clip(block, -1.0, 1.0, out=block)
+    value = profile(block)
+    if value is not block:
+        block[...] = value
+
+
+def _lower_blocks(n: int):
+    """Row ranges [lo, hi) of G.T for an n x n Gram matrix G: the block
+    G.T[lo:hi, lo:] covers columns lo..hi-1 of G's lower triangle (and the
+    corner of the upper one above them), holds at most PROFILE_BLOCK entries
+    (or one row, if a row is longer), and its rows are contiguous in the
+    F-ordered G."""
+    lo = 0
+    while lo < n:
+        hi = min(lo + max(PROFILE_BLOCK // (n - lo), 1), n)
+        yield lo, hi
+        lo = hi
 
 
 def cross_gram(k: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -82,35 +111,40 @@ def cross_gram(k: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
     The inner products fill the one output buffer and a zonal profile is
     applied in place, in blocks of whole rows holding at most PROFILE_BLOCK
-    entries (or one row, if a row is longer).  With Y the same array as X
-    the one product is X @ X.T (or F @ F.T, the feature map evaluated once),
-    which numpy computes with syrk and mirrors, so the result is exactly
-    symmetric.
+    entries (or one row, if a row is longer).
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if not k.is_zonal:
-        FX = k.feature_map(X)
-        return FX @ (FX if Y is X else k.feature_map(Y)).T
+        return k.feature_map(X) @ k.feature_map(Y).T
     K = X @ Y.T
     rows = max(PROFILE_BLOCK // max(K.shape[1], 1), 1)
     for lo in range(0, len(K), rows):
-        K[lo:lo + rows] = k.profile_value(K[lo:lo + rows])
+        _apply_profile(k.profile, K[lo:lo + rows])
     return K
 
 
 def gram(k: KernelSpec, points: np.ndarray, check_psd: bool = True) -> np.ndarray:
-    """Gram matrix of the points, cross_gram(k, points, points).
+    """Lower triangle of the Gram matrix of the points, F-ordered.
 
-    Exactly symmetric: the product is one syrk, whose result numpy mirrors,
-    and a zonal profile is elementwise.
+    One dsyrk of the points (or of their features) computes the lower
+    triangle, equal bit for bit to that of the product X @ X.T, and a zonal
+    profile is applied to it in place.  The strict upper triangle is
+    undefined: read G with dsymv(..., lower=1), eigvalsh(G, UPLO="L") or
+    np.tril.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         raise KernelError("empty point list")
-    G = cross_gram(k, points, points)
+    if not k.is_zonal:
+        G = dsyrk(1.0, k.feature_map(points), lower=1)
+    else:
+        G = dsyrk(1.0, points, lower=1)
+        GT = G.T  # C-ordered: row j of GT is column j of G
+        for lo, hi in _lower_blocks(len(G)):
+            _apply_profile(k.profile, GT[lo:hi, lo:])
     if check_psd:
-        min_eig = float(np.linalg.eigvalsh(G)[0])
+        min_eig = float(np.linalg.eigvalsh(G, UPLO="L")[0])
         if min_eig < -GRAM_EIG_TOL * len(points):
             raise KernelError(f"Gram matrix not PSD: min eigenvalue {min_eig:.3e}")
     return G
@@ -235,8 +269,19 @@ def _truncated(c: np.ndarray) -> np.ndarray:
     return c[:np.count_nonzero(tail > np.finfo(float).eps * tail[0])]
 
 
+def _linear(s):
+    return s
+
+
+def _sss(s):
+    np.subtract(2.0, s, out=s)
+    return np.divide(1.0, s, out=s)
+
+
 def standard_kernel(name: str, **params) -> KernelSpec:
     """Factory for the shipped zonal kernels, with their Taylor coefficients.
+    Their profiles evaluate in place, in the operation order of the closed
+    forms below, so their values are those of the closed forms bit for bit.
 
     linear: kappa(s) = s.
     sss:    kappa(s) = 1 / (2 - s) = sum_k s^k / 2^(k+1).
@@ -245,30 +290,38 @@ def standard_kernel(name: str, **params) -> KernelSpec:
     poly:   kappa(s) = ((1 + s) / 2)^degree = sum_k C(degree, k) s^k / 2^degree.
     """
     if name == "linear":
-        return KernelSpec(name="linear", profile=lambda s: np.asarray(s, float),
+        return KernelSpec(name="linear", profile=_linear,
                           taylor=np.array([0.0, 1.0]))
     if name == "sss":
-        return KernelSpec(
-            name="sss", profile=lambda s: 1.0 / (2.0 - np.asarray(s, float)),
-            taylor=_truncated(0.5 ** np.arange(1, 65)),
-        )
+        return KernelSpec(name="sss", profile=_sss,
+                          taylor=_truncated(0.5 ** np.arange(1, 65)))
     if name == "rbf":
         sigma = float(params.get("sigma", 1.0))
         lam = sigma**-2
         # c_k is e^-lam times a Poisson(lam) weight: past lam + 12 sqrt(lam)
         # + 40 terms the tail is far below machine epsilon
         k = np.arange(int(lam + 12.0 * math.sqrt(lam)) + 40)
+
+        def rbf(s):
+            np.subtract(s, 1.0, out=s)
+            np.divide(s, sigma**2, out=s)
+            return np.exp(s, out=s)
+
         return KernelSpec(
-            name="rbf",
-            profile=lambda s: np.exp((np.asarray(s, float) - 1.0) / sigma**2),
+            name="rbf", profile=rbf,
             taylor=_truncated(np.exp(k * math.log(lam) - lam - gammaln(k + 1))),
             params={"sigma": sigma},
         )
     if name == "poly":
         degree = int(params.get("degree", 3))
+
+        def poly(s):
+            np.add(1.0, s, out=s)
+            np.divide(s, 2.0, out=s)
+            return np.power(s, degree, out=s)
+
         return KernelSpec(
-            name="poly",
-            profile=lambda s: ((1.0 + np.asarray(s, float)) / 2.0) ** degree,
+            name="poly", profile=poly,
             taylor=np.array([math.comb(degree, k) / 2.0**degree
                              for k in range(degree + 1)]),
             params={"degree": degree},

@@ -6,11 +6,11 @@ top of the base schedule eta_t = R / (Lhat sqrt(t)) they restart with a
 geometrically shrinking radius around the incumbent, which recovers high
 accuracy on the piecewise-linear objectives used here.  The loop carries the
 scores on the training points as state, so an iteration makes one product
-with the Gram (or feature) matrix.  The Gram product is one BLAS dsymv,
-which reads one triangle of the symmetric matrix: half the memory traffic of
-a general product.  The reported gap certificate is the smaller of the first
-stage's averaged-subgradient bound and the best objective less the best
-linearization (Frank-Wolfe) lower bound.
+with the Gram (or feature) matrix.  kernels.gram stores the lower triangle
+only, and the Gram product is one BLAS dsymv that reads that triangle: half
+the memory traffic of a general product.  The reported gap certificate is
+the smaller of the first stage's averaged-subgradient bound and the best
+objective less the best linearization (Frank-Wolfe) lower bound.
 """
 
 from __future__ import annotations
@@ -209,12 +209,12 @@ class FiniteDimModel:
 # ---------------------------------------------------------------------------
 
 def gram_product(G: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """G @ u for a symmetric Gram matrix G, reading one triangle (dsymv).
+    """G @ u for the symmetric matrix whose lower triangle G holds, as
+    kernels.gram returns it; the strict upper triangle is not read (dsymv).
 
-    G is C-ordered, so G.T is the F-ordered array BLAS takes without a copy;
-    it holds the same matrix because G is symmetric.
+    G is F-ordered, so BLAS takes it without a copy.
     """
-    return dsymv(1.0, G.T, u)
+    return dsymv(1.0, G, u, lower=1)
 
 
 def _as_arrays(data):

@@ -47,7 +47,12 @@ class BandReport:
 
 def _band_average(model: KernelModel, e) -> PolyCoeffs:
     """The band-average profile a -> E[f(x) - b | <x, e> = a] of a zonal
-    kernel model, as an exact zonal series."""
+    kernel model, as an exact zonal series.
+
+    The Legendre table here is (terms x n_train), one row per Taylor term of
+    the kernel, up to orthopoly.MAX_DEGREE + 1: rbf sigma = 0.02 has 2918
+    terms, a 93 MB table at n_train = 4000.
+    """
     d = model.support.shape[1]
     b = RkhsProfile.from_kernel(model.kernel, d).b
     table = legendre_table(d, len(b) - 1, model.support @ np.asarray(e, float))

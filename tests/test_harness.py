@@ -52,6 +52,16 @@ def test_run_single_fields_and_ratio():
     assert row["band_gap"] <= row["band_bound"]
 
 
+def test_narrow_rbf_row_has_band_gap():
+    # sigma = 0.05 gives 574 Taylor terms, past the old degree cap of 512,
+    # where the band check raised DomainError and the row had no band_gap
+    cfg = small_config(d=25, kernel_params={"sigma": 0.05})
+    row = harness.run_single(cfg, 0)
+    assert row["error"] == ""
+    assert math.isfinite(row["band_gap"])
+    assert row["band_gap"] <= row["band_bound"]
+
+
 def test_separable_config_ratio_sentinel():
     # no noise: certified margin error 0, ratio reported as +inf
     cfg = small_config(lambda3=0.0, kernel="linear", kernel_params={},

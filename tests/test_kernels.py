@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_gegenbauer
 
-from marginlab import harness, kernels, learners, sphere
+from marginlab import harness, kernels, learners, orthopoly, sphere
 from marginlab.orthopoly import PolyCoeffs, legendre_table
 from marginlab.sphere import RngStream
 
@@ -72,8 +74,10 @@ def test_gram_psd_shipped_kernels():
 
 
 def test_blocked_gram_matches_unblocked_product():
-    # n^2 spans three full profile blocks of whole rows and a partial fourth
+    # the lower triangle at this n spans three profile blocks, the last one
+    # partial; kernels.gram defines the lower triangle only
     X = sphere_points(7, math.isqrt(3 * kernels.PROFILE_BLOCK) + 37)
+    assert len(list(kernels._lower_blocks(len(X)))) == 3
     Y = sphere_points(7, 50, 1)
     shipped = [
         kernels.standard_kernel("linear"),
@@ -84,8 +88,9 @@ def test_blocked_gram_matches_unblocked_product():
     for k in shipped:
         P = k.profile_value(X @ X.T)
         G = kernels.gram(k, X, check_psd=False)
-        assert np.array_equal(G, 0.5 * (P + P.T))
-        assert np.array_equal(G, G.T)
+        assert np.array_equal(np.tril(G), np.tril(P))
+        K = kernels.cross_gram(k, X, X)
+        assert np.array_equal(K, K.T)
         assert np.array_equal(kernels.cross_gram(k, X, Y),
                               k.profile_value(X @ Y.T))
     series = kernels.KernelSpec(
@@ -100,10 +105,112 @@ def test_blocked_gram_matches_unblocked_product():
     for k in (series, feat):
         P = unblocked[k.name](X, X)
         G = kernels.gram(k, X, check_psd=False)
-        assert np.allclose(G, 0.5 * (P + P.T), rtol=0.0, atol=1e-14)
-        assert np.array_equal(G, G.T)
+        assert np.allclose(np.tril(G), np.tril(P), rtol=0.0, atol=1e-14)
+        K = kernels.cross_gram(k, X, X)
+        assert np.allclose(K, K.T, rtol=0.0, atol=1e-14)
         assert np.allclose(kernels.cross_gram(k, X, Y), unblocked[k.name](X, Y),
                            rtol=0.0, atol=1e-14)
+
+
+def product_error(k, X, u):
+    """||gram_product(gram(k, X), u) - cross_gram(k, X, X) u|| over the
+    scale ||K|| ||u|| (Frobenius norm, an upper bound on the spectral one)."""
+    K = kernels.cross_gram(k, X, X)
+    got = learners.gram_product(kernels.gram(k, X, check_psd=False), u)
+    return float(np.linalg.norm(got - K @ u)
+                 / (np.linalg.norm(K) * np.linalg.norm(u)))
+
+
+def product_kernels():
+    A = np.random.default_rng(7).standard_normal((9, 6))
+    return [
+        kernels.standard_kernel("linear"),
+        kernels.standard_kernel("sss"),
+        kernels.standard_kernel("rbf", sigma=1.0),
+        kernels.standard_kernel("poly", degree=3),
+        kernels.KernelSpec(
+            name="series",
+            profile=PolyCoeffs(6, np.array([0.3, 0.4, 0.2, 0.1]))),
+        kernels.KernelSpec(
+            name="feat",
+            feature_map=lambda Z: np.tanh(np.atleast_2d(Z) @ A.T)),
+    ]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 1100), st.integers(0, 2**32 - 1))
+def test_gram_product_matches_full_kernel_matrix(n, seed):
+    # n = 1100 puts the lower triangle in four profile blocks, n <= 512 in one
+    X = sphere_points(6, n, seed % 1000)
+    u = np.random.default_rng(seed).standard_normal(n)
+    for k in product_kernels():
+        assert product_error(k, X, u) <= 1e-12, k.name
+
+
+def test_mutated_upper_triangle_read_is_caught(monkeypatch):
+    # a product that reads the undefined strict upper triangle
+    dsymv = learners.dsymv
+
+    def upper_dsymv(alpha, a, x, lower=1):
+        return dsymv(alpha, a, x, lower=0)
+
+    monkeypatch.setattr(learners, "dsymv", upper_dsymv)
+    X = sphere_points(6, 300, 4)
+    u = np.random.default_rng(4).standard_normal(300)
+    for k in product_kernels():
+        assert product_error(k, X, u) > 1e-3, k.name
+
+
+def test_mutated_dropped_last_block_is_caught(monkeypatch):
+    # a block loop that leaves the last partial block as raw inner products;
+    # the linear profile is the identity there, so only the others can fail
+    blocks = kernels._lower_blocks
+    monkeypatch.setattr(kernels, "_lower_blocks",
+                        lambda n: list(blocks(n))[:-1])
+    X = sphere_points(6, 1100, 5)
+    u = np.random.default_rng(5).standard_normal(1100)
+    for k in product_kernels():
+        if k.is_zonal and k.name != "linear":
+            assert product_error(k, X, u) > 1e-6, k.name
+
+
+def test_kernel_matrices_leave_inputs_unchanged():
+    X = sphere_points(6, 700, 6)
+    X[0] *= 1.0 + 1e-12  # one inner product just past 1, which the clip fixes
+    Y = sphere_points(6, 40, 7)
+    s = np.linspace(-1.5, 1.5, 301)
+    X0, Y0, s0 = X.copy(), Y.copy(), s.copy()
+    for k in product_kernels():
+        if k.is_zonal:
+            k.profile_value(s)
+        kernels.cross_gram(k, X, Y)
+        kernels.gram(k, X, check_psd=False)
+        assert np.array_equal(X, X0) and np.array_equal(Y, Y0), k.name
+        assert np.array_equal(s, s0), k.name
+
+
+@pytest.mark.parametrize("name, params, closed", [
+    ("linear", {}, lambda s: s),
+    ("sss", {}, lambda s: 1.0 / (2.0 - s)),
+    ("rbf", {"sigma": 1.0}, lambda s: np.exp((s - 1.0) / 1.0**2)),
+    ("rbf", {"sigma": 0.3}, lambda s: np.exp((s - 1.0) / 0.3**2)),
+    ("poly", {"degree": 2}, lambda s: ((1.0 + s) / 2.0) ** 2),
+    ("poly", {"degree": 3}, lambda s: ((1.0 + s) / 2.0) ** 3),
+    ("poly", {"degree": 5}, lambda s: ((1.0 + s) / 2.0) ** 5),
+])
+def test_in_place_profiles_match_closed_forms(name, params, closed):
+    # the grid reaches just past [-1, 1], where the clip brings s back
+    tiny = np.finfo(float).eps
+    s = np.concatenate([[-1.0 - 1e-9, -1.0 - tiny, 1.0 + tiny, 1.0 + 1e-9],
+                        np.linspace(-1.0, 1.0, 4001)])
+    expected = closed(np.clip(s, -1.0, 1.0))
+    k = kernels.standard_kernel(name, **params)
+    assert np.array_equal(k.profile_value(s), expected)
+    t = np.clip(s, -1.0, 1.0)
+    assert k.profile(t) is t  # written in place
+    assert np.array_equal(t, expected)
+    K = kernels.cross_gram(k, s[:, None], np.ones((1, 1)))
+    assert np.array_equal(K[:, 0], expected)
 
 
 def test_decision_function_matches_one_cross_gram():
@@ -182,6 +289,16 @@ def test_profile_coefficients_nonnegative_and_sum():
             assert np.all(b >= 0.0), (name, params, d)
             assert abs(float(np.sum(b)) - k1) <= 1e-14, (name, params, d)
             assert reproduction_error(k, b, d) <= 1e-13, (name, params, d)
+
+
+def test_narrow_rbf_expansion_within_max_degree():
+    # rbf sigma = 0.02 needs 2918 Taylor terms, inside MAX_DEGREE = 4096;
+    # the reproduction error peaks at about 1.6e-12 there
+    for sigma in (0.05, 0.03, 0.02):
+        k = kernels.standard_kernel("rbf", sigma=sigma)
+        assert len(k.taylor) <= orthopoly.MAX_DEGREE + 1
+        b = kernels.RkhsProfile.from_kernel(k, 25).b
+        assert reproduction_error(k, b, 25) <= 2e-12, sigma
 
 
 def test_mutated_expansion_sign_is_caught():

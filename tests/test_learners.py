@@ -196,14 +196,17 @@ def test_one_gram_product_per_iteration(monkeypatch):
 
 
 def test_gram_product_reads_gram_in_place(monkeypatch):
-    # a C-ordered Gram matrix reaches dsymv transposed, F-ordered, so BLAS
-    # takes it without a copy (n^2 doubles per iteration otherwise)
+    # kernels.gram returns the lower triangle F-ordered, so BLAS takes it
+    # without a copy (n^2 doubles per iteration otherwise) and reads that
+    # triangle alone; its strict upper triangle is undefined
     calls = []
     dsymv = L.dsymv
 
-    def checked_dsymv(alpha, a, x):
-        calls.append((a.flags.f_contiguous, a.T @ x, dsymv(alpha, a, x),
-                      np.linalg.norm(a, 2) * np.linalg.norm(x)))
+    def checked_dsymv(alpha, a, x, lower=0):
+        full = np.tril(a) + np.tril(a, -1).T
+        calls.append((a.flags.f_contiguous and lower == 1, full @ x,
+                      dsymv(alpha, a, x, lower=lower),
+                      np.linalg.norm(full, 2) * np.linalg.norm(x)))
         return calls[-1][2]
 
     monkeypatch.setattr(L, "dsymv", checked_dsymv)
@@ -216,8 +219,8 @@ def test_gram_product_reads_gram_in_place(monkeypatch):
         L.SolverOptions(max_iters=20, n_restarts=2))
     assert model.norm <= 2.0 * (1 + 1e-9)
     assert len(calls) == 20 * 2 + 1
-    for f_contiguous, expected, got, scale in calls:
-        assert f_contiguous
+    for lower_in_place, expected, got, scale in calls:
+        assert lower_in_place
         assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
@@ -233,7 +236,7 @@ def test_carried_scores_match_recomputed_objective():
         loss = L.make_loss(name)
         model = L.train_kernel_program((X, y), kernels.standard_kernel("rbf"),
                                        loss, 3.0, opts)
-        scores = model._gram @ model.alpha + model.b
+        scores = L.gram_product(model._gram, model.alpha) + model.b
         assert float(np.mean(loss.value(y * scores))) == pytest.approx(
             model.objective, abs=1e-12)
     model = L.train_finite_program((X, y), lambda Z: Z, L.L2Ball(1.5),
