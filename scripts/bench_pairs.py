@@ -3,15 +3,14 @@
 workload, in alternating pairs of runs.
 
 Usage: python3 scripts/bench_pairs.py --parent REV --workload W --pairs N
-           --seed0 S [--seconds 30] [--metric pass_s] [--tmp DIR]
-           [--out BENCH_<pr>.json]
+           --seed0 S [--out BENCH_<pr>.json]
 
 REV is checked out in a temporary git worktree, removed afterwards.  Pair i
-runs `bench/run.py --workload W --seed S+i --seconds ... --trace 0` once in
-each tree, the parent first on even i and the working tree first on odd i.
-The script prints each side's median and quartiles of every end-to-end
-metric, the number of pairs the working tree wins on --metric, and whether
-the gain rule holds: a win in at least 9 of every 10 pairs, and a median
+runs `bench/run.py --workload W --seed S+i --seconds T --trace 0` once in
+each tree, T being BENCHMARK.json's run_seconds, the parent first on even i
+and the working tree first on odd i.  The script prints each side's median
+and quartiles of every end-to-end metric, the number of pairs the working
+tree wins on pass_s, and whether the gain rule holds: a win in at least 9 of every 10 pairs, and a median
 gain larger than the parent's interquartile range.  With --out the pairs,
 the summaries and the verdict are written as JSON.
 """
@@ -27,6 +26,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the end-to-end metric whose gain is judged
+METRIC = "pass_s"
 
 
 def parse_args(argv):
@@ -36,9 +37,6 @@ def parse_args(argv):
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed0", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--metric", default="pass_s", help="the claimed metric")
-    p.add_argument("--tmp", default=None, help="directory for the worktree")
     p.add_argument("--out", default=None, help="JSON file for the results")
     args = p.parse_args(argv)
     if args.pairs < 1:
@@ -71,15 +69,15 @@ def summary(values):
 def main(argv=None):
     args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    if args.metric not in better:
-        raise SystemExit(f"unknown end-to-end metric {args.metric!r}")
-    sign = 1.0 if better[args.metric] == "lower" else -1.0
+        benchmark = json.load(fh)
+    seconds = benchmark["run_seconds"]
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    sign = 1.0 if better[METRIC] == "lower" else -1.0
 
     commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
                             check=True, capture_output=True,
                             text=True).stdout.strip()
-    tmp = tempfile.mkdtemp(prefix="bench_pairs_", dir=args.tmp)
+    tmp = tempfile.mkdtemp(prefix="bench_pairs_")
     parent_root = os.path.join(tmp, "parent")
     subprocess.run(["git", "worktree", "add", "--detach", parent_root,
                     commit], cwd=ROOT, check=True, capture_output=True)
@@ -93,13 +91,12 @@ def main(argv=None):
                 order.reverse()
             for side in order:
                 root = parent_root if side == "parent" else ROOT
-                metrics, ok = bench_once(root, args.workload, seed,
-                                         args.seconds)
+                metrics, ok = bench_once(root, args.workload, seed, seconds)
                 runs[side].append(metrics)
                 correct[side] = correct[side] and ok
-            p, c = (runs[s][-1][args.metric] for s in ("parent", "change"))
+            p, c = (runs[s][-1][METRIC] for s in ("parent", "change"))
             print(f"pair {i} seed {seed} ({order[0]} first): "
-                  f"{args.metric} parent {p:.4g} change {c:.4g}", flush=True)
+                  f"{METRIC} parent {p:.4g} change {c:.4g}", flush=True)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", parent_root],
                        cwd=ROOT, capture_output=True)
@@ -118,13 +115,13 @@ def main(argv=None):
               f"{ps['q3']:.4g}]  change {cs['median']:.4g} "
               f"[{cs['q1']:.4g}-{cs['q3']:.4g}]")
 
-    wins = sum(sign * (p[args.metric] - c[args.metric]) > 0
+    wins = sum(sign * (p[METRIC] - c[METRIC]) > 0
                for p, c in zip(runs["parent"], runs["change"]))
-    ps, cs = summaries["parent"][args.metric], summaries["change"][args.metric]
+    ps, cs = summaries["parent"][METRIC], summaries["change"][METRIC]
     gain = sign * (ps["median"] - cs["median"])
     iqr = ps["q3"] - ps["q1"]
     holds = wins >= math.ceil(0.9 * args.pairs) and gain > iqr
-    print(f"{args.metric}: change wins {wins} of {args.pairs} pairs; median "
+    print(f"{METRIC}: change wins {wins} of {args.pairs} pairs; median "
           f"gain {gain:.4g} against parent IQR {iqr:.4g}; rule "
           f"{'holds' if holds else 'does not hold'}")
     print(f"checks passed: parent {correct['parent']}, change "
@@ -134,7 +131,7 @@ def main(argv=None):
         with open(args.out, "w") as fh:
             json.dump({"workload": args.workload, "parent": commit,
                        "seed0": args.seed0, "pairs": args.pairs,
-                       "seconds": args.seconds, "metric": args.metric,
+                       "seconds": seconds, "metric": METRIC,
                        "runs": runs, "summaries": summaries, "wins": wins,
                        "median_gain": gain, "parent_iqr": iqr,
                        "rule_holds": holds, "checks_passed": correct},

@@ -8,7 +8,7 @@ place, in blocks of at most PROFILE_BLOCK entries, so the blocks stay in a
 core's L2 cache.  A Gram matrix is one BLAS dsyrk, which computes the lower
 triangle only; the profile runs on that triangle alone and the strict upper
 triangle is left undefined, so every reader of a Gram matrix reads its lower
-triangle (dsymv with lower=1, eigvalsh with UPLO="L", the diagonal).  A
+triangle: gram_product and min_eigenvalue below, or the diagonal.  A
 profile may overwrite its argument: the shipped ones evaluate in place with
 out= ufuncs, which saves a fresh temporary per operation.
 
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dsymv, dsyrk
 from scipy.special import gammaln
 
 from .orthopoly import PolyCoeffs
@@ -130,8 +130,7 @@ def gram(k: KernelSpec, points: np.ndarray, check_psd: bool = True) -> np.ndarra
     One dsyrk of the points (or of their features) computes the lower
     triangle, equal bit for bit to that of the product X @ X.T, and a zonal
     profile is applied to it in place.  The strict upper triangle is
-    undefined: read G with dsymv(..., lower=1), eigvalsh(G, UPLO="L") or
-    np.tril.
+    undefined: read G with gram_product, min_eigenvalue or np.tril.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
@@ -144,10 +143,25 @@ def gram(k: KernelSpec, points: np.ndarray, check_psd: bool = True) -> np.ndarra
         for lo, hi in _lower_blocks(len(G)):
             _apply_profile(k.profile, GT[lo:hi, lo:])
     if check_psd:
-        min_eig = float(np.linalg.eigvalsh(G, UPLO="L")[0])
+        min_eig = min_eigenvalue(G)
         if min_eig < -GRAM_EIG_TOL * len(points):
             raise KernelError(f"Gram matrix not PSD: min eigenvalue {min_eig:.3e}")
     return G
+
+
+def gram_product(G: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """G @ u for the symmetric matrix whose lower triangle G holds, as gram
+    returns it; the strict upper triangle is not read (dsymv).
+
+    G is F-ordered, so BLAS takes it without a copy.
+    """
+    return dsymv(1.0, G, u, lower=1)
+
+
+def min_eigenvalue(G: np.ndarray) -> float:
+    """Smallest eigenvalue of the symmetric matrix whose lower triangle G
+    holds, as gram returns it."""
+    return float(np.linalg.eigvalsh(G, UPLO="L")[0])
 
 
 # ---------------------------------------------------------------------------

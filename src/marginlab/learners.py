@@ -7,10 +7,11 @@ geometrically shrinking radius around the incumbent, which recovers high
 accuracy on the piecewise-linear objectives used here.  The loop carries the
 scores on the training points as state, so an iteration makes one product
 with the Gram (or feature) matrix.  kernels.gram stores the lower triangle
-only, and the Gram product is one BLAS dsymv that reads that triangle: half
-the memory traffic of a general product.  The reported gap certificate is
-the smaller of the first stage's averaged-subgradient bound and the best
-objective less the best linearization (Frank-Wolfe) lower bound.
+only, and the Gram product, kernels.gram_product, is one BLAS dsymv that
+reads that triangle: half the memory traffic of a general product.  The
+reported gap certificate is the smaller of the first stage's
+averaged-subgradient bound and the best objective less the best
+linearization (Frank-Wolfe) lower bound.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.blas import dsymv
 
-from .kernels import KernelSpec, cross_gram, gram
+from .kernels import KernelSpec, cross_gram, gram, gram_product
 
 GRAM_JITTER = 1e-10
 NORM_SLACK = 1e-9
@@ -207,15 +207,6 @@ class FiniteDimModel:
 # ---------------------------------------------------------------------------
 # Projected subgradient core.
 # ---------------------------------------------------------------------------
-
-def gram_product(G: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """G @ u for the symmetric matrix whose lower triangle G holds, as
-    kernels.gram returns it; the strict upper triangle is not read (dsymv).
-
-    G is F-ordered, so BLAS takes it without a copy.
-    """
-    return dsymv(1.0, G, u, lower=1)
-
 
 def _as_arrays(data):
     """(X, y, normalized weights) from a dataset tuple (X, y) or (X, y, w)."""

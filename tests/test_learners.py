@@ -200,7 +200,7 @@ def test_gram_product_reads_gram_in_place(monkeypatch):
     # without a copy (n^2 doubles per iteration otherwise) and reads that
     # triangle alone; its strict upper triangle is undefined
     calls = []
-    dsymv = L.dsymv
+    dsymv = kernels.dsymv
 
     def checked_dsymv(alpha, a, x, lower=0):
         full = np.tril(a) + np.tril(a, -1).T
@@ -209,7 +209,7 @@ def test_gram_product_reads_gram_in_place(monkeypatch):
                       np.linalg.norm(full, 2) * np.linalg.norm(x)))
         return calls[-1][2]
 
-    monkeypatch.setattr(L, "dsymv", checked_dsymv)
+    monkeypatch.setattr(kernels, "dsymv", checked_dsymv)
     rng = np.random.default_rng(6)
     X = rng.standard_normal((60, 6))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
