@@ -7,7 +7,7 @@ from .harness import ExperimentConfig, run_gap_experiment, sweep, verify_lemmas
 from .kernels import KernelSpec, RkhsProfile, standard_kernel
 from .learners import SurrogateLoss, make_loss, train_kernel_program
 from .measures import AdversarialSpec, certified_margin_bound, sample_dataset
-from .orthopoly import PolyCoeffs, changes_slowly_gap, legendre_eval
+from .orthopoly import PolyCoeffs, changes_slowly_gap
 from .sphere import RngStream
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "SurrogateLoss",
     "certified_margin_bound",
     "changes_slowly_gap",
-    "legendre_eval",
     "make_loss",
     "run_gap_experiment",
     "sample_dataset",

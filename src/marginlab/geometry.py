@@ -88,14 +88,6 @@ class WeightedAtomMeasure:
             raise GeometryError(f"weights sum to {total}, expected 1")
         self.atoms = cleaned
 
-    def to_csv(self, path: str):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            d = len(self.atoms[0][0])
-            writer.writerow([f"x{i}" for i in range(d)] + ["label", "weight"])
-            for p, y, w in self.atoms:
-                writer.writerow([repr(float(v)) for v in p] + [y, repr(float(w))])
-
     @classmethod
     def from_csv(cls, path: str) -> "WeightedAtomMeasure":
         atoms = []

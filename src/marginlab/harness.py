@@ -78,10 +78,6 @@ class ExperimentConfig:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
-
     @property
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
@@ -96,7 +92,6 @@ class ExperimentConfig:
             d=self.d, gamma=self.gamma, theta=self.theta,
             lambda2=self.lambda2, lambda3=self.lambda3, lambdaN=self.lambdaN,
             noise_atoms=atoms, boundary_counts=self.boundary_counts,
-            seed=self.seed,
         )
 
     def make_kernel(self) -> kernels.KernelSpec:

@@ -1,31 +1,32 @@
-"""Surrogate losses, the norm-constrained kernel program and the
-finite-dimensional program as empirical solvers, and evaluation metrics.
+"""Surrogate losses, the norm-constrained kernel program as the empirical
+solver, and evaluation metrics.
 
-Both trainers run one projected-subgradient loop with iterate averaging.  On
-top of the base schedule eta_t = R / (Lhat sqrt(t)) they restart with a
-geometrically shrinking radius around the incumbent, which recovers high
-accuracy on the piecewise-linear objectives used here.  The loop carries the
-scores on the training points as state, so an iteration makes one product
-with the Gram (or feature) matrix.  kernels.gram stores the lower triangle
-only, and the Gram product, kernels.gram_product, is one BLAS dsymv that
-reads that triangle: half the memory traffic of a general product.  The
-reported gap certificate is the smaller of the first stage's
-averaged-subgradient bound and the best objective less the best
-linearization (Frank-Wolfe) lower bound.
+Every generalized linear method is this one program over a norm ball of an
+RKHS; a learner over explicit features psi is the kernel program with
+k(x, y) = <psi(x), psi(y)> (a KernelSpec with a feature_map).  The trainer
+runs a projected-subgradient loop with iterate averaging.  On top of the base
+schedule eta_t = R / (Lhat sqrt(t)) it restarts with a geometrically
+shrinking radius around the incumbent, which recovers high accuracy on the
+piecewise-linear objectives used here.  The loop carries the scores G alpha
+on the training points as state, so an iteration makes one product with the
+Gram matrix.  kernels.gram stores the lower triangle only, and the Gram
+product, kernels.gram_product, is one BLAS dsymv that reads that triangle:
+half the memory traffic of a general product.  The reported gap certificate
+is the smaller of the first stage's averaged-subgradient bound and the best
+objective less the best linearization (Frank-Wolfe) lower bound.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernels import KernelSpec, cross_gram, gram, gram_product
 
 GRAM_JITTER = 1e-10
-NORM_SLACK = 1e-9
 # test points per product with the support in decision_function: BLAS packs
 # the support once per product, so much smaller blocks cost more in packing
 TEST_BLOCK = 256
@@ -35,15 +36,10 @@ class LossError(ValueError):
     pass
 
 
-class NonConvergenceError(RuntimeError):
-    def __init__(self, msg, model=None):
-        super().__init__(msg)
-        self.model = model
-
-
 @dataclass(frozen=True)
 class SurrogateLoss:
-    """Convex loss bounded below by the 0-1 loss.
+    """Loss bounded below by the 0-1 loss, convex except for margin_loss
+    (flat above its knee, so the solver's gap certificate is void for it).
 
     value/subgradient are vectorized; subgradient returns the right derivative
     at kinks.  lipschitz is math.inf for unbounded-slope losses.
@@ -124,18 +120,12 @@ def make_loss(name: str, gamma: float | None = None, C: float | None = None) -> 
 # Models.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class L2Ball:
-    radius: float
-
-
 @dataclass
 class SolverOptions:
     max_iters: int = 2000
     n_restarts: int = 10
     eps_opt: float = 0.1
     bias_box: float = 10.0
-    strict: bool = False
 
 
 @dataclass
@@ -188,24 +178,8 @@ class KernelModel:
         )
 
 
-@dataclass
-class FiniteDimModel:
-    w: np.ndarray
-    b: float
-    constraint: L2Ball
-    feature_map: object
-    loss: SurrogateLoss
-    objective: float = math.nan
-    gap_certificate: float = math.nan
-    converged: bool = True
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self.feature_map(X) @ self.w + self.b
-
-
 # ---------------------------------------------------------------------------
-# Projected subgradient core.
+# Projected-subgradient solver.
 # ---------------------------------------------------------------------------
 
 def _as_arrays(data):
@@ -237,21 +211,19 @@ def _linearization_bound(f, u, scores, b, gb, support, bias_box):
     return f - float(u @ scores) - b * gb - support - bias_box * abs(gb)
 
 
-def _subgradient_solve(y, wts, loss, direction, project, dim, radius,
-                       lip_bound, opts):
-    """Shared projected-subgradient loop with step-size annealing restarts.
+def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float,
+                         opts: SolverOptions = SolverOptions()):
+    """Approximately solve  min mean l(y (f(x) + b))  over ||f||_{H_k} <= C
+    and |b| <= bias_box.
 
-    The iterate is (w, b) together with its scores K w on the training points
-    (K = G for the kernel program, F for the finite-dimensional one), carried
-    as state so that an iteration touches K only inside `direction`:
-
-    - direction(u) -> (g, Kg, gnorm, support) for the loss-gradient weights
-      u_i = wts_i y_i l'(y_i (K w + b)_i): g is the functional part of the
-      subgradient in the coordinates the projection works in, Kg its scores,
-      gnorm its norm in the projection's geometry and support the largest
-      <g, w'> over the ball;
-    - project(w, Kw) -> (w, Kw), the projection onto the ball with the
-      scores following along.
+    Restricting f to span{k(., x_i)} is lossless (it preserves sample
+    predictions and never increases the norm), so the search runs over dual
+    coefficients alpha with the ellipsoidal projection
+    alpha <- alpha * min(1, C / sqrt(alpha' G alpha)).  For the loss-gradient
+    weights u_i = wts_i y_i l'(y_i (G alpha + b)_i) the scores G alpha are
+    carried through the step alpha' = s (alpha - eta u) as
+    G alpha' = s (G alpha - eta G u), so each iteration makes the one Gram
+    product G u, which also gives the RKHS norm sqrt(u' G u) of the step.
 
     Restart k reruns the schedule eta_t = (R / 2^k) / (Lhat sqrt(t)) from the
     incumbent, which polishes the piecewise-linear objectives used here.
@@ -259,70 +231,9 @@ def _subgradient_solve(y, wts, loss, direction, project, dim, radius,
     The gap certificate is the smaller of two bounds on best objective - OPT:
     the averaged-iterate bound of the first stage (later stages are heuristic
     step shrinking) and best objective - the best linearization lower bound
-    over all iterates (_linearization_bound).  Both need a convex loss; the
-    non-convex margin_loss gets no valid certificate.
-    Returns (w, b, best objective, gap certificate).
-    """
-    bias_box = opts.bias_box
-    wy = wts * y
-
-    def objective_at(scores, b):
-        margins = y * (scores + b)
-        return margins, float(wts @ loss.value(margins))
-
-    w, scores = project(np.zeros(dim), np.zeros(len(y)))
-    b = 0.0
-    margins, best_f = objective_at(scores, b)
-    best = (w, b, scores, margins)
-    lower = -math.inf
-    cert = math.inf
-    for stage in range(max(opts.n_restarts, 1)):
-        R = radius / 2**stage
-        (w, b, scores, margins), f = best, best_f
-        avg_w, avg_b, avg_scores = np.zeros(dim), 0.0, np.zeros(len(y))
-        sum_eta = 0.0
-        sum_eta2_g2 = 0.0
-        lhat = max(lip_bound, 1e-12)
-        for t in range(1, opts.max_iters + 1):
-            u = wy * loss.subgradient(margins)
-            gb = float(u.sum())
-            g, Kg, gnorm_w, support = direction(u)
-            lower = max(lower, _linearization_bound(f, u, scores, b, gb,
-                                                    support, bias_box))
-            gnorm = math.hypot(gnorm_w, gb)
-            lhat = max(lhat, gnorm)
-            eta = R / (lhat * math.sqrt(t))
-            w, scores = project(w - eta * g, scores - eta * Kg)
-            b = min(max(b - eta * gb, -bias_box), bias_box)
-            sum_eta += eta
-            sum_eta2_g2 += eta * eta * gnorm * gnorm
-            avg_w += eta * w
-            avg_b += eta * b
-            avg_scores += eta * scores
-            margins, f = objective_at(scores, b)
-            if f < best_f:
-                best, best_f = (w, b, scores, margins), f
-        w, scores = project(avg_w / sum_eta, avg_scores / sum_eta)
-        b = min(max(avg_b / sum_eta, -bias_box), bias_box)
-        margins, f = objective_at(scores, b)
-        if f < best_f:
-            best, best_f = (w, b, scores, margins), f
-        if stage == 0:
-            cert = (radius * radius + sum_eta2_g2) / (2.0 * sum_eta)
-    return best[0], best[1], best_f, min(cert, best_f - lower)
-
-
-def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float,
-                         opts: SolverOptions = SolverOptions()):
-    """Approximately solve  min mean l(y (f(x) + b))  over ||f||_{H_k} <= C.
-
-    Restricting f to span{k(., x_i)} is lossless (it preserves sample
-    predictions and never increases the norm), so the search runs over dual
-    coefficients alpha with the ellipsoidal projection
-    alpha <- alpha * min(1, C / sqrt(alpha' G alpha)).  The scores G alpha
-    are carried through the step alpha' = s (alpha - eta u) as
-    G alpha' = s (G alpha - eta G u), so each iteration makes the one Gram
-    product G u, which also gives the RKHS norm sqrt(u' G u) of the step.
+    over all iterates (_linearization_bound, with the support C sqrt(u' G u)
+    of the step over the ball).  Both need a convex loss; the non-convex
+    margin_loss gets no valid certificate.
     """
     if C < 0:
         raise LossError("norm bound must be >= 0")
@@ -334,78 +245,69 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
         raise LossError("Gram diagonal negative beyond tolerance: invalid kernel")
     G[np.diag_indices_from(G)] += GRAM_JITTER
 
-    def direction(u):
-        Gu = gram_product(G, u)
-        # RKHS norm of the functional part sum u_i k(., x_i) of the step
-        norm = math.sqrt(max(float(u @ Gu), 0.0))
-        return u, Gu, norm, C * norm
+    bias_box = opts.bias_box
+    wy = wts * y
+    lip = loss.lipschitz if math.isfinite(loss.lipschitz) else 1.0
+    radius = 2.0 * C + 2.0 * bias_box
 
-    def project(alpha, Galpha):
-        q = float(alpha @ Galpha)
+    def objective_at(scores, b):
+        margins = y * (scores + b)
+        return margins, float(wts @ loss.value(margins))
+
+    alpha, scores, b = np.zeros(n), np.zeros(n), 0.0
+    margins, best_f = objective_at(scores, b)
+    best = (alpha, b, scores, margins)
+    lower = -math.inf
+    cert = math.inf
+    for stage in range(max(opts.n_restarts, 1)):
+        R = radius / 2**stage
+        (alpha, b, scores, margins), f = best, best_f
+        avg_alpha, avg_b, avg_scores = np.zeros(n), 0.0, np.zeros(n)
+        sum_eta = 0.0
+        sum_eta2_g2 = 0.0
+        lhat = max(lip, 1e-12)
+        for t in range(1, opts.max_iters + 1):
+            u = wy * loss.subgradient(margins)
+            gb = float(u.sum())
+            Gu = gram_product(G, u)
+            # RKHS norm of the functional part sum u_i k(., x_i) of the step
+            unorm = math.sqrt(max(float(u @ Gu), 0.0))
+            lower = max(lower, _linearization_bound(f, u, scores, b, gb,
+                                                    C * unorm, bias_box))
+            gnorm = math.hypot(unorm, gb)
+            lhat = max(lhat, gnorm)
+            eta = R / (lhat * math.sqrt(t))
+            alpha, scores = alpha - eta * u, scores - eta * Gu
+            q = float(alpha @ scores)
+            if q > C * C:
+                scale = C / math.sqrt(q)
+                alpha, scores = alpha * scale, scores * scale
+            b = min(max(b - eta * gb, -bias_box), bias_box)
+            sum_eta += eta
+            sum_eta2_g2 += eta * eta * gnorm * gnorm
+            avg_alpha += eta * alpha
+            avg_b += eta * b
+            avg_scores += eta * scores
+            margins, f = objective_at(scores, b)
+            if f < best_f:
+                best, best_f = (alpha, b, scores, margins), f
+        alpha, scores = avg_alpha / sum_eta, avg_scores / sum_eta
+        q = float(alpha @ scores)
         if q > C * C:
             scale = C / math.sqrt(q)
-            return alpha * scale, Galpha * scale
-        return alpha, Galpha
-
-    lip = loss.lipschitz if math.isfinite(loss.lipschitz) else 1.0
-    radius = 2.0 * C + 2.0 * opts.bias_box
-    alpha, b, f_best, cert = _subgradient_solve(
-        y, wts, loss, direction, project, n, radius, lip, opts)
-    model = KernelModel(
-        support=X, alpha=alpha, b=float(b), C=C, kernel=kernel, loss=loss,
-        objective=f_best, gap_certificate=cert,
+            alpha, scores = alpha * scale, scores * scale
+        b = min(max(avg_b / sum_eta, -bias_box), bias_box)
+        margins, f = objective_at(scores, b)
+        if f < best_f:
+            best, best_f = (alpha, b, scores, margins), f
+        if stage == 0:
+            cert = (radius * radius + sum_eta2_g2) / (2.0 * sum_eta)
+    cert = min(cert, best_f - lower)
+    return KernelModel(
+        support=X, alpha=best[0], b=float(best[1]), C=C, kernel=kernel,
+        loss=loss, objective=best_f, gap_certificate=cert,
         converged=cert <= opts.eps_opt, _gram=G,
     )
-    if opts.strict and not model.converged:
-        raise NonConvergenceError(
-            f"certified gap {cert:.3e} > eps_opt {opts.eps_opt:.3e} "
-            f"after {opts.max_iters} iters",
-            model=model,
-        )
-    return model
-
-
-def train_finite_program(data, feature_map, constraint, loss: SurrogateLoss,
-                         opts: SolverOptions = SolverOptions()):
-    """Approximately solve  min mean l(y (<w, psi(x)> + b))  over w in the
-    L2 ball and free bias.
-
-    The scores F w are carried like the kernel program's G alpha: scaled
-    along with w by the projection.  The linearization bound uses the L2 norm
-    of F' u.
-    """
-    X, y, wts = _as_arrays(data)
-    F = np.atleast_2d(np.asarray(feature_map(X), dtype=float))
-    m = F.shape[1]
-    R_w = constraint.radius
-    feat_bound = float(np.max(np.linalg.norm(F, axis=1))) if len(F) else 1.0
-
-    def direction(u):
-        g = F.T @ u
-        norm = float(np.linalg.norm(g))
-        return g, F @ g, norm, R_w * norm
-
-    def project(w, Fw):
-        nw = np.linalg.norm(w)
-        if nw > R_w:
-            scale = R_w / max(nw, 1e-300)
-            return w * scale, Fw * scale
-        return w, Fw
-
-    lip = loss.lipschitz if math.isfinite(loss.lipschitz) else 1.0
-    radius = 2.0 * R_w * max(feat_bound, 1.0) + 2.0 * opts.bias_box
-    w, b, f_best, cert = _subgradient_solve(
-        y, wts, loss, direction, project, m, radius, lip, opts)
-    model = FiniteDimModel(
-        w=w, b=float(b), constraint=constraint, feature_map=feature_map,
-        loss=loss, objective=f_best, gap_certificate=cert,
-        converged=cert <= opts.eps_opt,
-    )
-    if opts.strict and not model.converged:
-        raise NonConvergenceError(
-            f"certified gap {cert:.3e} > eps_opt {opts.eps_opt:.3e}", model=model
-        )
-    return model
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ sphere orthogonal to the direction e.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,6 @@ class AdversarialSpec:
     e: np.ndarray | None = None
     noise_atoms: object | None = None  # WeightedAtomMeasure, needed iff lambdaN > 0
     boundary_counts: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.gamma < BAND_HALF_WIDTH:
@@ -65,48 +63,6 @@ class AdversarialSpec:
     @property
     def clean_weight(self) -> float:
         return 1.0 - self.lambda2 - self.lambda3 - self.lambdaN
-
-    def to_json(self) -> str:
-        doc = {
-            "d": self.d,
-            "gamma": self.gamma,
-            "theta": self.theta,
-            "lambda2": self.lambda2,
-            "lambda3": self.lambda3,
-            "lambdaN": self.lambdaN,
-            "e": self.e.tolist(),
-            "boundary_counts": self.boundary_counts,
-            "seed": self.seed,
-        }
-        if self.noise_atoms is not None:
-            doc["noise_atoms"] = [
-                [list(map(float, p)), int(y), float(w)]
-                for p, y, w in self.noise_atoms.atoms
-            ]
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AdversarialSpec":
-        doc = json.loads(text)
-        atoms = None
-        if "noise_atoms" in doc:
-            from .geometry import WeightedAtomMeasure
-
-            atoms = WeightedAtomMeasure(
-                [(np.asarray(p), int(y), float(w)) for p, y, w in doc["noise_atoms"]]
-            )
-        return cls(
-            d=int(doc["d"]),
-            gamma=float(doc["gamma"]),
-            theta=float(doc["theta"]),
-            lambda2=float(doc.get("lambda2", 0.0)),
-            lambda3=float(doc.get("lambda3", 0.0)),
-            lambdaN=float(doc.get("lambdaN", 0.0)),
-            e=np.asarray(doc["e"]) if doc.get("e") is not None else None,
-            noise_atoms=atoms,
-            boundary_counts=bool(doc.get("boundary_counts", False)),
-            seed=int(doc.get("seed", 0)),
-        )
 
 
 def sample_dataset(spec: AdversarialSpec, n: int, rng: RngStream):

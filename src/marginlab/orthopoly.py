@@ -94,11 +94,6 @@ def legendre_table(d: int, nmax: int, t) -> np.ndarray:
     return out
 
 
-def legendre_eval(d: int, n: int, t):
-    """P_{d,n}(t) via the (sign-corrected) three-term recursion."""
-    return legendre_table(d, n, t)[n]
-
-
 def chebyshev_eval(kind: str, n: int, t):
     """Chebyshev polynomial T_n(t) (kind='first') or U_n(t) (kind='second')."""
     if n < 0 or n > MAX_DEGREE:

@@ -270,12 +270,15 @@ def test_weighted_atom_measure_validation_and_csv(tmp_path):
         WeightedAtomMeasure([(np.zeros(2), 1, 0.4)])  # mass != 1
     with pytest.raises(geometry.GeometryError):
         WeightedAtomMeasure([(np.zeros(2), 2, 1.0)])  # bad label
-    mu = WeightedAtomMeasure([(np.array([0.1, -0.2]), 1, 0.25),
-                              (np.array([0.3, 0.4]), -1, 0.75)])
+    # the file format of hand-written noise measures: a header, then one
+    # atom per row with its coordinates, label and weight
     path = os.path.join(tmp_path, "mu.csv")
-    mu.to_csv(path)
-    mu2 = WeightedAtomMeasure.from_csv(path)
-    for (p, y, w), (q, z, v) in zip(mu.atoms, mu2.atoms):
+    with open(path, "w") as fh:
+        fh.write("x0,x1,label,weight\n0.1,-0.2,1,0.25\n0.3,0.4,-1,0.75\n")
+    mu = WeightedAtomMeasure.from_csv(path)
+    expected = [([0.1, -0.2], 1, 0.25), ([0.3, 0.4], -1, 0.75)]
+    assert len(mu.atoms) == len(expected)
+    for (p, y, w), (q, z, v) in zip(mu.atoms, expected):
         assert np.array_equal(p, q) and y == z and w == v
 
 

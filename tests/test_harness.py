@@ -24,7 +24,7 @@ def test_config_validation_and_json():
     with pytest.raises(harness.UsageError):
         ExperimentConfig(n_train=0)
     cfg = small_config()
-    cfg2 = ExperimentConfig.from_json(cfg.to_json())
+    cfg2 = ExperimentConfig(**json.loads(cfg.to_json()))
     assert cfg2.to_json() == cfg.to_json()
     assert cfg.eps_opt == pytest.approx(math.sqrt(0.02))
 

@@ -29,15 +29,13 @@ def test_spec_validation():
         make_spec(lambdaN=0.1)  # missing atoms
 
 
-def test_json_roundtrip():
+def test_clean_weight():
     atoms = WeightedAtomMeasure(
         [(np.eye(10)[1], 1, 0.5), (-np.eye(10)[1], -1, 0.5)]
     )
     spec = make_spec(lambda2=0.05, lambda3=0.1, lambdaN=0.02,
-                     noise_atoms=atoms, seed=9)
-    spec2 = AdversarialSpec.from_json(spec.to_json())
-    assert spec2.to_json() == spec.to_json()
-    assert spec2.clean_weight == pytest.approx(0.83)
+                     noise_atoms=atoms)
+    assert spec.clean_weight == pytest.approx(0.83)
 
 
 def band_rows(spec, X):
