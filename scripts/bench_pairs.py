@@ -11,8 +11,10 @@ each tree, T being BENCHMARK.json's run_seconds, the parent first on even i
 and the working tree first on odd i.  The script prints each side's median
 and quartiles of every end-to-end metric, the number of pairs the working
 tree wins on pass_s, and whether the gain rule holds: a win in at least 9 of every 10 pairs, and a median
-gain larger than the parent's interquartile range.  With --out the pairs,
-the summaries and the verdict are written as JSON.
+gain larger than the parent's interquartile range.  For every run whose
+checks failed it prints the side, the seed and the run's `FAILED <check>:
+<detail>` lines.  With --out the pairs, the summaries, the failures and the
+verdict are written as JSON.
 """
 
 import argparse
@@ -46,7 +48,7 @@ def parse_args(argv):
 
 def bench_once(root, workload, seed, seconds):
     """Metric values of one `bench/run.py --trace 0` run in the tree at root,
-    and whether all of its checks passed."""
+    and its `FAILED <check>: <detail>` lines (none when all checks passed)."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -55,8 +57,9 @@ def bench_once(root, workload, seed, seconds):
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
     result = json.loads(lines[-1])
-    return ({k: m["value"] for k, m in result["metrics"].items()},
-            bool(result["correct"]))
+    # run.py prints one FAILED line per failed check
+    failed = [line for line in lines if line.startswith("FAILED ")]
+    return {k: m["value"] for k, m in result["metrics"].items()}, failed
 
 
 def summary(values):
@@ -82,7 +85,7 @@ def main(argv=None):
     subprocess.run(["git", "worktree", "add", "--detach", parent_root,
                     commit], cwd=ROOT, check=True, capture_output=True)
     runs = {"parent": [], "change": []}
-    correct = {"parent": True, "change": True}
+    failures = []
     try:
         for i in range(args.pairs):
             seed = args.seed0 + i
@@ -91,9 +94,14 @@ def main(argv=None):
                 order.reverse()
             for side in order:
                 root = parent_root if side == "parent" else ROOT
-                metrics, ok = bench_once(root, args.workload, seed, seconds)
+                metrics, failed = bench_once(root, args.workload, seed,
+                                             seconds)
                 runs[side].append(metrics)
-                correct[side] = correct[side] and ok
+                if failed:
+                    failures.append({"side": side, "seed": seed,
+                                     "failed": failed})
+                    for line in failed:
+                        print(f"{side} seed {seed}: {line}", flush=True)
             p, c = (runs[s][-1][METRIC] for s in ("parent", "change"))
             print(f"pair {i} seed {seed} ({order[0]} first): "
                   f"{METRIC} parent {p:.4g} change {c:.4g}", flush=True)
@@ -124,6 +132,8 @@ def main(argv=None):
     print(f"{METRIC}: change wins {wins} of {args.pairs} pairs; median "
           f"gain {gain:.4g} against parent IQR {iqr:.4g}; rule "
           f"{'holds' if holds else 'does not hold'}")
+    correct = {side: not any(f["side"] == side for f in failures)
+               for side in runs}
     print(f"checks passed: parent {correct['parent']}, change "
           f"{correct['change']}")
 
@@ -134,7 +144,8 @@ def main(argv=None):
                        "seconds": seconds, "metric": METRIC,
                        "runs": runs, "summaries": summaries, "wins": wins,
                        "median_gain": gain, "parent_iqr": iqr,
-                       "rule_holds": holds, "checks_passed": correct},
+                       "rule_holds": holds, "checks_passed": correct,
+                       "failures": failures},
                       fh, indent=1, sort_keys=True)
     return 0
 

@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise UsageError("n_train and n_test must be >= 1")
         if self.n_seeds < 1:
             raise UsageError("n_seeds must be >= 1")
+        if self.max_iters < 1 or self.n_restarts < 1:
+            raise UsageError("max_iters and n_restarts must be >= 1")
         if self.eps_opt is None:
             self.eps_opt = math.sqrt(self.gamma)
 

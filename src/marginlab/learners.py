@@ -12,8 +12,8 @@ on the training points as state, so an iteration makes one product with the
 Gram matrix.  kernels.gram stores the lower triangle only, and the Gram
 product, kernels.gram_product, is one BLAS dsymv that reads that triangle:
 half the memory traffic of a general product.  The reported gap certificate
-is the smaller of the first stage's averaged-subgradient bound and the best
-objective less the best linearization (Frank-Wolfe) lower bound.
+is the best objective less one convex-dual lower bound, _dual_bound, taken
+at every iterate and at each stage's step-weighted average.
 """
 
 from __future__ import annotations
@@ -48,12 +48,7 @@ class SurrogateLoss:
     name: str
     value: object
     subgradient: object
-    d_plus_at_0: float
     lipschitz: float
-
-    @property
-    def at_zero(self) -> float:
-        return float(self.value(np.asarray(0.0)))
 
 
 def make_loss(name: str, gamma: float | None = None, C: float | None = None) -> SurrogateLoss:
@@ -64,7 +59,6 @@ def make_loss(name: str, gamma: float | None = None, C: float | None = None) -> 
             "hinge",
             lambda x: np.maximum(1.0 - x, 0.0),
             lambda x: np.where(x < 1.0, -1.0, 0.0),
-            d_plus_at_0=-1.0,
             lipschitz=1.0,
         )
     if name == "squared":
@@ -72,7 +66,6 @@ def make_loss(name: str, gamma: float | None = None, C: float | None = None) -> 
             "squared",
             lambda x: (1.0 - x) ** 2,
             lambda x: -2.0 * (1.0 - x),
-            d_plus_at_0=-2.0,
             lipschitz=math.inf,
         )
     if name == "absolute":
@@ -80,7 +73,6 @@ def make_loss(name: str, gamma: float | None = None, C: float | None = None) -> 
             "absolute",
             lambda x: np.abs(1.0 - x),
             lambda x: np.where(x < 1.0, -1.0, 1.0),
-            d_plus_at_0=-1.0,
             lipschitz=1.0,
         )
     if name == "logistic":
@@ -89,7 +81,6 @@ def make_loss(name: str, gamma: float | None = None, C: float | None = None) -> 
             "logistic",
             lambda x: np.log1p(np.exp(-x)) / ln2,
             lambda x: -1.0 / ((1.0 + np.exp(x)) * ln2),
-            d_plus_at_0=-1.0 / (2.0 * ln2),
             lipschitz=1.0 / ln2,
         )
     if name in ("margin_loss", "truncated_margin"):
@@ -102,7 +93,6 @@ def make_loss(name: str, gamma: float | None = None, C: float | None = None) -> 
                 f"margin_loss(C={C:g})",
                 lambda x: np.where(x <= knee, 1.0 - x, 1.0 - knee),
                 lambda x: np.where(x < knee, -1.0, 0.0),
-                d_plus_at_0=-1.0,
                 lipschitz=1.0,
             )
         # truncated_margin: (1 - C x)_+ = hinge(C x)
@@ -110,7 +100,6 @@ def make_loss(name: str, gamma: float | None = None, C: float | None = None) -> 
             f"truncated_margin(C={C:g})",
             lambda x: np.maximum(1.0 - C * x, 0.0),
             lambda x: np.where(x < knee, -C, 0.0),
-            d_plus_at_0=-C,
             lipschitz=C,
         )
     raise LossError(f"unknown loss {name!r}")
@@ -198,17 +187,19 @@ def _as_arrays(data):
     return X, y, wts
 
 
-def _linearization_bound(f, u, scores, b, gb, support, bias_box):
-    """Lower bound on the optimum from the linearization at an iterate.
+def _dual_bound(phi, gb, support, bias_box):
+    """Lower bound on the optimum from a linearization of the objective.
 
-    For a convex objective, OPT >= f(z) + min over the feasible set of
-    <grad, z' - z>.  With the loss-gradient weights u (grad = sum_i u_i times
-    the i-th point's feature, and gb = sum u for the bias) that minimum is
-    -support - bias_box |gb| less <grad, z> = u . scores + b gb, where
-    support is the largest <grad, w'> over the norm ball.  This is the
-    Frank-Wolfe duality gap (Jaggi, ICML 2013).
+    For a convex objective, OPT >= f(z) + <grad, z* - z> at every iterate z,
+    and so at every convex combination of these inequalities.  With the
+    loss-gradient weights u (grad = sum_i u_i times the i-th point's feature,
+    and gb = sum u for the bias), phi = f - u . scores - b gb and support the
+    largest <grad, w'> over the norm ball, the minimum of the right-hand side
+    over the feasible set is phi - support - bias_box |gb|.  At an iterate
+    this is the Frank-Wolfe duality gap (Jaggi, ICML 2013); at an average of
+    iterates, primal-dual averaging (Nesterov, Math. Prog. 120, 2009).
     """
-    return f - float(u @ scores) - b * gb - support - bias_box * abs(gb)
+    return phi - support - bias_box * abs(gb)
 
 
 def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float,
@@ -228,15 +219,17 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
     Restart k reruns the schedule eta_t = (R / 2^k) / (Lhat sqrt(t)) from the
     incumbent, which polishes the piecewise-linear objectives used here.
 
-    The gap certificate is the smaller of two bounds on best objective - OPT:
-    the averaged-iterate bound of the first stage (later stages are heuristic
-    step shrinking) and best objective - the best linearization lower bound
-    over all iterates (_linearization_bound, with the support C sqrt(u' G u)
-    of the step over the ball).  Both need a convex loss; the non-convex
-    margin_loss gets no valid certificate.
+    The gap certificate is the best objective less the largest _dual_bound,
+    taken at every iterate (support C sqrt(u' G u)) and at each stage's
+    eta-weighted average of the iterates' linearizations (support
+    C sqrt(ubar' G ubar), with G ubar averaged from the products G u already
+    made).  It needs a convex loss; the non-convex margin_loss gets no valid
+    certificate.
     """
     if C < 0:
         raise LossError("norm bound must be >= 0")
+    if opts.max_iters < 1 or opts.n_restarts < 1:
+        raise LossError("max_iters and n_restarts must be >= 1")
     X, y, wts = _as_arrays(data)
     n = len(y)
     G = gram(kernel, X, check_psd=False)
@@ -258,13 +251,12 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
     margins, best_f = objective_at(scores, b)
     best = (alpha, b, scores, margins)
     lower = -math.inf
-    cert = math.inf
-    for stage in range(max(opts.n_restarts, 1)):
+    for stage in range(opts.n_restarts):
         R = radius / 2**stage
         (alpha, b, scores, margins), f = best, best_f
         avg_alpha, avg_b, avg_scores = np.zeros(n), 0.0, np.zeros(n)
+        avg_u, avg_Gu, avg_phi = np.zeros(n), np.zeros(n), 0.0
         sum_eta = 0.0
-        sum_eta2_g2 = 0.0
         lhat = max(lip, 1e-12)
         for t in range(1, opts.max_iters + 1):
             u = wy * loss.subgradient(margins)
@@ -272,25 +264,32 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
             Gu = gram_product(G, u)
             # RKHS norm of the functional part sum u_i k(., x_i) of the step
             unorm = math.sqrt(max(float(u @ Gu), 0.0))
-            lower = max(lower, _linearization_bound(f, u, scores, b, gb,
-                                                    C * unorm, bias_box))
+            phi = f - float(u @ scores) - b * gb
+            lower = max(lower, _dual_bound(phi, gb, C * unorm, bias_box))
             gnorm = math.hypot(unorm, gb)
             lhat = max(lhat, gnorm)
             eta = R / (lhat * math.sqrt(t))
-            alpha, scores = alpha - eta * u, scores - eta * Gu
+            step, gstep = eta * u, eta * Gu
+            alpha, scores = alpha - step, scores - gstep
+            avg_u += step
+            avg_Gu += gstep
+            avg_phi += eta * phi
             q = float(alpha @ scores)
             if q > C * C:
                 scale = C / math.sqrt(q)
                 alpha, scores = alpha * scale, scores * scale
             b = min(max(b - eta * gb, -bias_box), bias_box)
             sum_eta += eta
-            sum_eta2_g2 += eta * eta * gnorm * gnorm
             avg_alpha += eta * alpha
             avg_b += eta * b
             avg_scores += eta * scores
             margins, f = objective_at(scores, b)
             if f < best_f:
                 best, best_f = (alpha, b, scores, margins), f
+        ubar = avg_u / sum_eta
+        ubar_norm = math.sqrt(max(float(ubar @ avg_Gu) / sum_eta, 0.0))
+        lower = max(lower, _dual_bound(avg_phi / sum_eta, float(ubar.sum()),
+                                       C * ubar_norm, bias_box))
         alpha, scores = avg_alpha / sum_eta, avg_scores / sum_eta
         q = float(alpha @ scores)
         if q > C * C:
@@ -300,9 +299,7 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
         margins, f = objective_at(scores, b)
         if f < best_f:
             best, best_f = (alpha, b, scores, margins), f
-        if stage == 0:
-            cert = (radius * radius + sum_eta2_g2) / (2.0 * sum_eta)
-    cert = min(cert, best_f - lower)
+    cert = best_f - lower
     return KernelModel(
         support=X, alpha=best[0], b=float(best[1]), C=C, kernel=kernel,
         loss=loss, objective=best_f, gap_certificate=cert,

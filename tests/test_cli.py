@@ -25,6 +25,18 @@ def test_missing_config_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_empty_schedule_is_usage_error(config_path, capsys):
+    with open(config_path) as fh:
+        cfg = json.load(fh)
+    for key in ("max_iters", "n_restarts"):
+        with open(config_path, "w") as fh:
+            json.dump(dict(cfg, **{key: 0}), fh)
+        for command in ("train", "sweep"):
+            assert cli.main([command, "--config", config_path]) == \
+                cli.EXIT_USAGE
+            assert "max_iters and n_restarts" in capsys.readouterr().err
+
+
 def test_bad_command_is_usage_error():
     assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
 

@@ -23,6 +23,10 @@ def small_config(**kw):
 def test_config_validation_and_json():
     with pytest.raises(harness.UsageError):
         ExperimentConfig(n_train=0)
+    # an empty solver schedule has no iterate to report
+    for bad in (dict(max_iters=0), dict(n_restarts=0), dict(max_iters=-1)):
+        with pytest.raises(harness.UsageError, match="max_iters"):
+            ExperimentConfig(**bad)
     cfg = small_config()
     cfg2 = ExperimentConfig(**json.loads(cfg.to_json()))
     assert cfg2.to_json() == cfg.to_json()

@@ -1,5 +1,8 @@
 import dataclasses
+import inspect
 import math
+import sys
+import types
 from unittest import mock
 
 import numpy as np
@@ -23,8 +26,9 @@ def lift(atoms, d=6):
     return X, y, w
 
 
-def hinge_lp_oracle(atoms, C, bias_half=None):
-    """Exact 1-D hinge optimum via linear programming (independent oracle)."""
+def hinge_lp_oracle(atoms, C, bias_half=None, two_sided=False):
+    """Exact 1-D hinge optimum via linear programming (independent oracle);
+    with two_sided, the optimum of the absolute loss |1 - y (s t + b)|."""
     t = np.array([a[0] for a in atoms])
     y = np.array([a[1] for a in atoms], dtype=float)
     w = np.array([a[2] for a in atoms], dtype=float)
@@ -38,11 +42,23 @@ def hinge_lp_oracle(atoms, C, bias_half=None):
     A_ub[:, 1] = -y
     A_ub[:, 2:] = -np.eye(n)
     b_ub = -np.ones(n)
+    if two_sided:  # and xi_i >= y_i (s t_i + b) - 1
+        upper = A_ub.copy()
+        upper[:, :2] *= -1.0
+        A_ub, b_ub = np.vstack([A_ub, upper]), np.concatenate([b_ub, -b_ub])
     bounds = [(-C, C), (-bias_half, bias_half)] + [(0, None)] * n
     c = np.concatenate([[0.0, 0.0], w])
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert res.status == 0
     return res.fun
+
+
+def random_atoms(rng):
+    """A random tiny 1-D program: 2-5 weighted atoms and a norm bound C."""
+    n = int(rng.integers(2, 6))
+    atoms = [(float(rng.uniform(-1, 1)), int(rng.choice([-1, 1])),
+              float(rng.uniform(0.1, 1))) for _ in range(n)]
+    return atoms, float(rng.uniform(0.5, 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -53,20 +69,22 @@ def test_loss_values_and_slopes():
     x = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
     hinge = L.make_loss("hinge")
     assert np.allclose(hinge.value(x), [2.0, 1.0, 0.5, 0.0, 0.0])
-    assert hinge.d_plus_at_0 == -1.0
+    assert np.array_equal(hinge.subgradient(x), [-1.0, -1.0, -1.0, 0.0, 0.0])
     sq = L.make_loss("squared")
     assert np.allclose(sq.value(x), (1 - x) ** 2)
-    assert sq.d_plus_at_0 == -2.0
+    assert np.allclose(sq.subgradient(x), -2.0 * (1 - x))
     assert sq.lipschitz == math.inf
     absv = L.make_loss("absolute")
     assert np.allclose(absv.value(x), np.abs(1 - x))
+    assert np.array_equal(absv.subgradient(x), [-1.0, -1.0, -1.0, 1.0, 1.0])
     logi = L.make_loss("logistic")
-    assert logi.at_zero == pytest.approx(1.0)
-    assert logi.d_plus_at_0 == pytest.approx(-1.0 / (2 * math.log(2)))
+    assert float(logi.value(np.array(0.0))) == pytest.approx(1.0)
+    slope = float(logi.subgradient(np.array(0.0)))
+    assert slope == pytest.approx(-1.0 / (2 * math.log(2)))
     # subgradient is a finite-difference slope up to convexity
     h = 1e-7
     num = (logi.value(np.array(h)) - logi.value(np.array(-h))) / (2 * h)
-    assert float(num) == pytest.approx(logi.d_plus_at_0, abs=1e-6)
+    assert float(num) == pytest.approx(slope, abs=1e-6)
     with pytest.raises(L.LossError):
         L.make_loss("nope")
 
@@ -78,7 +96,7 @@ def test_margin_losses():
     assert np.allclose(ml.value(x), [2.0, 1.0, 0.75, 0.75, 0.75])
     tm = L.make_loss("truncated_margin", gamma=0.01, C=C)
     assert np.allclose(tm.value(x), np.maximum(1 - C * x, 0.0))
-    assert tm.d_plus_at_0 == -C
+    assert np.array_equal(tm.subgradient(x), [-C, -C, 0.0, 0.0, 0.0])
     with pytest.raises(L.LossError):
         L.make_loss("margin_loss", gamma=0.01, C=0.0)
 
@@ -112,14 +130,13 @@ def test_kernel_program_matches_lp_oracle():
     lin = kernels.standard_kernel("linear")
     opts = L.SolverOptions(max_iters=600, n_restarts=14)
     for _ in range(6):
-        n = int(rng.integers(2, 6))
-        atoms = [(float(rng.uniform(-1, 1)), int(rng.choice([-1, 1])),
-                  float(rng.uniform(0.1, 1))) for _ in range(n)]
-        C = float(rng.uniform(0.5, 3.0))
+        atoms, C = random_atoms(rng)
         model = L.train_kernel_program(lift(atoms), lin, hinge, C, opts)
         lp = hinge_lp_oracle(atoms, C, bias_half=opts.bias_box)
         assert model.objective <= lp + 1e-3
         assert model.objective >= lp - 1e-9  # solver cannot beat the optimum
+        # the certificate must say that the run is accurate
+        assert model.gap_certificate <= 1e-2
 
 
 def test_feature_map_program_matches_lp_oracle():
@@ -177,6 +194,16 @@ def test_nonconvergence_reported_on_model():
                                    L.make_loss("hinge"), 1.0, opts)
     assert model.converged is False
     assert model.gap_certificate > opts.eps_opt
+
+
+def test_empty_schedule_rejected():
+    X = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
+    for opts in (L.SolverOptions(max_iters=0), L.SolverOptions(n_restarts=0),
+                 L.SolverOptions(max_iters=-3, n_restarts=-1)):
+        with pytest.raises(L.LossError, match="max_iters and n_restarts"):
+            L.train_kernel_program((X, [1, -1]),
+                                   kernels.standard_kernel("linear"),
+                                   L.make_loss("hinge"), 2.0, opts)
 
 
 def test_one_gram_product_per_iteration(monkeypatch):
@@ -252,24 +279,38 @@ def test_carried_scores_match_recomputed_objective():
             model.objective, abs=1e-12)
 
 
-def solve_recording_bound(atoms, C, opts, flip_support=False):
-    """Train a tiny linear-kernel hinge program; also return the best
-    linearization lower bound the solver computed.  flip_support plants a
-    sign error in the C sqrt(u' G u) term."""
-    original = L._linearization_bound
-    best = [-math.inf]
+def mutated_learners(old, new):
+    """A copy of the learners module with one planted source change."""
+    source = inspect.getsource(L)
+    assert source.count(old) == 1
+    module = types.ModuleType("marginlab.mutated_learners")
+    module.__package__ = "marginlab"
+    # dataclasses look their module up in sys.modules
+    with mock.patch.dict(sys.modules, {module.__name__: module}):
+        exec(compile(source.replace(old, new), L.__file__, "exec"),
+             module.__dict__)
+    return module
 
-    def recording(f, u, scores, b, gb, support, bias_box):
-        bound = original(f, u, scores, b, gb,
-                         -support if flip_support else support, bias_box)
-        best[0] = max(best[0], bound)
-        return bound
 
-    with mock.patch.object(L, "_linearization_bound", recording):
-        model = L.train_kernel_program(
+def solve_recording_bound(atoms, C, opts, loss="hinge", flip_support=False,
+                          module=L):
+    """Train a tiny linear-kernel program; also return every lower bound the
+    solver computed, at each iterate and at each stage's average.
+    flip_support plants a sign error in the support term C sqrt(u' G u)."""
+    original = module._dual_bound
+    bounds = []
+
+    def recording(phi, gb, support, bias_box):
+        bounds.append(original(phi, gb, -support if flip_support else support,
+                               bias_box))
+        return bounds[-1]
+
+    with mock.patch.object(module, "_dual_bound", recording):
+        model = module.train_kernel_program(
             lift(atoms), kernels.standard_kernel("linear"),
-            L.make_loss("hinge"), C, opts)
-    return model, best[0]
+            L.make_loss(loss), C, opts)
+    assert len(bounds) == (opts.max_iters + 1) * opts.n_restarts
+    return model, max(bounds)
 
 
 TINY_OPTS = L.SolverOptions(max_iters=100, n_restarts=3)
@@ -281,7 +322,7 @@ atom_lists = st.lists(
 
 @settings(max_examples=30, deadline=None)
 @given(atom_lists, st.floats(0.5, 3.0))
-def test_linearization_bound_brackets_lp_optimum(atoms, C):
+def test_dual_bounds_bracket_lp_optimum(atoms, C):
     model, lower = solve_recording_bound(atoms, C, TINY_OPTS)
     lp = hinge_lp_oracle(atoms, C, bias_half=TINY_OPTS.bias_box)
     assert lower <= lp + 1e-9
@@ -291,24 +332,46 @@ def test_linearization_bound_brackets_lp_optimum(atoms, C):
     assert lp <= model.objective + C * math.sqrt(L.GRAM_JITTER)
 
 
-def test_mutated_support_sign_is_caught():
-    # adding C sqrt(u' G u) instead of subtracting it must break the
-    # bracket lower bound <= LP optimum on some random tiny program
+def test_absolute_loss_certificate_below_lp_optimum():
+    # for the absolute loss phi = f - u . scores - b gb is not simply the sum
+    # of the active weights, as it is for the hinge
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        atoms, C = random_atoms(rng)
+        lp = hinge_lp_oracle(atoms, C, bias_half=TINY_OPTS.bias_box,
+                             two_sided=True)
+        model, lower = solve_recording_bound(atoms, C, TINY_OPTS, "absolute")
+        assert lower <= lp + 1e-9
+        assert model.objective - model.gap_certificate <= lp + 1e-9
+        assert lp <= model.objective + C * math.sqrt(L.GRAM_JITTER)
+
+
+def caught_mutation(**mutation):
+    """Number of 10 random tiny programs on which a planted bug breaks the
+    bracket lower bound <= LP optimum; unmutated, each must hold."""
     rng = np.random.default_rng(11)
     caught = 0
     for _ in range(10):
-        n = int(rng.integers(2, 6))
-        atoms = [(float(rng.uniform(-1, 1)), int(rng.choice([-1, 1])),
-                  float(rng.uniform(0.1, 1))) for _ in range(n)]
-        C = float(rng.uniform(0.5, 3.0))
+        atoms, C = random_atoms(rng)
         lp = hinge_lp_oracle(atoms, C, bias_half=TINY_OPTS.bias_box)
         _, lower = solve_recording_bound(atoms, C, TINY_OPTS)
         assert lower <= lp + 1e-9
         model, mutated = solve_recording_bound(atoms, C, TINY_OPTS,
-                                               flip_support=True)
+                                               **mutation)
         caught += (mutated > lp + 1e-9
                    and model.objective - model.gap_certificate > lp + 1e-9)
-    assert caught > 0
+    return caught
+
+
+def test_mutated_support_sign_is_caught():
+    # adding C sqrt(u' G u) instead of subtracting it
+    assert caught_mutation(flip_support=True) > 0
+
+
+def test_unnormalized_stage_average_is_caught():
+    # a stage average of the phi values left as the eta-weighted sum
+    unnormalized = mutated_learners("avg_phi / sum_eta", "avg_phi")
+    assert caught_mutation(module=unnormalized) > 0
 
 
 # ---------------------------------------------------------------------------
