@@ -5,16 +5,19 @@ workload, in alternating pairs of runs.
 Usage: python3 scripts/bench_pairs.py --parent REV --workload W --pairs N
            --seed0 S [--out BENCH_<pr>.json]
 
-REV is checked out in a temporary git worktree, removed afterwards.  Pair i
-runs `bench/run.py --workload W --seed S+i --seconds T --trace 0` once in
-each tree, T being BENCHMARK.json's run_seconds, the parent first on even i
-and the working tree first on odd i.  The script prints each side's median
-and quartiles of every end-to-end metric, the number of pairs the working
-tree wins on pass_s, and whether the gain rule holds: a win in at least 9 of every 10 pairs, and a median
-gain larger than the parent's interquartile range.  For every run whose
-checks failed it prints the side, the seed and the run's `FAILED <check>:
-<detail>` lines.  With --out the pairs, the summaries, the failures and the
-verdict are written as JSON.
+REV's committed files are exported with `git archive` into a temporary
+directory, removed afterwards.  Pair i runs `bench/run.py --workload W
+--seed S+i --seconds T --trace 0` once in each tree, T being BENCHMARK.json's
+run_seconds, the parent first on even i and the working tree first on odd i.
+The script prints each side's median and quartiles of every end-to-end
+metric, and whether the working tree's median is worse than the parent's by
+more than that metric's bound in BENCHMARK.json (a fraction of the parent's
+median).  It prints the number of pairs the working tree wins on pass_s, and
+whether the gain rule holds: a win in at least 9 of every 10 pairs, and a
+median gain larger than the parent's interquartile range.  For every run
+whose checks failed it prints the side, the seed and the run's `FAILED
+<check>: <detail>` lines.  With --out the pairs, the summaries, the bound
+verdicts, the failures and the gain verdict are written as JSON.
 """
 
 import argparse
@@ -75,6 +78,7 @@ def main(argv=None):
         benchmark = json.load(fh)
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     sign = 1.0 if better[METRIC] == "lower" else -1.0
 
     commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
@@ -82,8 +86,12 @@ def main(argv=None):
                             text=True).stdout.strip()
     tmp = tempfile.mkdtemp(prefix="bench_pairs_")
     parent_root = os.path.join(tmp, "parent")
-    subprocess.run(["git", "worktree", "add", "--detach", parent_root,
-                    commit], cwd=ROOT, check=True, capture_output=True)
+    os.mkdir(parent_root)
+    archive = os.path.join(tmp, "parent.tar")
+    subprocess.run(["git", "archive", "-o", archive, commit], cwd=ROOT,
+                   check=True, capture_output=True)
+    subprocess.run(["tar", "-xf", archive, "-C", parent_root], check=True,
+                   capture_output=True)
     runs = {"parent": [], "change": []}
     failures = []
     try:
@@ -106,22 +114,27 @@ def main(argv=None):
             print(f"pair {i} seed {seed} ({order[0]} first): "
                   f"{METRIC} parent {p:.4g} change {c:.4g}", flush=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", parent_root],
-                       cwd=ROOT, capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT,
-                       capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
     summaries = {side: {name: summary([r[name] for r in rs])
                         for name in better if name in rs[0]}
                  for side, rs in runs.items()}
+    verdicts = {}
     for name in better:
         if name not in summaries["parent"]:
             continue
         ps, cs = summaries["parent"][name], summaries["change"][name]
+        # > 0 when the change's median is worse, as a fraction of the parent's
+        worse = ((1.0 if better[name] == "lower" else -1.0)
+                 * (cs["median"] - ps["median"]) / ps["median"])
+        within = worse <= bounds[name]
+        verdicts[name] = {"worse_by": worse, "bound": bounds[name],
+                          "within_bound": within}
         print(f"{name}: parent {ps['median']:.4g} [{ps['q1']:.4g}-"
               f"{ps['q3']:.4g}]  change {cs['median']:.4g} "
-              f"[{cs['q1']:.4g}-{cs['q3']:.4g}]")
+              f"[{cs['q1']:.4g}-{cs['q3']:.4g}]  worse by {worse:+.1%}, "
+              f"bound {bounds[name]:.0%}: "
+              f"{'within bound' if within else 'REGRESSION'}")
 
     wins = sum(sign * (p[METRIC] - c[METRIC]) > 0
                for p, c in zip(runs["parent"], runs["change"]))
@@ -142,7 +155,8 @@ def main(argv=None):
             json.dump({"workload": args.workload, "parent": commit,
                        "seed0": args.seed0, "pairs": args.pairs,
                        "seconds": seconds, "metric": METRIC,
-                       "runs": runs, "summaries": summaries, "wins": wins,
+                       "runs": runs, "summaries": summaries,
+                       "bound_verdicts": verdicts, "wins": wins,
                        "median_gain": gain, "parent_iqr": iqr,
                        "rule_holds": holds, "checks_passed": correct,
                        "failures": failures},

@@ -338,18 +338,21 @@ def _suite_orthopoly() -> list:
 
 def _suite_band(n_funcs: int = 1000) -> list:
     rng = np.random.default_rng(987)
-    violations = []
-    for i in range(n_funcs):
+    draws = []
+    for _ in range(n_funcs):
         d = int(rng.choice([5, 8]))
         K = int(rng.choice([5, 15]))
         gamma = float(rng.choice([0.01, 0.05]))
         deg = int(rng.integers(1, 60))
         alpha = rng.standard_normal(deg + 1) * 10 ** rng.uniform(-2, 1)
-        f = orthopoly.PolyCoeffs(d, alpha)
-        gap, bound = orthopoly.changes_slowly_gap(f, gamma, K)
-        if gap > bound:
-            violations.append({"i": i, "d": d, "K": K, "gamma": gamma,
-                               "gap": gap, "bound": bound})
+        draws.append((orthopoly.PolyCoeffs(d, alpha), gamma, K))
+    fs, gammas, Ks = zip(*draws)
+    violations = [
+        {"i": i, "d": f.d, "K": K, "gamma": gamma, "gap": gap, "bound": bound}
+        for i, ((f, gamma, K), (gap, bound)) in enumerate(
+            zip(draws, orthopoly.changes_slowly_gaps(fs, gammas, Ks)))
+        if gap > bound
+    ]
     return [("changes_slowly_random_zonal", not violations,
              {"n": n_funcs, "violations": violations[:5]})]
 

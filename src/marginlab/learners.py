@@ -13,7 +13,8 @@ Gram matrix.  kernels.gram stores the lower triangle only, and the Gram
 product, kernels.gram_product, is one BLAS dsymv that reads that triangle:
 half the memory traffic of a general product.  The reported gap certificate
 is the best objective less one convex-dual lower bound, _dual_bound, taken
-at every iterate and at each stage's step-weighted average.
+at every iterate and at each stage's step-weighted average.  The loop stops
+at once on a zero subgradient, where the iterate is optimal.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ class SurrogateLoss:
 
     value/subgradient are vectorized; subgradient returns the right derivative
     at kinks.  lipschitz is math.inf for unbounded-slope losses.
+
+    Contract: subgradient is 0 only where value is at the loss's minimum.
+    The solver stops on an all-zero subgradient and relies on it; every
+    shipped loss keeps it, margin_loss too (flat only at its minimum).
     """
 
     name: str
@@ -181,7 +186,14 @@ def _as_arrays(data):
         raise LossError("labels must be +/-1")
     if len(data) > 2:
         wts = np.asarray(data[2], dtype=float)
-        wts = wts / wts.sum()
+        if wts.shape != y.shape:
+            raise LossError(f"weights of shape {wts.shape} for {len(y)} labels")
+        total = wts.sum()
+        # the solver's zero-subgradient stop and its certificate need w >= 0;
+        # a NaN fails the comparison and an inf makes the total inf
+        if not (np.all(wts >= 0.0) and 0.0 < total < math.inf):
+            raise LossError("weights must be finite, >= 0 and not all 0")
+        wts = wts / total
     else:
         wts = np.full(len(y), 1.0 / len(y))
     return X, y, wts
@@ -225,6 +237,13 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
     C sqrt(ubar' G ubar), with G ubar averaged from the products G u already
     made).  It needs a convex loss; the non-convex margin_loss gets no valid
     certificate.
+
+    If u is all 0, every weighted term sits at its loss's minimum (the
+    SurrogateLoss contract, with weights >= 0), so the iterate is a global
+    optimum; every later step would be 0 and could not replace the
+    incumbent, which needs a strictly smaller objective.  The loop returns
+    there, with no tolerance; alpha, b and the objective are those of the
+    full schedule.
     """
     if C < 0:
         raise LossError("norm bound must be >= 0")
@@ -243,14 +262,13 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
     lip = loss.lipschitz if math.isfinite(loss.lipschitz) else 1.0
     radius = 2.0 * C + 2.0 * bias_box
 
-    def objective_at(scores, b):
-        margins = y * (scores + b)
-        return margins, float(wts @ loss.value(margins))
-
+    value, subgradient, sqrt = loss.value, loss.subgradient, math.sqrt
     alpha, scores, b = np.zeros(n), np.zeros(n), 0.0
-    margins, best_f = objective_at(scores, b)
+    margins = y * (scores + b)
+    best_f = float(wts.dot(value(margins)))
     best = (alpha, b, scores, margins)
     lower = -math.inf
+    optimal = False
     for stage in range(opts.n_restarts):
         R = radius / 2**stage
         (alpha, b, scores, margins), f = best, best_f
@@ -259,44 +277,52 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
         sum_eta = 0.0
         lhat = max(lip, 1e-12)
         for t in range(1, opts.max_iters + 1):
-            u = wy * loss.subgradient(margins)
+            u = wy * subgradient(margins)
             gb = float(u.sum())
             Gu = gram_product(G, u)
             # RKHS norm of the functional part sum u_i k(., x_i) of the step
-            unorm = math.sqrt(max(float(u @ Gu), 0.0))
-            phi = f - float(u @ scores) - b * gb
+            unorm = sqrt(max(float(u.dot(Gu)), 0.0))
+            phi = f - float(u.dot(scores)) - b * gb
             lower = max(lower, _dual_bound(phi, gb, C * unorm, bias_box))
+            if unorm == 0.0 and gb == 0.0 and not u.any():
+                # optimal: no later step moves, so best is final
+                optimal = True
+                break
             gnorm = math.hypot(unorm, gb)
             lhat = max(lhat, gnorm)
-            eta = R / (lhat * math.sqrt(t))
+            eta = R / (lhat * sqrt(t))
             step, gstep = eta * u, eta * Gu
             alpha, scores = alpha - step, scores - gstep
             avg_u += step
             avg_Gu += gstep
             avg_phi += eta * phi
-            q = float(alpha @ scores)
+            q = float(alpha.dot(scores))
             if q > C * C:
-                scale = C / math.sqrt(q)
+                scale = C / sqrt(q)
                 alpha, scores = alpha * scale, scores * scale
             b = min(max(b - eta * gb, -bias_box), bias_box)
             sum_eta += eta
             avg_alpha += eta * alpha
             avg_b += eta * b
             avg_scores += eta * scores
-            margins, f = objective_at(scores, b)
+            margins = y * (scores + b)
+            f = float(wts.dot(value(margins)))
             if f < best_f:
                 best, best_f = (alpha, b, scores, margins), f
+        if optimal:
+            break
         ubar = avg_u / sum_eta
-        ubar_norm = math.sqrt(max(float(ubar @ avg_Gu) / sum_eta, 0.0))
+        ubar_norm = sqrt(max(float(ubar.dot(avg_Gu)) / sum_eta, 0.0))
         lower = max(lower, _dual_bound(avg_phi / sum_eta, float(ubar.sum()),
                                        C * ubar_norm, bias_box))
         alpha, scores = avg_alpha / sum_eta, avg_scores / sum_eta
-        q = float(alpha @ scores)
+        q = float(alpha.dot(scores))
         if q > C * C:
-            scale = C / math.sqrt(q)
+            scale = C / sqrt(q)
             alpha, scores = alpha * scale, scores * scale
         b = min(max(avg_b / sum_eta, -bias_box), bias_box)
-        margins, f = objective_at(scores, b)
+        margins = y * (scores + b)
+        f = float(wts.dot(value(margins)))
         if f < best_f:
             best, best_f = (alpha, b, scores, margins), f
     cert = best_f - lower

@@ -64,11 +64,16 @@ class PolyCoeffs:
         return len(self.alpha) - 1
 
     def __call__(self, t):
-        # summed elementwise, so each value depends on its own t alone; a BLAS
-        # reduction over the table rounds by position and thread count, which
-        # would break the exact symmetry of a Gram matrix with this profile
-        table = legendre_table(self.d, self.degree, t)
-        return np.einsum("n,n...->...", self.alpha, table)
+        return _series(self.alpha, legendre_table(self.d, self.degree, t))
+
+
+def _series(alpha, table):
+    """sum_n alpha[n] table[n] over the first len(alpha) rows of a table.
+
+    Summed elementwise, so each value depends on its own t alone; a BLAS
+    reduction over the table rounds by position and thread count, which would
+    break the exact symmetry of a Gram matrix with this profile."""
+    return np.einsum("n,n...->...", alpha, table[:len(alpha)])
 
 
 def _check_t(t, tol: float = DOMAIN_TOL):
@@ -202,16 +207,49 @@ def changes_slowly_gap(
     with C = max_n |alpha_n| and tail the explicit Legendre tail estimate.
     Contract: gap <= bound.
     """
-    if not 0.0 < gamma < BAND_HALF_WIDTH:
-        raise DomainError(f"gamma must be in (0, 1/8), got {gamma}")
-    if f.d < 5:
-        raise DomainError(f"dimension must be >= 5, got {f.d}")
-    # one evaluation of f at +/-gamma and the quadrature nodes together
+    return changes_slowly_gaps([f], [gamma], [K], consts, n_nodes)[0]
+
+
+def changes_slowly_gaps(
+    fs,
+    gammas,
+    Ks,
+    consts: TailConstants = TailConstants(),
+    n_nodes: int = DEFAULT_QUAD_NODES,
+) -> list[tuple[float, float]]:
+    """changes_slowly_gap of each (f, gamma, K) triple, in order.
+
+    All series of one dimension are evaluated on one Legendre table, up to
+    their highest degree, at every +/-gamma and the quadrature nodes; a
+    series reads its own rows and columns, with the values of a single call.
+    """
+    if not len(fs) == len(gammas) == len(Ks):
+        raise DomainError("need one gamma and one K per series")
+    for f, gamma in zip(fs, gammas):
+        if not 0.0 < gamma < BAND_HALF_WIDTH:
+            raise DomainError(f"gamma must be in (0, 1/8), got {gamma}")
+        if f.d < 5:
+            raise DomainError(f"dimension must be >= 5, got {f.d}")
+        if f.degree < 0:
+            raise DomainError("series has no coefficients")
     nodes, wts = gauss_chebyshev_nodes(n_nodes)
-    vals = f(np.concatenate(([gamma, -gamma], nodes)))
-    gap = float(abs(vals[0] - vals[1]))
-    l1 = float(np.sum(wts * np.abs(vals[2:])))
-    C = float(np.max(np.abs(f.alpha))) if len(f.alpha) else 0.0
-    lead = 32.0 * gamma * K**3.5
-    bound = lead * l1 + (lead + 2.0) * C * legendre_tail_bound(K, f.d, consts)
-    return gap, bound
+    out = [None] * len(fs)
+    for d in sorted({f.d for f in fs}):
+        batch = [i for i, f in enumerate(fs) if f.d == d]
+        # column 2j holds +gamma_j and column 2j+1 holds -gamma_j
+        column = {g: 2 * j for j, g in enumerate(dict.fromkeys(
+            gammas[i] for i in batch))}
+        ts = [t for g in column for t in (g, -g)]
+        table = legendre_table(d, max(fs[i].degree for i in batch),
+                               np.concatenate((ts, nodes)))
+        for i in batch:
+            f, gamma, K = fs[i], gammas[i], Ks[i]
+            vals = _series(f.alpha, table)
+            j = column[gamma]
+            gap = float(abs(vals[j] - vals[j + 1]))
+            l1 = float(np.sum(wts * np.abs(vals[len(ts):])))
+            C = float(np.max(np.abs(f.alpha)))
+            lead = 32.0 * gamma * K**3.5
+            bound = lead * l1 + (lead + 2.0) * C * legendre_tail_bound(K, d, consts)
+            out[i] = (gap, bound)
+    return out

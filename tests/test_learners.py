@@ -120,6 +120,27 @@ def test_all_losses_dominate_01():
         assert np.all(loss.value(x) >= (x <= 0).astype(float) - 1e-12)
 
 
+SHIPPED_LOSSES = [("hinge", {}), ("squared", {}), ("absolute", {}),
+                  ("logistic", {}), ("margin_loss", {"C": 2.0}),
+                  ("truncated_margin", {"C": 2.0})]
+
+
+@pytest.mark.parametrize("name,params", SHIPPED_LOSSES)
+def test_zero_subgradient_only_at_loss_minimum(name, params):
+    # the solver stops on u = 0, which is optimal only if each loss is at
+    # its minimum wherever its subgradient is 0 (the margin_loss too: it is
+    # flat only at its minimum); the grid holds each knee and, for the
+    # logistic, margins where exp overflows and its slope rounds to -0
+    loss = L.make_loss(name, **params)
+    x = np.concatenate([np.linspace(-5.0, 5.0, 2001),
+                        [0.5, 1.0, 1.0 - 1e-16, 0.5 - 1e-16, 700.0, 800.0,
+                         1e3, -800.0]])
+    with np.errstate(over="ignore"):
+        values, slopes = loss.value(x), loss.subgradient(x)
+    at_zero = slopes == 0.0
+    assert np.all(values[at_zero] == values.min())
+
+
 # ---------------------------------------------------------------------------
 # Kernel program.
 # ---------------------------------------------------------------------------
@@ -181,6 +202,20 @@ def test_labeled_point_input_and_json():
                                    opts)
         with pytest.raises(L.LossError):
             L.evaluate(model, (X, bad), 0.01)
+
+
+@pytest.mark.parametrize("weights", [[1.0, -0.5], [0.0, 0.0],
+                                     [1.0, np.nan], [1.0, np.inf],
+                                     [1.0, 1.0, 1.0], [1.0]])
+def test_invalid_weights_rejected(weights):
+    # negative weights trained to a negative "optimum" certified as exact,
+    # and all-zero weights to NaN; lengths must match the labels
+    X = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
+    with pytest.raises(L.LossError, match="weights"):
+        L.train_kernel_program((X, [1, -1], weights),
+                               kernels.standard_kernel("linear"),
+                               L.make_loss("hinge"), 2.0,
+                               L.SolverOptions(max_iters=10, n_restarts=1))
 
 
 def test_nonconvergence_reported_on_model():
@@ -305,11 +340,26 @@ def solve_recording_bound(atoms, C, opts, loss="hinge", flip_support=False,
                                bias_box))
         return bounds[-1]
 
+    base = L.make_loss(loss)
+    subgradients = []
+
+    def subgradient(x):
+        subgradients.append(base.subgradient(x))
+        return subgradients[-1]
+
     with mock.patch.object(module, "_dual_bound", recording):
         model = module.train_kernel_program(
             lift(atoms), kernels.standard_kernel("linear"),
-            L.make_loss(loss), C, opts)
-    assert len(bounds) == (opts.max_iters + 1) * opts.n_restarts
+            dataclasses.replace(base, subgradient=subgradient), C, opts)
+    # one bound per iteration run and one per completed stage; a run ends
+    # early only on a zero subgradient, inside a stage it does not complete
+    iters = len(subgradients)
+    if subgradients[-1].any():
+        assert iters == opts.max_iters * opts.n_restarts
+        completed = opts.n_restarts
+    else:
+        completed = (iters - 1) // opts.max_iters
+    assert len(bounds) == iters + completed
     return model, max(bounds)
 
 
@@ -372,6 +422,65 @@ def test_unnormalized_stage_average_is_caught():
     # a stage average of the phi values left as the eta-weighted sum
     unnormalized = mutated_learners("avg_phi / sum_eta", "avg_phi")
     assert caught_mutation(module=unnormalized) > 0
+
+
+WITHOUT_STOP = mutated_learners(
+    "if unorm == 0.0 and gb == 0.0 and not u.any():", "if False:")
+
+
+def same_bits(a, b):
+    return (a.alpha.tobytes() == b.alpha.tobytes() and a.b == b.b
+            and a.objective == b.objective)
+
+
+@settings(max_examples=25, deadline=None)
+@given(atom_lists, st.floats(0.5, 3.0))
+def test_zero_subgradient_stop_keeps_every_bit(atoms, C):
+    # the stop skips only iterations that cannot change the result
+    for name, params in SHIPPED_LOSSES:
+        program = (lift(atoms), kernels.standard_kernel("linear"),
+                   L.make_loss(name, **params), C, TINY_OPTS)
+        model = L.train_kernel_program(*program)
+        assert same_bits(model, WITHOUT_STOP.train_kernel_program(*program))
+
+
+def test_zero_subgradient_stop_fires():
+    # separable tiny programs reach u = 0, and the stop saves iterations there
+    rng = np.random.default_rng(11)
+    hinge = L.make_loss("hinge")
+    saved = 0
+    for _ in range(10):
+        atoms, C = random_atoms(rng)
+        calls = []
+        counted = dataclasses.replace(
+            hinge, subgradient=lambda x: calls.append(x) or hinge.subgradient(x))
+        program = (lift(atoms), kernels.standard_kernel("linear"), counted, C,
+                   TINY_OPTS)
+        model = L.train_kernel_program(*program)
+        saved += TINY_OPTS.max_iters * TINY_OPTS.n_restarts - len(calls)
+        assert same_bits(model, WITHOUT_STOP.train_kernel_program(*program))
+    assert saved > 0
+
+
+def test_stop_on_certified_gap_is_caught():
+    # stopping once the certificate reads <= eps_opt (0.1) leaves the
+    # objective above the LP optimum by more than the oracle's tolerance, on
+    # the programs and schedule on which test_kernel_program_matches_lp_oracle
+    # shows the shipped solver within it
+    early = mutated_learners(
+        "if unorm == 0.0 and gb == 0.0 and not u.any():",
+        "if best_f - lower <= opts.eps_opt:")
+    rng = np.random.default_rng(7)
+    opts = L.SolverOptions(max_iters=600, n_restarts=14)
+    caught = 0
+    for _ in range(6):
+        atoms, C = random_atoms(rng)
+        lp = hinge_lp_oracle(atoms, C, bias_half=opts.bias_box)
+        model = early.train_kernel_program(
+            lift(atoms), kernels.standard_kernel("linear"),
+            L.make_loss("hinge"), C, opts)
+        caught += model.objective > lp + 1e-3
+    assert caught > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+import inspect
 import math
+import sys
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marginlab import harness
 from marginlab import orthopoly as op
 
 
@@ -223,6 +228,85 @@ def test_gap_bounded_random_zonal(d, K, gamma, seed):
     f = op.PolyCoeffs(d, alpha)
     gap, bound = op.changes_slowly_gap(f, gamma, K)
     assert gap <= bound
+
+
+@pytest.fixture(scope="module")
+def band_suite_draws():
+    """The (f, gamma, K) triples the band verify suite checks, and its
+    batch's (gap, bound) results."""
+    seen = []
+    batch = op.changes_slowly_gaps
+
+    def recording(fs, gammas, Ks):
+        seen.append((list(zip(fs, gammas, Ks)), batch(fs, gammas, Ks)))
+        return seen[-1][1]
+
+    with mock.patch.object(op, "changes_slowly_gaps", recording):
+        passed, _ = harness.verify_lemmas("band")
+    assert passed and len(seen) == 1 and len(seen[0][0]) == 1000
+    return seen[0]
+
+
+def test_batch_matches_single_calls_bit_for_bit(band_suite_draws):
+    draws, results = band_suite_draws
+    assert {(f.d, gamma) for f, gamma, _ in draws} == {
+        (d, g) for d in (5, 8) for g in (0.01, 0.05)}
+    for (f, gamma, K), got in zip(draws, results):
+        assert got == op.changes_slowly_gap(f, gamma, K)
+
+
+def mutated_orthopoly(old, new):
+    """A copy of the orthopoly module with one planted source change."""
+    source = inspect.getsource(op)
+    assert source.count(old) == 1
+    module = types.ModuleType("marginlab.mutated_orthopoly")
+    module.__package__ = "marginlab"
+    # dataclasses look their module up in sys.modules
+    with mock.patch.dict(sys.modules, {module.__name__: module}):
+        exec(compile(source.replace(old, new), op.__file__, "exec"),
+             module.__dict__)
+    return module
+
+
+def batch_faults(module, draws):
+    """Draws on which module's batch differs bit for bit from its own single
+    call, or from an independent evaluation (BLAS products with the
+    Legendre table); a batch that raises counts as one fault."""
+    fs, gammas, Ks = zip(*draws)
+    try:
+        results = module.changes_slowly_gaps(fs, gammas, Ks)
+    except ValueError:
+        return 1
+    nodes, wts = op.gauss_chebyshev_nodes()
+    faults = 0
+    for (f, gamma, K), (gap, bound) in zip(draws, results):
+        vals = f.alpha @ op.legendre_table(
+            f.d, f.degree, np.concatenate(([gamma, -gamma], nodes)))
+        lead = 32.0 * gamma * K**3.5
+        ref_bound = (lead * np.sum(wts * np.abs(vals[2:]))
+                     + (lead + 2.0) * np.max(np.abs(f.alpha))
+                     * op.legendre_tail_bound(K, f.d))
+        tol = 1e-12 * np.sum(np.abs(f.alpha))
+        faults += ((gap, bound) != module.changes_slowly_gap(f, gamma, K)
+                   or abs(gap - abs(vals[0] - vals[1])) > tol
+                   or abs(bound - ref_bound) > 1e-12 * ref_bound)
+    return faults
+
+
+def test_batch_matches_independent_evaluation(band_suite_draws):
+    assert batch_faults(op, band_suite_draws[0]) == 0
+
+
+@pytest.mark.parametrize("old,new", [
+    # the quadrature columns start one early, at the last -gamma
+    ("vals[len(ts):]", "vals[len(ts) - 1:]"),
+    # a series reads one table row too far
+    ("table[:len(alpha)]", "table[1:len(alpha) + 1]"),
+    # the second gamma reads the first one's -gamma column
+    ("2 * j for j, g", "j for j, g"),
+])
+def test_mutated_batch_is_caught(band_suite_draws, old, new):
+    assert batch_faults(mutated_orthopoly(old, new), band_suite_draws[0]) > 0
 
 
 def test_poly_coeffs_validation():
