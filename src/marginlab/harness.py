@@ -100,9 +100,7 @@ class ExperimentConfig:
         return kernels.standard_kernel(self.kernel, **self.kernel_params)
 
     def make_loss(self) -> learners.SurrogateLoss:
-        if self.loss in ("margin_loss", "truncated_margin"):
-            return learners.make_loss(self.loss, gamma=self.gamma, C=self.C)
-        return learners.make_loss(self.loss)
+        return learners.make_loss(self.loss, C=self.C)
 
     def solver_opts(self) -> learners.SolverOptions:
         return learners.SolverOptions(
@@ -372,7 +370,7 @@ def _suite_kernels(n_sets: int = 25) -> list:
         n = int(rng.gen.integers(5, 30))
         X = np.array([sphere.sample_unit_sphere(d, rng) for _ in range(n)])
         for k in shipped:
-            G = kernels.gram(k, X, check_psd=False)
+            G = kernels.gram(k, X)
             min_eig = min(min_eig, kernels.min_eigenvalue(G))
     checks.append(("gram_psd", min_eig >= -1e-8, {"min_eig": min_eig}))
     # the exact Legendre expansion must reproduce each profile on [-1, 1]

@@ -5,12 +5,20 @@ Monte-Carlo kernel symmetrization.
 Kernel matrices are built in one output buffer: the inner products (or the
 feature products) come from one BLAS call, and a zonal profile is applied in
 place, in blocks of at most PROFILE_BLOCK entries, so the blocks stay in a
-core's L2 cache.  A Gram matrix is one BLAS dsyrk, which computes the lower
+core's L2 cache.  A Gram matrix is one BLAS syrk, which computes the lower
 triangle only; the profile runs on that triangle alone and the strict upper
 triangle is left undefined, so every reader of a Gram matrix reads its lower
 triangle: gram_product and min_eigenvalue below, or the diagonal.  A
 profile may overwrite its argument: the shipped ones evaluate in place with
 out= ufuncs, which saves a fresh temporary per operation.
+
+The storage precision is decided in gram alone: a Gram matrix of fewer than
+F32_MIN_N points is float64 (dsyrk, and dsymv in gram_product);
+from F32_MIN_N points on it is float32 (ssyrk, the profile in float32,
+ssymv), which halves the memory traffic of every product.  Such a triangle
+only steers a solver: exact_gram_product gives K V in float64 from the
+points, one _lower_blocks strip at a time, without storing K, and that is
+what a caller reports numbers from.
 
 A symmetric (zonal) kernel k(x, y) = kappa(<x, y>) decomposes as
 kappa(s) = sum_n b_n P_{d,n}(s) with b_n >= 0, and the RKHS norm of a zonal
@@ -28,17 +36,23 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dsymv, dsyrk
+from scipy.linalg.blas import dsymv, dsyrk, ssymv, ssyrk
 from scipy.special import gammaln
 
 from .orthopoly import PolyCoeffs
 from .sphere import RngStream, haar_orthogonal
 
-GRAM_EIG_TOL = 1e-8
 SYMMETRIZE_GRID = 257
 # entries per block when a profile is applied to a kernel matrix: 2^18 float64
 # (2 MB), so the profile's temporaries stay in a 2 MB per-core L2 cache
 PROFILE_BLOCK = 2**18
+# points from which a Gram matrix is stored in float32.  A solve with 40
+# products then costs a float32 build, 40 ssymv and one exact_gram_product
+# in place of a float64 build and 40 dsymv; at one BLAS thread (rbf, d=25)
+# that is 14.0 -> 12.2 ms at 1024 points, 61 -> 45 ms at 2048 and 332 -> 173
+# ms at 4000.  From 2048 the gain is clear at short schedules, and every
+# smaller program keeps its float64 bits
+F32_MIN_N = 2048
 
 
 class KernelError(ValueError):
@@ -124,38 +138,62 @@ def cross_gram(k: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return K
 
 
-def gram(k: KernelSpec, points: np.ndarray, check_psd: bool = True) -> np.ndarray:
-    """Lower triangle of the Gram matrix of the points, F-ordered.
+def gram(k: KernelSpec, points: np.ndarray) -> np.ndarray:
+    """Lower triangle of the Gram matrix of the points, F-ordered: float32
+    from F32_MIN_N points on, float64 below.
 
-    One dsyrk of the points (or of their features) computes the lower
-    triangle, equal bit for bit to that of the product X @ X.T, and a zonal
-    profile is applied to it in place.  The strict upper triangle is
-    undefined: read G with gram_product, min_eigenvalue or np.tril.
+    One syrk of the points (or of their features) computes the lower
+    triangle, in float64 equal bit for bit to that of the product X @ X.T,
+    and a zonal profile is applied to it in place, in the same precision.
+    The strict upper triangle is undefined: read G with gram_product,
+    min_eigenvalue or np.tril.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         raise KernelError("empty point list")
-    if not k.is_zonal:
-        G = dsyrk(1.0, k.feature_map(points), lower=1)
-    else:
-        G = dsyrk(1.0, points, lower=1)
+    syrk = ssyrk if len(points) >= F32_MIN_N else dsyrk
+    G = syrk(1.0, points if k.is_zonal else k.feature_map(points), lower=1)
+    if k.is_zonal:
         GT = G.T  # C-ordered: row j of GT is column j of G
         for lo, hi in _lower_blocks(len(G)):
             _apply_profile(k.profile, GT[lo:hi, lo:])
-    if check_psd:
-        min_eig = min_eigenvalue(G)
-        if min_eig < -GRAM_EIG_TOL * len(points):
-            raise KernelError(f"Gram matrix not PSD: min eigenvalue {min_eig:.3e}")
     return G
 
 
 def gram_product(G: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """G @ u for the symmetric matrix whose lower triangle G holds, as gram
-    returns it; the strict upper triangle is not read (dsymv).
+    """G @ u in float64 for the symmetric matrix whose lower triangle G
+    holds, as gram returns it; the strict upper triangle is not read (symv
+    in G's precision).
 
     G is F-ordered, so BLAS takes it without a copy.
     """
+    if G.dtype == np.float32:
+        return ssymv(1.0, G, u, lower=1).astype(float)
     return dsymv(1.0, G, u, lower=1)
+
+
+def exact_gram_product(k: KernelSpec, points: np.ndarray,
+                       V: np.ndarray) -> np.ndarray:
+    """K @ V in float64 for the Gram matrix K of the points, whatever
+    precision gram stores it in; V is a vector or an (n, m) array.
+
+    A feature map gives F (F' V).  A zonal kernel is evaluated one
+    _lower_blocks strip K[lo:hi, lo:] at a time (at most PROFILE_BLOCK
+    entries), which adds its rows into out[lo:hi] and, by symmetry, its
+    columns past hi into out[hi:]; K itself is never stored.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    V = np.asarray(V, dtype=float)
+    if not k.is_zonal:
+        F = k.feature_map(points)
+        return F @ (F.T @ V)
+    out = np.zeros(V.shape)
+    for lo, hi in _lower_blocks(len(points)):
+        strip = points[lo:hi] @ points[lo:].T
+        _apply_profile(k.profile, strip)
+        out[lo:hi] += strip @ V[lo:]
+        out[hi:] += strip[:, hi - lo:].T @ V[lo:hi]
+    return out
 
 
 def min_eigenvalue(G: np.ndarray) -> float:

@@ -10,11 +10,18 @@ shrinking radius around the incumbent, which recovers high accuracy on the
 piecewise-linear objectives used here.  The loop carries the scores G alpha
 on the training points as state, so an iteration makes one product with the
 Gram matrix.  kernels.gram stores the lower triangle only, and the Gram
-product, kernels.gram_product, is one BLAS dsymv that reads that triangle:
+product, kernels.gram_product, is one BLAS symv that reads that triangle:
 half the memory traffic of a general product.  The reported gap certificate
 is the best objective less one convex-dual lower bound, _dual_bound, taken
 at every iterate and at each stage's step-weighted average.  The loop stops
 at once on a zero subgradient, where the iterate is optimal.
+
+From kernels.F32_MIN_N training points on, kernels.gram stores the triangle
+in float32, which then only steers the loop.  One end pass,
+kernels.exact_gram_product, gives K [alpha, u] in float64 for the returned
+iterate and the largest bound's weights, and the objective, the norm and the
+certificate are reported from it.  Below F32_MIN_N the loop's float64
+numbers are reported as they are.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_gram, gram, gram_product
+from .kernels import (KernelSpec, cross_gram, exact_gram_product, gram,
+                      gram_product)
 
 GRAM_JITTER = 1e-10
 # test points per product with the support in decision_function: BLAS packs
@@ -39,8 +47,9 @@ class LossError(ValueError):
 
 @dataclass(frozen=True)
 class SurrogateLoss:
-    """Loss bounded below by the 0-1 loss, convex except for margin_loss
-    (flat above its knee, so the solver's gap certificate is void for it).
+    """Convex loss bounded below by the 0-1 loss.  margin_loss(C) is
+    max(1 - x, 1 - 1/C), a hinge flattened at its minimum: convex too, so
+    the solver's gap certificate holds for every shipped loss.
 
     value/subgradient are vectorized; subgradient returns the right derivative
     at kinks.  lipschitz is math.inf for unbounded-slope losses.
@@ -56,9 +65,9 @@ class SurrogateLoss:
     lipschitz: float
 
 
-def make_loss(name: str, gamma: float | None = None, C: float | None = None) -> SurrogateLoss:
-    """Shipped losses: hinge, squared, absolute, logistic, margin_loss(gamma, C),
-    truncated_margin(gamma, C)."""
+def make_loss(name: str, C: float | None = None) -> SurrogateLoss:
+    """Shipped losses: hinge, squared, absolute, logistic, margin_loss(C),
+    truncated_margin(C)."""
     if name == "hinge":
         return SurrogateLoss(
             "hinge",
@@ -133,15 +142,16 @@ class KernelModel:
     objective: float = math.nan
     gap_certificate: float = math.nan
     converged: bool = True
-    _gram: np.ndarray | None = field(default=None, repr=False)
+    _norm: float | None = field(default=None, repr=False)
 
     @property
     def norm(self) -> float:
-        G = self._gram if self._gram is not None else gram(
-            self.kernel, self.support, check_psd=False
-        )
-        return math.sqrt(max(float(self.alpha @ gram_product(G, self.alpha)),
-                             0.0))
+        """RKHS norm sqrt(alpha' K alpha), in float64: the one
+        train_kernel_program computed, or else one exact_gram_product."""
+        if self._norm is None:
+            Ka = exact_gram_product(self.kernel, self.support, self.alpha)
+            self._norm = math.sqrt(max(float(self.alpha @ Ka), 0.0))
+        return self._norm
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -235,8 +245,19 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
     taken at every iterate (support C sqrt(u' G u)) and at each stage's
     eta-weighted average of the iterates' linearizations (support
     C sqrt(ubar' G ubar), with G ubar averaged from the products G u already
-    made).  It needs a convex loss; the non-convex margin_loss gets no valid
-    certificate.
+    made).  It holds for every shipped loss, since each is convex
+    (margin_loss too); and for any base scores, since a convex loss lies
+    above its linearization at every point, so the carried scores need not
+    be exactly G alpha.
+
+    From kernels.F32_MIN_N points on, the Gram matrix is float32, and the
+    numbers reported come from one float64 end pass, exact_gram_product of
+    [alpha, u] for the incumbent and the weights u of the largest bound:
+    the objective of the incumbent, its norm (alpha rescaled onto the ball
+    if it lies outside), and the certificate, that objective less the bound
+    with its support C sqrt(u' G u) recomputed.  In both precisions the
+    numbers refer to G = K + GRAM_JITTER I; a float32 triangle cannot hold
+    the jitter, so the end pass adds it.
 
     If u is all 0, every weighted term sits at its loss's minimum (the
     SurrogateLoss contract, with weights >= 0), so the iterate is a global
@@ -251,7 +272,7 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
         raise LossError("max_iters and n_restarts must be >= 1")
     X, y, wts = _as_arrays(data)
     n = len(y)
-    G = gram(kernel, X, check_psd=False)
+    G = gram(kernel, X)
     eig_floor = float(np.min(np.diag(G)))
     if eig_floor < -1e-8 * n:
         raise LossError("Gram diagonal negative beyond tolerance: invalid kernel")
@@ -267,7 +288,8 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
     margins = y * (scores + b)
     best_f = float(wts.dot(value(margins)))
     best = (alpha, b, scores, margins)
-    lower = -math.inf
+    # the largest bound and its (phi, u, gb)
+    lower, argmax = -math.inf, (-math.inf, np.zeros(n), 0.0)
     optimal = False
     for stage in range(opts.n_restarts):
         R = radius / 2**stage
@@ -283,7 +305,9 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
             # RKHS norm of the functional part sum u_i k(., x_i) of the step
             unorm = sqrt(max(float(u.dot(Gu)), 0.0))
             phi = f - float(u.dot(scores)) - b * gb
-            lower = max(lower, _dual_bound(phi, gb, C * unorm, bias_box))
+            bound = _dual_bound(phi, gb, C * unorm, bias_box)
+            if bound > lower:
+                lower, argmax = bound, (phi, u, gb)
             if unorm == 0.0 and gb == 0.0 and not u.any():
                 # optimal: no later step moves, so best is final
                 optimal = True
@@ -313,8 +337,10 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
             break
         ubar = avg_u / sum_eta
         ubar_norm = sqrt(max(float(ubar.dot(avg_Gu)) / sum_eta, 0.0))
-        lower = max(lower, _dual_bound(avg_phi / sum_eta, float(ubar.sum()),
-                                       C * ubar_norm, bias_box))
+        phi, gb = avg_phi / sum_eta, float(ubar.sum())
+        bound = _dual_bound(phi, gb, C * ubar_norm, bias_box)
+        if bound > lower:
+            lower, argmax = bound, (phi, ubar, gb)
         alpha, scores = avg_alpha / sum_eta, avg_scores / sum_eta
         q = float(alpha.dot(scores))
         if q > C * C:
@@ -325,11 +351,25 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
         f = float(wts.dot(value(margins)))
         if f < best_f:
             best, best_f = (alpha, b, scores, margins), f
-    cert = best_f - lower
+    alpha, b = best[0], float(best[1])
+    if G.dtype == np.float64:
+        objective, cert = best_f, best_f - lower
+        norm = sqrt(max(float(alpha @ gram_product(G, alpha)), 0.0))
+    else:
+        phi, u, gb = argmax
+        V = np.column_stack([alpha, u])
+        KV = exact_gram_product(kernel, X, V) + GRAM_JITTER * V
+        scores = KV[:, 0]
+        norm = sqrt(max(float(alpha.dot(scores)), 0.0))
+        if norm > C:
+            alpha, scores, norm = alpha * (C / norm), scores * (C / norm), C
+        objective = float(wts.dot(value(y * (scores + b))))
+        unorm = sqrt(max(float(u.dot(KV[:, 1])), 0.0))
+        cert = objective - _dual_bound(phi, gb, C * unorm, bias_box)
     return KernelModel(
-        support=X, alpha=best[0], b=float(best[1]), C=C, kernel=kernel,
-        loss=loss, objective=best_f, gap_certificate=cert,
-        converged=cert <= opts.eps_opt, _gram=G,
+        support=X, alpha=alpha, b=b, C=C, kernel=kernel, loss=loss,
+        objective=objective, gap_certificate=cert,
+        converged=cert <= opts.eps_opt, _norm=norm,
     )
 
 

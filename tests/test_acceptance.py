@@ -112,7 +112,7 @@ def test_acceptance_5_kernel_suite():
         n = int(rng.gen.integers(5, 25))
         X = np.array([sphere.sample_unit_sphere(d, rng) for _ in range(n)])
         for k in shipped:
-            G = kernels.gram(k, X, check_psd=False)
+            G = kernels.gram(k, X)
             min_eig = min(min_eig, kernels.min_eigenvalue(G))
     coeff_ok = True
     norm_ok = True
@@ -162,7 +162,7 @@ def test_acceptance_6_solver_vs_oracle():
         worst_cert = max(worst_cert, model.gap_certificate)
     # loss-scaling identity: truncated-margin error of f = hinge error of C f
     C = 9.0
-    tm = L.make_loss("truncated_margin", gamma=0.01, C=C)
+    tm = L.make_loss("truncated_margin", C=C)
     margins = rng.standard_normal(2000)
     scale_dev = abs(float(tm.value(margins).mean())
                     - float(hinge.value(C * margins).mean()))

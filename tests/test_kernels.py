@@ -87,7 +87,7 @@ def test_blocked_gram_matches_unblocked_product():
     ]
     for k in shipped:
         P = k.profile_value(X @ X.T)
-        G = kernels.gram(k, X, check_psd=False)
+        G = kernels.gram(k, X)
         assert np.array_equal(np.tril(G), np.tril(P))
         K = kernels.cross_gram(k, X, X)
         assert np.array_equal(K, K.T)
@@ -104,7 +104,7 @@ def test_blocked_gram_matches_unblocked_product():
     }
     for k in (series, feat):
         P = unblocked[k.name](X, X)
-        G = kernels.gram(k, X, check_psd=False)
+        G = kernels.gram(k, X)
         assert np.allclose(np.tril(G), np.tril(P), rtol=0.0, atol=1e-14)
         K = kernels.cross_gram(k, X, X)
         assert np.allclose(K, K.T, rtol=0.0, atol=1e-14)
@@ -116,7 +116,7 @@ def product_error(k, X, u):
     """||gram_product(gram(k, X), u) - cross_gram(k, X, X) u|| over the
     scale ||K|| ||u|| (Frobenius norm, an upper bound on the spectral one)."""
     K = kernels.cross_gram(k, X, X)
-    got = kernels.gram_product(kernels.gram(k, X, check_psd=False), u)
+    got = kernels.gram_product(kernels.gram(k, X), u)
     return float(np.linalg.norm(got - K @ u)
                  / (np.linalg.norm(K) * np.linalg.norm(u)))
 
@@ -174,6 +174,61 @@ def test_mutated_dropped_last_block_is_caught(monkeypatch):
             assert product_error(k, X, u) > 1e-6, k.name
 
 
+def test_float32_gram_within_rounding():
+    # from F32_MIN_N points on, gram stores a float32 triangle: within a few
+    # float32 epsilons (rounding of the points, the inner products and the
+    # profile) of the float64 kernel matrix, and its product likewise
+    n = kernels.F32_MIN_N
+    X = sphere_points(6, n, 8)
+    u = np.random.default_rng(8).standard_normal(n)
+    eps32 = float(np.finfo(np.float32).eps)
+    for k in product_kernels():
+        G = kernels.gram(k, X)
+        assert G.dtype == np.float32 and G.flags.f_contiguous, k.name
+        K = kernels.cross_gram(k, X, X)
+        scale = np.max(np.abs(K))
+        assert np.max(np.abs(np.tril(G) - np.tril(K))) <= 8 * eps32 * scale
+        Gu = kernels.gram_product(G, u)
+        assert Gu.dtype == np.float64
+        assert (np.linalg.norm(Gu - K @ u)
+                <= 8 * eps32 * np.linalg.norm(K) * np.linalg.norm(u)), k.name
+    # one point fewer stays float64
+    assert kernels.gram(k, X[1:]).dtype == np.float64
+
+
+def exact_product_error(k, X, V):
+    """||exact_gram_product(k, X, V) - cross_gram(k, X, X) V|| over the
+    scale ||K|| ||V||."""
+    K = kernels.cross_gram(k, X, X)
+    got = kernels.exact_gram_product(k, X, V)
+    assert got.dtype == np.float64 and got.shape == V.shape
+    return float(np.linalg.norm(got - K @ V)
+                 / (np.linalg.norm(K) * np.linalg.norm(V)))
+
+
+def test_exact_gram_product_matches_cross_gram():
+    # K V in float64 from strips of the points, at a size where gram stores
+    # float32, for a vector and for the solver's two columns
+    n = kernels.F32_MIN_N + 37
+    X = sphere_points(6, n, 9)
+    V = np.random.default_rng(9).standard_normal((n, 2))
+    for k in product_kernels():
+        for W in (V, V[:, 0]):
+            assert exact_product_error(k, X, W) <= 1e-12, k.name
+
+
+def test_mutated_exact_product_strip_is_caught(monkeypatch):
+    # a strip loop that leaves out the last strip of rows and columns
+    blocks = kernels._lower_blocks
+    monkeypatch.setattr(kernels, "_lower_blocks",
+                        lambda n: list(blocks(n))[:-1])
+    X = sphere_points(6, 1100, 10)
+    V = np.random.default_rng(10).standard_normal((1100, 2))
+    for k in product_kernels():
+        if k.is_zonal:
+            assert exact_product_error(k, X, V) > 1e-3, k.name
+
+
 def test_kernel_matrices_leave_inputs_unchanged():
     X = sphere_points(6, 700, 6)
     X[0] *= 1.0 + 1e-12  # one inner product just past 1, which the clip fixes
@@ -184,7 +239,7 @@ def test_kernel_matrices_leave_inputs_unchanged():
         if k.is_zonal:
             k.profile_value(s)
         kernels.cross_gram(k, X, Y)
-        kernels.gram(k, X, check_psd=False)
+        kernels.gram(k, X)
         assert np.array_equal(X, X0) and np.array_equal(Y, Y0), k.name
         assert np.array_equal(s, s0), k.name
 
@@ -228,10 +283,15 @@ def test_decision_function_matches_one_cross_gram():
 
 
 def test_gram_rejects_non_kernel():
+    # the PSD check the suites make, min_eigenvalue on a float64 Gram
+    # matrix, flags a profile that is no kernel and passes a shipped one
     bad = kernels.KernelSpec(name="bad", profile=lambda s: -np.abs(s) - 1.0)
     X = sphere_points(5, 10)
-    with pytest.raises(kernels.KernelError):
-        kernels.gram(bad, X)
+    G = kernels.gram(bad, X)
+    assert G.dtype == np.float64
+    assert kernels.min_eigenvalue(G) < -1e-8 * len(X)
+    good = kernels.gram(kernels.standard_kernel("sss"), X)
+    assert kernels.min_eigenvalue(good) >= -1e-8 * len(X)
 
 
 def test_cross_gram_matches_pointwise():

@@ -91,20 +91,20 @@ def test_loss_values_and_slopes():
 
 def test_margin_losses():
     C = 4.0
-    ml = L.make_loss("margin_loss", gamma=0.01, C=C)
+    ml = L.make_loss("margin_loss", C=C)
     x = np.array([-1.0, 0.0, 1.0 / C, 0.5, 2.0])
     assert np.allclose(ml.value(x), [2.0, 1.0, 0.75, 0.75, 0.75])
-    tm = L.make_loss("truncated_margin", gamma=0.01, C=C)
+    tm = L.make_loss("truncated_margin", C=C)
     assert np.allclose(tm.value(x), np.maximum(1 - C * x, 0.0))
     assert np.array_equal(tm.subgradient(x), [-C, -C, 0.0, 0.0, 0.0])
     with pytest.raises(L.LossError):
-        L.make_loss("margin_loss", gamma=0.01, C=0.0)
+        L.make_loss("margin_loss", C=0.0)
 
 
 def test_truncated_margin_scaling_identity():
     # mean truncated-margin loss of f equals mean hinge loss of C*f
     C = 7.0
-    tm = L.make_loss("truncated_margin", gamma=0.02, C=C)
+    tm = L.make_loss("truncated_margin", C=C)
     hinge = L.make_loss("hinge")
     rng = np.random.default_rng(0)
     margins = rng.standard_normal(1000)
@@ -265,7 +265,8 @@ def test_one_gram_product_per_iteration(monkeypatch):
                            dataclasses.replace(hinge, subgradient=subgradient),
                            2.0, opts)
     assert counter["iters"] == opts.max_iters * opts.n_restarts
-    assert counter["products"] == counter["iters"]
+    # and one more, for the returned model's norm
+    assert counter["products"] == counter["iters"] + 1
 
 
 def test_gram_product_reads_gram_in_place(monkeypatch):
@@ -305,11 +306,12 @@ def test_carried_scores_match_recomputed_objective():
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     y = np.sign(X[:, 0] + 0.3 * rng.standard_normal(80))
     opts = L.SolverOptions(max_iters=200, n_restarts=5)
+    k = kernels.standard_kernel("rbf")
+    K = kernels.cross_gram(k, X, X) + L.GRAM_JITTER * np.eye(len(X))
     for name in ("hinge", "logistic", "absolute"):
         loss = L.make_loss(name)
-        model = L.train_kernel_program((X, y), kernels.standard_kernel("rbf"),
-                                       loss, 3.0, opts)
-        scores = L.gram_product(model._gram, model.alpha) + model.b
+        model = L.train_kernel_program((X, y), k, loss, 3.0, opts)
+        scores = K @ model.alpha + model.b
         assert float(np.mean(loss.value(y * scores))) == pytest.approx(
             model.objective, abs=1e-12)
 
@@ -481,6 +483,94 @@ def test_stop_on_certified_gap_is_caught():
             L.make_loss("hinge"), C, opts)
         caught += model.objective > lp + 1e-3
     assert caught > 0
+
+
+# ---------------------------------------------------------------------------
+# The float32 path: kernels.F32_MIN_N training points or more.
+# ---------------------------------------------------------------------------
+
+def large_atoms(seed):
+    """A 1-D program on F32_MIN_N atoms with noisy labels, so that kernels.gram
+    stores its Gram matrix in float32."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-1, 1, kernels.F32_MIN_N)
+    y = np.where(t + 0.3 * rng.standard_normal(len(t)) > 0, 1, -1)
+    w = rng.uniform(0.1, 1, len(t))
+    return list(zip(t, y, w)), float(rng.uniform(0.5, 3.0))
+
+
+def float64_recomputed(model, data):
+    """(objective, norm) of a trained model from the float64 kernel matrix
+    plus GRAM_JITTER I, the matrix the solver's numbers refer to."""
+    X, y, w = data
+    Ka = (kernels.cross_gram(model.kernel, X, X) @ model.alpha
+          + L.GRAM_JITTER * model.alpha)
+    objective = float(np.dot(w / w.sum(), model.loss.value(y * (Ka + model.b))))
+    return objective, math.sqrt(float(model.alpha @ Ka))
+
+
+@pytest.fixture(scope="module")
+def float32_programs():
+    """(data, kernel, loss, C, opts, LP optimum or None) of programs on the
+    float32 path: three lifted 1-D hinge programs, and an rbf program under
+    two losses on a ball so small that the end pass can rescale alpha."""
+    programs = []
+    for seed in range(3):
+        atoms, C = large_atoms(seed)
+        programs.append((lift(atoms), kernels.standard_kernel("linear"),
+                         L.make_loss("hinge"), C, TINY_OPTS,
+                         hinge_lp_oracle(atoms, C,
+                                         bias_half=TINY_OPTS.bias_box)))
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((kernels.F32_MIN_N, 6))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    data = (X, np.sign(X[:, 0] + 0.3 * rng.standard_normal(len(X))),
+            np.ones(len(X)))
+    for name in ("hinge", "logistic"):
+        programs.append((data, kernels.standard_kernel("rbf"),
+                         L.make_loss(name), 0.5,
+                         L.SolverOptions(max_iters=60, n_restarts=1), None))
+    return programs
+
+
+def float32_faults(module, data, kernel, loss, C, opts, lp):
+    """Faults of one solve on the float32 path against a float64
+    recomputation and, given one, the LP optimum; none in the shipped
+    module."""
+    model = module.train_kernel_program(data, kernel, loss, C, opts)
+    objective, norm = float64_recomputed(model, data)
+    checks = {
+        "objective": abs(model.objective - objective) <= 1e-12,
+        "norm": abs(model.norm - norm) <= 1e-12 * C,
+        "ball": max(model.norm, norm) <= C * (1 + 1e-12),
+        "certificate": model.gap_certificate >= -1e-12,
+    }
+    if lp is not None:
+        checks["bracket"] = model.objective - model.gap_certificate <= lp + 1e-9
+        checks["jitter"] = lp <= model.objective + C * math.sqrt(L.GRAM_JITTER)
+    return [name for name, ok in checks.items() if not ok]
+
+
+def test_float32_path_reports_exact_numbers(float32_programs):
+    for program in float32_programs:
+        assert float32_faults(L, *program) == []
+
+
+@pytest.mark.parametrize("old, new, fault", [
+    # the objective the float32 loop carried, not the end pass's
+    ("objective = float(wts.dot(value(y * (scores + b))))",
+     "objective = best_f", "objective"),
+    # the norm re-derived from the float32 triangle
+    ("norm = sqrt(max(float(alpha.dot(scores)), 0.0))",
+     "norm = sqrt(max(float(alpha @ gram_product(G, alpha)), 0.0))", "norm"),
+    # alpha left where the exact norm puts it outside the ball
+    ("if norm > C:", "if False:", "ball"),
+], ids=["carried_objective", "float32_norm", "no_rescale"])
+def test_mutated_float32_end_pass_is_caught(old, new, fault,
+                                            float32_programs):
+    mutated = mutated_learners(old, new)
+    assert any(fault in float32_faults(mutated, *program)
+               for program in float32_programs)
 
 
 # ---------------------------------------------------------------------------
