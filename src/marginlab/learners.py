@@ -4,22 +4,32 @@ solver, and evaluation metrics.
 Every generalized linear method is this one program over a norm ball of an
 RKHS; a learner over explicit features psi is the kernel program with
 k(x, y) = <psi(x), psi(y)> (a KernelSpec with a feature_map).  The trainer
-runs a projected-subgradient loop with iterate averaging.  On top of the base
-schedule eta_t = R / (Lhat sqrt(t)) it restarts with a geometrically
-shrinking radius around the incumbent, which recovers high accuracy on the
-piecewise-linear objectives used here.  The loop carries the scores G alpha
-on the training points as state, so an iteration makes one product with the
-Gram matrix.  kernels.gram stores the lower triangle only, and the Gram
-product, kernels.gram_product, is one BLAS symv that reads that triangle:
-half the memory traffic of a general product.  The reported gap certificate
-is the best objective less one convex-dual lower bound, _dual_bound, taken
-at every iterate and at each stage's step-weighted average.  The loop stops
-at once on a zero subgradient, where the iterate is optimal.
+solves the program in its convex dual,
+
+    D(a) = sum_i h_i(a_i) - C sqrt(a' Q a) - bias_box |y' a|,
+    Q = diag(y) G diag(y),
+
+where each loss supplies its conjugate as a box lo w_i <= a_i <= hi w_i and
+a concave term h_i (SurrogateLoss).  Every a in the box gives a lower bound
+D(a) on the optimum, by weak duality, and the primal point it yields,
+alpha = C (a y) / sqrt(a' Q a + mu^2) with the best bias, gives an upper
+one; the bracket between them is the gap certificate, and it closes.
+
+The dual is maximized over {box, y' a = 0}, where the bias term vanishes,
+by spectral projected gradient (Birgin, Martinez & Raydan, SIAM J. Optim.
+10, 2000) on the smoothed sqrt(a' Q a + mu^2), with mu driven towards 0 as
+the bracket closes (Nesterov, Math. Prog. 103, 2005).  The loop carries
+Q a, so an iteration makes one product with the Gram matrix: the step's
+Q d, which the line search along a + t d reuses.  kernels.gram stores the
+lower triangle only, and the Gram product, kernels.gram_product, is one
+BLAS symv that reads that triangle: half the memory traffic of a general
+product.  The loop stops once the bracket is at most GAP_TOL wide, or when
+its product budget, max_iters * n_restarts, is spent.
 
 From kernels.F32_MIN_N training points on, kernels.gram stores the triangle
 in float32, which then only steers the loop.  One end pass,
-kernels.exact_gram_product, gives K [alpha, u] in float64 for the returned
-iterate and the largest bound's weights, and the objective, the norm and the
+kernels.exact_gram_product, gives K [alpha, a y] in float64 for the returned
+primal point and the best dual point, and the objective, the norm and the
 certificate are reported from it.  Below F32_MIN_N the loop's float64
 numbers are reported as they are.
 """
@@ -31,14 +41,32 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import entr, expit
 
 from .kernels import (KernelSpec, cross_gram, exact_gram_product, gram,
                       gram_product)
 
-GRAM_JITTER = 1e-10
+# the solver stops once its bracket [dual bound, objective] is this narrow
+GAP_TOL = 1e-6
 # test points per product with the support in decision_function: BLAS packs
 # the support once per product, so much smaller blocks cost more in packing
 TEST_BLOCK = 256
+# spectral projected gradient: the non-monotone line search's memory and
+# sufficient-increase constant; the spectral step moves no coordinate by
+# more than SPG_SPAN times the largest weight before the projection, which
+# keeps the box's digits in the projection's c - lam; the backtracking
+# limit; and the smoothing mu, kept at most MU_RATIO times the bracket
+# divided by C
+SPG_MEMORY = 10
+SPG_ARMIJO = 1e-4
+SPG_SPAN = 1e6
+SPG_BACKTRACKS = 60
+MU_RATIO = 0.1
+# the logistic conjugate's entropy has an infinite slope at its box faces;
+# its gradient is taken at p kept this far inside [0, 1]
+ENTROPY_FLOOR = 1e-12
+LN2 = math.log(2.0)
 
 
 class LossError(ValueError):
@@ -47,75 +75,162 @@ class LossError(ValueError):
 
 @dataclass(frozen=True)
 class SurrogateLoss:
-    """Convex loss bounded below by the 0-1 loss.  margin_loss(C) is
-    max(1 - x, 1 - 1/C), a hinge flattened at its minimum: convex too, so
-    the solver's gap certificate holds for every shipped loss.
+    """Convex loss bounded below by the 0-1 loss, with its conjugate.
 
-    value/subgradient are vectorized; subgradient returns the right derivative
-    at kinks.  lipschitz is math.inf for unbounded-slope losses.
+    value/subgradient are vectorized; subgradient returns the right
+    derivative at kinks.  The dual solver reads the conjugate: for a point
+    of weight w > 0 and margin m,
 
-    Contract: subgradient is 0 only where value is at the loss's minimum.
-    The solver stops on an all-zero subgradient and relies on it; every
-    shipped loss keeps it, margin_loss too (flat only at its minimum).
+        w l(m) = max { h(a) - a m : lo w <= a <= hi w },
+
+    with the box from box() (infinite for the squared loss) and the concave
+    term h, summed over the points with its gradient, from term(a, w).
+    peak(w) is the a of the zero score function (margin 0), and bias gives
+    the exact minimizer of sum w l(y (scores + b)) over |b| <= bias_box.
     """
 
     name: str
     value: object
     subgradient: object
-    lipschitz: float
+
+    def box(self) -> tuple:
+        raise NotImplementedError
+
+    def term(self, a: np.ndarray, w: np.ndarray) -> tuple:
+        raise NotImplementedError
+
+    def peak(self, w: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def bias(self, scores, y, w, bias_box: float) -> float:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class PiecewiseLinearLoss(SurrogateLoss):
+    """offset + slope phi(kink - x), phi(t) = max(t, 0), or |t| if two_sided:
+    hinge, absolute, margin_loss and truncated_margin.  Its conjugate has
+    the box [0, slope] ([-slope, slope] if two_sided) and the linear term
+    offset w + kink a."""
+
+    offset: float
+    slope: float
+    kink: float
+    two_sided: bool
+
+    def box(self):
+        return (-self.slope if self.two_sided else 0.0), self.slope
+
+    def term(self, a, w):
+        value = self.offset * float(w.sum()) + self.kink * float(a.sum())
+        return value, self.kink
+
+    def peak(self, w):
+        return self.slope * w  # every shipped kink is > 0
+
+    def bias(self, scores, y, w, bias_box):
+        """The objective is convex and piecewise linear in b: its slope
+        rises by slope w_i (twice that if two_sided) where point i's margin
+        crosses the kink, at b = y_i kink - scores_i.  Walk these kinks up
+        from the slope at -bias_box until it turns >= 0."""
+        kinks = y * self.kink - scores
+        rise = float((w * y).dot(self.subgradient(y * (scores - bias_box))))
+        if rise >= 0.0:
+            return -bias_box
+        order = np.argsort(kinks)
+        kinks = kinks[order]
+        first, last = np.searchsorted(kinks, (-bias_box, bias_box), "right")
+        jump = (2.0 if self.two_sided else 1.0) * self.slope
+        k = first + int(np.searchsorted(
+            rise + jump * np.cumsum(w[order[first:last]]), 0.0))
+        return float(kinks[k]) if k < last else bias_box
+
+
+@dataclass(frozen=True)
+class SquaredLoss(SurrogateLoss):
+    """(1 - x)^2: no box, and the term a - a^2 / 4w."""
+
+    def box(self):
+        return -math.inf, math.inf
+
+    def term(self, a, w):
+        return float(np.sum(a - a * a / (4.0 * w))), 1.0 - a / (2.0 * w)
+
+    def peak(self, w):
+        return 2.0 * w
+
+    def bias(self, scores, y, w, bias_box):
+        # the slope in b is affine, with rise 2 sum w
+        rise = float((w * y).dot(self.subgradient(y * scores)))
+        return min(max(-rise / (2.0 * float(w.sum())), -bias_box), bias_box)
+
+
+@dataclass(frozen=True)
+class LogisticLoss(SurrogateLoss):
+    """log2(1 + e^-x): the box [0, 1/ln 2] and the binary entropy term
+    (w / ln 2) H(a ln 2 / w), in nats."""
+
+    def box(self):
+        return 0.0, 1.0 / LN2
+
+    def term(self, a, w):
+        p = np.clip(a * LN2 / w, 0.0, 1.0)
+        inner = np.clip(p, ENTROPY_FLOOR, 1.0 - ENTROPY_FLOOR)
+        return (float(w.dot(entr(p) + entr(1.0 - p))) / LN2,
+                np.log1p(-inner) - np.log(inner))
+
+    def peak(self, w):
+        return w / (2.0 * LN2)
+
+    def bias(self, scores, y, w, bias_box):
+        """The root of the slope in b, which rises with b, by Brent's
+        method."""
+        def slope(b):
+            return -float((w * y).dot(expit(-y * (scores + b)))) / LN2
+
+        if slope(-bias_box) >= 0.0:
+            return -bias_box
+        if slope(bias_box) <= 0.0:
+            return bias_box
+        return brentq(slope, -bias_box, bias_box, xtol=1e-15)
+
+
+def _piecewise(name, offset, slope, kink, two_sided=False):
+    rise = slope if two_sided else 0.0
+    phi = np.abs if two_sided else (lambda t: np.maximum(t, 0.0))
+    return PiecewiseLinearLoss(
+        name,
+        lambda x: offset + slope * phi(kink - x),
+        lambda x: np.where(x < kink, -slope, rise),
+        offset=offset, slope=slope, kink=kink, two_sided=two_sided,
+    )
 
 
 def make_loss(name: str, C: float | None = None) -> SurrogateLoss:
     """Shipped losses: hinge, squared, absolute, logistic, margin_loss(C),
     truncated_margin(C)."""
     if name == "hinge":
-        return SurrogateLoss(
-            "hinge",
-            lambda x: np.maximum(1.0 - x, 0.0),
-            lambda x: np.where(x < 1.0, -1.0, 0.0),
-            lipschitz=1.0,
-        )
+        return _piecewise("hinge", 0.0, 1.0, 1.0)
     if name == "squared":
-        return SurrogateLoss(
-            "squared",
-            lambda x: (1.0 - x) ** 2,
-            lambda x: -2.0 * (1.0 - x),
-            lipschitz=math.inf,
-        )
+        return SquaredLoss("squared", lambda x: (1.0 - x) ** 2,
+                           lambda x: -2.0 * (1.0 - x))
     if name == "absolute":
-        return SurrogateLoss(
-            "absolute",
-            lambda x: np.abs(1.0 - x),
-            lambda x: np.where(x < 1.0, -1.0, 1.0),
-            lipschitz=1.0,
-        )
+        return _piecewise("absolute", 0.0, 1.0, 1.0, two_sided=True)
     if name == "logistic":
-        ln2 = math.log(2.0)
-        return SurrogateLoss(
+        return LogisticLoss(
             "logistic",
-            lambda x: np.log1p(np.exp(-x)) / ln2,
-            lambda x: -1.0 / ((1.0 + np.exp(x)) * ln2),
-            lipschitz=1.0 / ln2,
+            lambda x: np.log1p(np.exp(-x)) / LN2,
+            lambda x: -1.0 / ((1.0 + np.exp(x)) * LN2),
         )
     if name in ("margin_loss", "truncated_margin"):
         if C is None or C <= 0:
             raise LossError(f"{name} needs a scale constant C > 0")
-        knee = 1.0 / C
         if name == "margin_loss":
-            # 1 - x below the knee, flat at 1 - 1/C above it
-            return SurrogateLoss(
-                f"margin_loss(C={C:g})",
-                lambda x: np.where(x <= knee, 1.0 - x, 1.0 - knee),
-                lambda x: np.where(x < knee, -1.0, 0.0),
-                lipschitz=1.0,
-            )
+            # 1 - x below the knee 1/C, flat at 1 - 1/C above it
+            return _piecewise(f"margin_loss(C={C:g})", 1.0 - 1.0 / C, 1.0,
+                              1.0 / C)
         # truncated_margin: (1 - C x)_+ = hinge(C x)
-        return SurrogateLoss(
-            f"truncated_margin(C={C:g})",
-            lambda x: np.maximum(1.0 - C * x, 0.0),
-            lambda x: np.where(x < knee, -C, 0.0),
-            lipschitz=C,
-        )
+        return _piecewise(f"truncated_margin(C={C:g})", 0.0, C, 1.0 / C)
     raise LossError(f"unknown loss {name!r}")
 
 
@@ -125,6 +240,10 @@ def make_loss(name: str, C: float | None = None) -> SurrogateLoss:
 
 @dataclass
 class SolverOptions:
+    """The dual solver makes at most max_iters * n_restarts Gram products;
+    eps_opt is the certificate up to which a model counts as converged, and
+    bias_box bounds |b|."""
+
     max_iters: int = 2000
     n_restarts: int = 10
     eps_opt: float = 0.1
@@ -183,7 +302,7 @@ class KernelModel:
 
 
 # ---------------------------------------------------------------------------
-# Projected-subgradient solver.
+# The dual solver.
 # ---------------------------------------------------------------------------
 
 def _as_arrays(data):
@@ -199,8 +318,8 @@ def _as_arrays(data):
         if wts.shape != y.shape:
             raise LossError(f"weights of shape {wts.shape} for {len(y)} labels")
         total = wts.sum()
-        # the solver's zero-subgradient stop and its certificate need w >= 0;
-        # a NaN fails the comparison and an inf makes the total inf
+        # the certificate needs w >= 0; a NaN fails the comparison and an
+        # inf makes the total inf
         if not (np.all(wts >= 0.0) and 0.0 < total < math.inf):
             raise LossError("weights must be finite, >= 0 and not all 0")
         wts = wts / total
@@ -209,163 +328,203 @@ def _as_arrays(data):
     return X, y, wts
 
 
-def _dual_bound(phi, gb, support, bias_box):
-    """Lower bound on the optimum from a linearization of the objective.
+def _projector(y, lower, upper):
+    """The Euclidean projection onto {lower <= a <= upper, y' a = 0}.
 
-    For a convex objective, OPT >= f(z) + <grad, z* - z> at every iterate z,
-    and so at every convex combination of these inequalities.  With the
-    loss-gradient weights u (grad = sum_i u_i times the i-th point's feature,
-    and gb = sum u for the bias), phi = f - u . scores - b gb and support the
-    largest <grad, w'> over the norm ball, the minimum of the right-hand side
-    over the feasible set is phi - support - bias_box |gb|.  At an iterate
-    this is the Frank-Wolfe duality gap (Jaggi, ICML 2013); at an average of
-    iterates, primal-dual averaging (Nesterov, Math. Prog. 120, 2009).
+    In the coordinates c = y z the bounds become (L, U), and the projection
+    is y clip(c - lam, L, U) at the root lam of
+    phi(lam) = sum clip(c - lam, L, U): coordinate i sits at U_i up to its
+    kink c_i - U_i, is free up to its kink c_i - L_i and sits at L_i beyond,
+    so phi is non-increasing and linear between kinks, with slope minus the
+    number of free coordinates.  The kinks are sorted once.  project(z,
+    scale) starts from the last root times scale over the last call's
+    scale: for z = a + sigma g with a feasible, the root grows with the
+    spectral step sigma.  Each evaluation of phi takes a Newton step, which
+    is the root if it stops short of the next kink.  If not, the next lam is
+    that step while it stays inside the kinks that bracket the root and
+    Newton keeps halving |phi|, and the middle one of those kinks
+    otherwise.  Every box here holds 0, so the set is never empty.
     """
-    return phi - support - bias_box * abs(gb)
+    L = np.where(y > 0, lower, -upper)
+    U = np.where(y > 0, upper, -lower)
+    finite = bool(np.isfinite(L).all() and np.isfinite(U).all())
+    root = [0.0]
+
+    def project(z, scale=1.0):
+        c = y * z
+        top, bottom = c - U, c - L
+        kinks = np.sort(np.concatenate([top, bottom]))
+        if not finite:
+            kinks = kinks[np.isfinite(kinks)]
+        # the root lies between kinks[lo - 1] and kinks[hi]
+        lo, hi, lam = 0, len(kinks), root[0] * scale
+        last, newton = math.inf, False
+        while True:
+            a = np.minimum(np.maximum(c - lam, L), U)
+            phi = float(a.sum())
+            if phi == 0.0:
+                break
+            # Newton's step with the slope on the root's side, where a
+            # coordinate at a kink counts if the step frees it
+            if phi > 0.0:
+                lo = max(lo, int(np.searchsorted(kinks, lam, "right")))
+                free = np.count_nonzero((top <= lam) & (lam < bottom))
+                edge = kinks[lo] if lo < len(kinks) else math.inf
+                step = lam + phi / free if free else math.inf
+                done = step <= edge
+            else:
+                hi = min(hi, int(np.searchsorted(kinks, lam)))
+                free = np.count_nonzero((top < lam) & (lam <= bottom))
+                edge = kinks[hi - 1] if hi > 0 else -math.inf
+                step = lam + phi / free if free else -math.inf
+                done = step >= edge
+            if done or lo >= hi:  # the latter only by rounding
+                lam = step if done else edge
+                a = np.minimum(np.maximum(c - lam, L), U)
+                break
+            # Newton's step again, unless it leaves the bracketing kinks or
+            # the last one did not halve |phi|; else the middle kink
+            newton = (2 * abs(phi) <= last or not newton) and \
+                kinks[lo] <= step <= kinks[hi - 1]
+            lam, last = (step if newton else kinks[(lo + hi) // 2]), abs(phi)
+        root[0] = lam / scale
+        return y * a
+
+    return project
 
 
 def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float,
                          opts: SolverOptions = SolverOptions()):
-    """Approximately solve  min mean l(y (f(x) + b))  over ||f||_{H_k} <= C
-    and |b| <= bias_box.
+    """Solve  min mean l(y (f(x) + b))  over ||f||_{H_k} <= C and
+    |b| <= bias_box, to a certified bracket.
 
     Restricting f to span{k(., x_i)} is lossless (it preserves sample
-    predictions and never increases the norm), so the search runs over dual
-    coefficients alpha with the ellipsoidal projection
-    alpha <- alpha * min(1, C / sqrt(alpha' G alpha)).  For the loss-gradient
-    weights u_i = wts_i y_i l'(y_i (G alpha + b)_i) the scores G alpha are
-    carried through the step alpha' = s (alpha - eta u) as
-    G alpha' = s (G alpha - eta G u), so each iteration makes the one Gram
-    product G u, which also gives the RKHS norm sqrt(u' G u) of the step.
+    predictions and never increases the norm), and points of weight 0 leave
+    the objective alone, so they are dropped.  The solver maximizes the
+    smoothed dual F(a) = sum h(a) - C sqrt(a' Q a + mu^2) over
+    {box, y' a = 0} (see the module docstring): from the gradient g it
+    projects a + sigma g with the spectral step sigma, makes the one product
+    Q d with the direction d, and searches t along a + t d with the
+    non-monotone Armijo rule, reading a' Q a at a + t d off a' Q a, a' Q d and
+    d' Q d.  The smoothing covers Q's null space, so G is K itself, singular
+    or not.
 
-    Restart k reruns the schedule eta_t = (R / 2^k) / (Lhat sqrt(t)) from the
-    incumbent, which polishes the piecewise-linear objectives used here.
+    Every iterate a gives the primal point alpha = C (a y) / sqrt(a' Q a +
+    mu^2), of norm < C, whose scores G alpha come from the carried Q a, and
+    the bias that minimizes the objective over |b| <= bias_box (loss.bias).
+    The gap certificate is the best objective less the best unsmoothed D(a),
+    bias_box |y' a| included, so that it holds for every a in the box.  It
+    holds for every shipped loss, since each is convex, and for any base
+    scores, since weak duality does not ask where the primal point came
+    from.  The bracket closes only where some optimal bias lies inside the
+    box, as the restriction y' a = 0 assumes.
 
-    The gap certificate is the best objective less the largest _dual_bound,
-    taken at every iterate (support C sqrt(u' G u)) and at each stage's
-    eta-weighted average of the iterates' linearizations (support
-    C sqrt(ubar' G ubar), with G ubar averaged from the products G u already
-    made).  It holds for every shipped loss, since each is convex
-    (margin_loss too); and for any base scores, since a convex loss lies
-    above its linearization at every point, so the carried scores need not
-    be exactly G alpha.
+    mu starts at infinity (the first primal point is the zero function) and
+    after each iterate is kept at most MU_RATIO times the bracket over C,
+    which bounds the smoothing's error C mu.  Each iteration makes one
+    product.  Where the projected step makes no ascent, a maximizes F: D(a)
+    and its primal point lie within C mu of the optimum, and a is evaluated
+    once more, with no product, at mu's floor MU_RATIO GAP_TOL / C.  The loop
+    stops once the bracket is at most GAP_TOL, once the products reach
+    max_iters * n_restarts, or where no step ascends at the floor.  eps_opt
+    sets only the converged flag.
 
     From kernels.F32_MIN_N points on, the Gram matrix is float32, and the
     numbers reported come from one float64 end pass, exact_gram_product of
-    [alpha, u] for the incumbent and the weights u of the largest bound:
-    the objective of the incumbent, its norm (alpha rescaled onto the ball
-    if it lies outside), and the certificate, that objective less the bound
-    with its support C sqrt(u' G u) recomputed.  In both precisions the
-    numbers refer to G = K + GRAM_JITTER I; a float32 triangle cannot hold
-    the jitter, so the end pass adds it.
-
-    If u is all 0, every weighted term sits at its loss's minimum (the
-    SurrogateLoss contract, with weights >= 0), so the iterate is a global
-    optimum; every later step would be 0 and could not replace the
-    incumbent, which needs a strictly smaller objective.  The loop returns
-    there, with no tolerance; alpha, b and the objective are those of the
-    full schedule.
+    [alpha, a y] for the best primal point and the best dual point: the
+    objective of the returned alpha (rescaled onto the ball if it lies
+    outside), its norm, and the certificate, that objective less D(a)
+    recomputed.
     """
     if C < 0:
         raise LossError("norm bound must be >= 0")
     if opts.max_iters < 1 or opts.n_restarts < 1:
         raise LossError("max_iters and n_restarts must be >= 1")
     X, y, wts = _as_arrays(data)
-    n = len(y)
+    if not wts.all():
+        X, y, wts = X[wts > 0], y[wts > 0], wts[wts > 0]
     G = gram(kernel, X)
-    eig_floor = float(np.min(np.diag(G)))
-    if eig_floor < -1e-8 * n:
+    if float(np.min(np.diag(G))) < -1e-8 * len(y):
         raise LossError("Gram diagonal negative beyond tolerance: invalid kernel")
-    G[np.diag_indices_from(G)] += GRAM_JITTER
 
-    bias_box = opts.bias_box
-    wy = wts * y
-    lip = loss.lipschitz if math.isfinite(loss.lipschitz) else 1.0
-    radius = 2.0 * C + 2.0 * bias_box
-
-    value, subgradient, sqrt = loss.value, loss.subgradient, math.sqrt
-    alpha, scores, b = np.zeros(n), np.zeros(n), 0.0
-    margins = y * (scores + b)
-    best_f = float(wts.dot(value(margins)))
-    best = (alpha, b, scores, margins)
-    # the largest bound and its (phi, u, gb)
-    lower, argmax = -math.inf, (-math.inf, np.zeros(n), 0.0)
-    optimal = False
-    for stage in range(opts.n_restarts):
-        R = radius / 2**stage
-        (alpha, b, scores, margins), f = best, best_f
-        avg_alpha, avg_b, avg_scores = np.zeros(n), 0.0, np.zeros(n)
-        avg_u, avg_Gu, avg_phi = np.zeros(n), np.zeros(n), 0.0
-        sum_eta = 0.0
-        lhat = max(lip, 1e-12)
-        for t in range(1, opts.max_iters + 1):
-            u = wy * subgradient(margins)
-            gb = float(u.sum())
-            Gu = gram_product(G, u)
-            # RKHS norm of the functional part sum u_i k(., x_i) of the step
-            unorm = sqrt(max(float(u.dot(Gu)), 0.0))
-            phi = f - float(u.dot(scores)) - b * gb
-            bound = _dual_bound(phi, gb, C * unorm, bias_box)
-            if bound > lower:
-                lower, argmax = bound, (phi, u, gb)
-            if unorm == 0.0 and gb == 0.0 and not u.any():
-                # optimal: no later step moves, so best is final
-                optimal = True
-                break
-            gnorm = math.hypot(unorm, gb)
-            lhat = max(lhat, gnorm)
-            eta = R / (lhat * sqrt(t))
-            step, gstep = eta * u, eta * Gu
-            alpha, scores = alpha - step, scores - gstep
-            avg_u += step
-            avg_Gu += gstep
-            avg_phi += eta * phi
-            q = float(alpha.dot(scores))
-            if q > C * C:
-                scale = C / sqrt(q)
-                alpha, scores = alpha * scale, scores * scale
-            b = min(max(b - eta * gb, -bias_box), bias_box)
-            sum_eta += eta
-            avg_alpha += eta * alpha
-            avg_b += eta * b
-            avg_scores += eta * scores
-            margins = y * (scores + b)
-            f = float(wts.dot(value(margins)))
-            if f < best_f:
-                best, best_f = (alpha, b, scores, margins), f
-        if optimal:
-            break
-        ubar = avg_u / sum_eta
-        ubar_norm = sqrt(max(float(ubar.dot(avg_Gu)) / sum_eta, 0.0))
-        phi, gb = avg_phi / sum_eta, float(ubar.sum())
-        bound = _dual_bound(phi, gb, C * ubar_norm, bias_box)
+    bias_box, budget = opts.bias_box, opts.max_iters * opts.n_restarts
+    span = SPG_SPAN * float(wts.max())
+    lo, hi = loss.box()
+    project = _projector(y, lo * wts, hi * wts)
+    value, term, sqrt = loss.value, loss.term, math.sqrt
+    a = project(loss.peak(wts))
+    Qa = y * gram_product(G, y * a)
+    products = 1
+    h, dh = term(a, wts)
+    floor = MU_RATIO * GAP_TOL / C if C > 0 else 1.0
+    mu = math.inf if C > 0 else floor
+    best_f, lower, history, previous = math.inf, -math.inf, [], None
+    while True:
+        aQa = max(float(a.dot(Qa)), 0.0)
+        bound = h - C * sqrt(aQa) - bias_box * abs(float(y.dot(a)))
         if bound > lower:
-            lower, argmax = bound, (phi, ubar, gb)
-        alpha, scores = avg_alpha / sum_eta, avg_scores / sum_eta
-        q = float(alpha.dot(scores))
-        if q > C * C:
-            scale = C / sqrt(q)
-            alpha, scores = alpha * scale, scores * scale
-        b = min(max(avg_b / sum_eta, -bias_box), bias_box)
-        margins = y * (scores + b)
-        f = float(wts.dot(value(margins)))
+            lower, dual = bound, (a, Qa)
+        scale = C / sqrt(aQa + mu * mu)
+        scores = scale * (y * Qa)
+        b = loss.bias(scores, y, wts, bias_box)
+        f = float(wts.dot(value(y * (scores + b))))
         if f < best_f:
-            best, best_f = (alpha, b, scores, margins), f
-    alpha, b = best[0], float(best[1])
+            best_f, best = f, (a, scale, b, Qa)
+        gap = best_f - lower
+        if gap <= GAP_TOL or products >= budget:
+            break
+        if mu > floor and C * mu > MU_RATIO * gap:
+            mu, history = max(MU_RATIO * gap / C, floor), []
+        root = sqrt(aQa + mu * mu)
+        g = dh - (C / root) * Qa
+        longest = span / max(float(np.max(np.abs(g))), 1e-300)
+        if previous is None:
+            sigma = 1.0 / max(float(np.max(np.abs(project(a + g) - a))),
+                              1.0 / longest)
+        else:
+            s, g_old = previous
+            sy = float(s.dot(g_old - g))
+            sigma = min(float(s.dot(s)) / sy, longest) if sy > 0 else longest
+        d = project(a + sigma * g, sigma) - a
+        ascent = float(g.dot(d))
+        if not ascent > 0.0:
+            if mu <= floor:
+                break
+            mu, history, previous = floor, [], None
+            continue
+        Qd = y * gram_product(G, y * d)
+        products += 1
+        history = (history + [h - C * root])[-SPG_MEMORY:]
+        reference = min(history)
+        aQd, dQd = float(a.dot(Qd)), float(d.dot(Qd))
+        t = 1.0
+        for _ in range(SPG_BACKTRACKS):
+            a_t = a + t * d
+            h_t, dh_t = term(a_t, wts)
+            q = max(aQa + t * (2.0 * aQd + t * dQd), 0.0)
+            if (h_t - C * sqrt(q + mu * mu)
+                    >= reference + SPG_ARMIJO * t * ascent):
+                break
+            t *= 0.5
+        else:
+            break
+        previous = (a_t - a, g)
+        a, Qa, h, dh = a_t, Qa + t * Qd, h_t, dh_t
+
+    (a, scale, b, Qa), (a_dual, Qa_dual) = best, dual
+    alpha, v = scale * (y * a), y * a_dual
     if G.dtype == np.float64:
-        objective, cert = best_f, best_f - lower
-        norm = sqrt(max(float(alpha @ gram_product(G, alpha)), 0.0))
+        Kalpha, Kv = scale * (y * Qa), y * Qa_dual
     else:
-        phi, u, gb = argmax
-        V = np.column_stack([alpha, u])
-        KV = exact_gram_product(kernel, X, V) + GRAM_JITTER * V
-        scores = KV[:, 0]
-        norm = sqrt(max(float(alpha.dot(scores)), 0.0))
-        if norm > C:
-            alpha, scores, norm = alpha * (C / norm), scores * (C / norm), C
-        objective = float(wts.dot(value(y * (scores + b))))
-        unorm = sqrt(max(float(u.dot(KV[:, 1])), 0.0))
-        cert = objective - _dual_bound(phi, gb, C * unorm, bias_box)
+        Kalpha, Kv = exact_gram_product(kernel, X,
+                                        np.column_stack([alpha, v])).T
+    norm = sqrt(max(float(alpha.dot(Kalpha)), 0.0))
+    if norm > C:
+        alpha, Kalpha, norm = alpha * (C / norm), Kalpha * (C / norm), C
+    objective = float(wts.dot(value(y * (Kalpha + b))))
+    vKv = max(float(v.dot(Kv)), 0.0)
+    cert = objective - (term(a_dual, wts)[0] - C * sqrt(vKv)
+                        - bias_box * abs(float(y.dot(a_dual))))
     return KernelModel(
         support=X, alpha=alpha, b=b, C=C, kernel=kernel, loss=loss,
         objective=objective, gap_certificate=cert,

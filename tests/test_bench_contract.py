@@ -1,14 +1,18 @@
 """The benchmark's contract with the package: every name that bench/ patches
-at call time, and everything its workloads build at set-up, still exists.
+at call time, and everything its workloads build at set-up, still exists,
+and the solver meets the lemma_checks workload's oracle gate.
 
-A renamed or deleted name fails here rather than only in a benchmark run.
-bench/ is imported, never written (no bytecode caches either).
+A renamed or deleted name, or a missed gate, fails here rather than only in
+a benchmark run.  bench/ is imported, never written (no bytecode caches
+either).
 """
 
 import os
 import sys
 
 import pytest
+
+from marginlab import learners
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench")
@@ -45,3 +49,24 @@ def test_workload_setup(bench):
                                         "lemma_checks"}
     for workload in workloads.WORKLOADS.values():
         assert workload.setup(0)
+
+
+# lemma_checks seeds at which a block of tiny programs once missed the gate
+GATE_SEEDS = (7, 91, 100, 105, 126, 149, 607)
+
+
+def test_lemma_checks_oracle_gate(bench):
+    # every tiny program of these seeds, solved as the workload solves it,
+    # within the workload's tolerance of its exact LP optimum
+    _, _, workloads = bench
+    loss = learners.make_loss("hinge")
+    misses = []
+    for seed in GATE_SEEDS:
+        workload = workloads.LemmaChecks(seed)
+        for i, (X, y, w, C) in enumerate(workload.tiny):
+            model = learners.train_kernel_program(
+                (X, y, w), workload.kernel, loss, C, workload.opts)
+            gap = abs(model.objective - workload.oracle[i])
+            if gap > workloads.ORACLE_TOL:
+                misses.append((seed, i, gap))
+    assert misses == []
