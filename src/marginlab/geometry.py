@@ -3,13 +3,15 @@ and the finitely supported noise measure they induce for feature-map learners.
 
 The MVEE solver is one Khachiyan barycentric coordinate ascent with
 Todd-Yildirim away steps, run on the points themselves in the symmetric case
-and on the points lifted to (p, 1) in the general case.  It carries V^-1 and
-the leverages through rank-one (Sherman-Morrison) updates and stops only on
-leverages recomputed exactly from the weights.  In the symmetric case the
-ellipsoid is centered at the origin and the shrunk copy E / sqrt(m (1+eps))
-lies inside the convex hull of the points and their negatives, which is what
-makes the basis-vector decompositions below feasible.  Each decomposition is
-one nonnegative least-squares solve; the noise measure built from them is
+and on the points lifted to (p, 1) in the general case.  It carries V^-1,
+the leverages and the weights scaled by one scalar, so each step is a
+rank-one (Sherman-Morrison) update of V^-1 and of the leverages with no
+rescaling of either, and it stops only on leverages recomputed exactly from
+the unscaled weights.  In the symmetric case the ellipsoid is centered at
+the origin and the shrunk copy E / sqrt(m (1+eps)) lies inside the convex
+hull of the points and their negatives, which is what makes the
+basis-vector decompositions below feasible.  Each decomposition is one
+nonnegative least-squares solve; the noise measure built from them is
 certified by the mean-absolute-score lower bound it supplies to the
 feature-map lower bound.
 """
@@ -111,49 +113,67 @@ def _exact_state(Q: np.ndarray, u: np.ndarray):
 def _khachiyan(Q: np.ndarray, eps: float) -> np.ndarray:
     """Barycentric weights u with max_i q_i' V(u)^-1 q_i <= (1+eps) dim.
 
-    Khachiyan's coordinate ascent with Todd-Yildirim away steps.  V^-1 and
-    the leverages are carried through Sherman-Morrison updates, O(n dim) per
-    step; the stopping test recomputes both exactly from u, so rounding drift
-    in the carried state cannot end the loop early.
+    Khachiyan's coordinate ascent with Todd-Yildirim away steps.  V^-1, the
+    leverages and the weights are carried in scaled form: the true values
+    are S Vinv, S w and us / S for a scalar S that absorbs each step's
+    1 / (1 - tau), so a Sherman-Morrison step is one rank-one update of
+    Vinv and one of w, O(n dim), with no rescaling of either.  The stopping
+    test recomputes both exactly from the unscaled u (and resets S = 1), so
+    rounding drift in the carried state cannot end the loop early.
     """
     n, dim = Q.shape
-    u = np.full(n, 1.0 / n)
-    Vinv, w = _exact_state(Q, u)
+    us = np.full(n, 1.0 / n)
+    Vinv, w = _exact_state(Q, us)
+    S = 1.0
+    pen = np.zeros(n)  # +inf off the support of u, 0 on it
     bound = (1.0 + eps) * dim
     for _ in range(MVEE_MAX_ITERS):
-        j = int(np.argmax(w))
-        if w[j] <= bound:
-            Vinv, w = _exact_state(Q, u)
-            if np.max(w) <= bound:
-                return u
+        j = w.argmax()
+        wj = S * w.item(j)
+        if wj <= bound:
+            us /= S
+            S = 1.0
+            Vinv, w = _exact_state(Q, us)
+            if w.max() <= bound:
+                return us
             continue
-        k = int(np.argmin(np.where(u > 0.0, w, np.inf)))
-        if dim - w[k] > w[j] - dim:
+        k = (w + pen).argmin()
+        wk = S * w.item(k)
+        if dim - wk > wj - dim:
             # away step: shift weight off the support point with the
             # smallest leverage, at most down to zero (a drop step)
-            i = k
-            floor = -u[k] / (1.0 - u[k])
+            i, wi = k, wk
+            uk = us.item(k) / S
+            floor = -uk / (1.0 - uk)
             tau = floor
-            if w[k] > 1.0:
-                tau = max((w[k] - dim) / (dim * (w[k] - 1.0)), floor)
+            if wk > 1.0:
+                tau = max((wk - dim) / (dim * (wk - 1.0)), floor)
             drop = tau == floor
         else:
-            i, drop = j, False
-            tau = (w[j] - dim) / (dim * (w[j] - 1.0))
+            i, wi, drop = j, wj, False
+            tau = (wj - dim) / (dim * (wj - 1.0))
             if tau >= 1.0:  # dim = 1: all weight on the longest point
-                u = np.zeros(n)
-                u[j] = 1.0
-                Vinv, w = _exact_state(Q, u)
+                us = np.zeros(n)
+                us[j] = 1.0
+                S = 1.0
+                pen = np.where(us > 0.0, 0.0, np.inf)
+                Vinv, w = _exact_state(Q, us)
                 continue
+        # with c the Sherman-Morrison coefficient and S' = S / (1 - tau),
+        # the true update (S Vinv - c S^2 g g') / (1 - tau) is
+        # S' (Vinv - c S g g'), likewise for w, and the true weights
+        # (1 - tau) us / S + tau e_i are (us + tau S' e_i) / S'
+        cS = S * tau / ((1.0 - tau) + tau * wi)
         g = Vinv @ Q[i]
         h = Q @ g
-        c = tau / ((1.0 - tau) + tau * w[i])
-        Vinv = (Vinv - c * np.outer(g, g)) / (1.0 - tau)
-        w = (w - c * h * h) / (1.0 - tau)
-        u *= 1.0 - tau
-        u[i] += tau
-        if drop:
-            u[i] = 0.0
+        Vinv -= np.multiply.outer(g * cS, g)
+        h *= h
+        h *= cS
+        w -= h
+        S /= 1.0 - tau
+        ui = 0.0 if drop else us.item(i) + tau * S
+        us[i] = ui
+        pen[i] = 0.0 if ui > 0.0 else np.inf
     raise GeometryError("MVEE iteration cap exceeded")
 
 

@@ -20,11 +20,13 @@ by spectral projected gradient (Birgin, Martinez & Raydan, SIAM J. Optim.
 10, 2000) on the smoothed sqrt(a' Q a + mu^2), with mu driven towards 0 as
 the bracket closes (Nesterov, Math. Prog. 103, 2005).  The loop carries
 Q a, so an iteration makes one product with the Gram matrix: the step's
-Q d, which the line search along a + t d reuses.  kernels.gram stores the
-lower triangle only, and the Gram product, kernels.gram_product, is one
-BLAS symv that reads that triangle: half the memory traffic of a general
-product.  The loop stops once the bracket is at most GAP_TOL wide, or when
-its product budget, max_iters * n_restarts, is spent.
+Q d, which the line search along a + t d reuses.  Every few steps it also
+extrapolates a along the way those steps went, with no product, since Q a
+is carried.  kernels.gram stores the lower triangle only, and the Gram
+product, kernels.gram_product, is one BLAS symv that reads that triangle:
+half the memory traffic of a general product.  The loop stops once the
+bracket is at most GAP_TOL wide, or when its product budget, max_iters *
+n_restarts, is spent.
 
 From kernels.F32_MIN_N training points on, kernels.gram stores the triangle
 in float32, which then only steers the loop.  One end pass,
@@ -63,6 +65,11 @@ SPG_ARMIJO = 1e-4
 SPG_SPAN = 1e6
 SPG_BACKTRACKS = 60
 MU_RATIO = 0.1
+# every EXTRAP_EVERY steps the loop also moves a along the span of those
+# steps, as far as the smoothed dual rises (at most EXTRAP_REACH spans, and
+# inside the box), with no product
+EXTRAP_EVERY = 5
+EXTRAP_REACH = 1e3
 # the logistic conjugate's entropy has an infinite slope at its box faces;
 # its gradient is taken at p kept this far inside [0, 1]
 ENTROPY_FLOOR = 1e-12
@@ -393,6 +400,29 @@ def _projector(y, lower, upper):
     return project
 
 
+def _extrapolation(a, Qa, e, Qe, lower, upper, C, mu, term, wts):
+    """The t in [0, reach] that maximizes the smoothed dual along a + t e,
+    where reach is EXTRAP_REACH or the box's edge if nearer; 0 where F does
+    not rise along e.  a' Q a along the ray comes from Qa and Qe, and F is
+    concave in t, so the top is reach or the root of F's slope (brentq)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = np.where(e > 0, (upper - a) / e,
+                        np.where(e < 0, (lower - a) / e, math.inf))
+    reach = min(float(room.min()), EXTRAP_REACH)
+    aQa, aQe, eQe = float(a.dot(Qa)), float(a.dot(Qe)), float(e.dot(Qe))
+
+    def slope(t):
+        q = max(aQa + t * (2.0 * aQe + t * eQe), 0.0)
+        return (float(np.sum(term(a + t * e, wts)[1] * e))
+                - C * (aQe + t * eQe) / math.sqrt(q + mu * mu))
+
+    if not (reach > 0.0 and slope(0.0) > 0.0):
+        return 0.0
+    if slope(reach) >= 0.0:
+        return reach
+    return brentq(slope, 0.0, reach)
+
+
 def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float,
                          opts: SolverOptions = SolverOptions()):
     """Solve  min mean l(y (f(x) + b))  over ||f||_{H_k} <= C and
@@ -407,7 +437,11 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
     Q d with the direction d, and searches t along a + t d with the
     non-monotone Armijo rule, reading a' Q a at a + t d off a' Q a, a' Q d and
     d' Q d.  The smoothing covers Q's null space, so G is K itself, singular
-    or not.
+    or not.  Where the norm bound is slack at the optimum, the smoothed
+    support term is stiff across a narrow valley and the steps zigzag along
+    it, so every EXTRAP_EVERY steps a also moves along its span over those
+    steps as far as F rises (_extrapolation), Q a again read off the carried
+    products.
 
     Every iterate a gives the primal point alpha = C (a y) / sqrt(a' Q a +
     mu^2), of norm < C, whose scores G alpha come from the carried Q a, and
@@ -450,7 +484,8 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
     bias_box, budget = opts.bias_box, opts.max_iters * opts.n_restarts
     span = SPG_SPAN * float(wts.max())
     lo, hi = loss.box()
-    project = _projector(y, lo * wts, hi * wts)
+    box_lo, box_hi = lo * wts, hi * wts
+    project = _projector(y, box_lo, box_hi)
     value, term, sqrt = loss.value, loss.term, math.sqrt
     a = project(loss.peak(wts))
     Qa = y * gram_product(G, y * a)
@@ -459,6 +494,7 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
     floor = MU_RATIO * GAP_TOL / C if C > 0 else 1.0
     mu = math.inf if C > 0 else floor
     best_f, lower, history, previous = math.inf, -math.inf, [], None
+    steps, anchor = 0, None
     while True:
         aQa = max(float(a.dot(Qa)), 0.0)
         bound = h - C * sqrt(aQa) - bias_box * abs(float(y.dot(a)))
@@ -510,6 +546,17 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
             break
         previous = (a_t - a, g)
         a, Qa, h, dh = a_t, Qa + t * Qd, h_t, dh_t
+        steps += 1
+        if steps % EXTRAP_EVERY:
+            continue
+        if anchor is not None:
+            e, Qe = a - anchor[0], Qa - anchor[1]
+            t = _extrapolation(a, Qa, e, Qe, box_lo, box_hi, C, mu, term, wts)
+            if t > 0.0:
+                a = np.minimum(np.maximum(a + t * e, box_lo), box_hi)
+                Qa = Qa + t * Qe
+                h, dh = term(a, wts)
+        anchor = (a, Qa)
 
     (a, scale, b, Qa), (a_dual, Qa_dual) = best, dual
     alpha, v = scale * (y * a), y * a_dual

@@ -27,6 +27,8 @@ DOMAIN_TOL = 1e-12
 BAND_HALF_WIDTH = 0.125
 
 DEFAULT_QUAD_NODES = 256
+# series evaluated in one product by changes_slowly_gaps
+SERIES_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,15 @@ class PolyCoeffs:
 
 
 def _series(alpha, table):
-    """sum_n alpha[n] table[n] over the first len(alpha) rows of a table.
+    """sum_n alpha[n] table[n] over the first len(alpha) rows of a table; a
+    2-D alpha holds one series per column and gives one row of values each.
 
-    Summed elementwise, so each value depends on its own t alone; a BLAS
-    reduction over the table rounds by position and thread count, which would
-    break the exact symmetry of a Gram matrix with this profile."""
-    return np.einsum("n,n...->...", alpha, table[:len(alpha)])
+    Summed elementwise in order of n, so each value depends on its own t and
+    series alone; a BLAS reduction over the table rounds by position and
+    thread count, which would break the exact symmetry of a Gram matrix with
+    this profile."""
+    subscripts = "nk,n...->k..." if np.ndim(alpha) == 2 else "n,n...->..."
+    return np.einsum(subscripts, alpha, table[:len(alpha)])
 
 
 def _check_t(t, tol: float = DOMAIN_TOL):
@@ -117,34 +122,38 @@ def chebyshev_eval(kind: str, n: int, t):
     raise DomainError(f"unknown Chebyshev kind {kind!r}")
 
 
-def legendre_bound(d: int, n: int, t: float) -> float:
+def legendre_bound(d: int, n: int, t):
     """Pointwise upper bound on |P_{d,n}(t)|, min over the applicable branches.
 
     Branches: the Gamma-function decay bound, (n/(n+d-2) + 2|t|)^(n/2), and
     (only when n/(n+d-2) + 2|t| <= 1) the product form
-    sqrt(prod_i (i/(i+d-2) + 2|t|)).
+    sqrt(prod_i (i/(i+d-2) + 2|t|)).  An array t gives the bound at each of
+    its entries, a scalar t a float; both run the same array operations, so
+    an entry's bound does not depend on the entries around it.
     """
     if d < 5:
         raise DomainError(f"dimension must be >= 5, got {d}")
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
-    if abs(t) >= 1.0:
+    shape = np.shape(t)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    a = np.abs(t)
+    if np.any(a >= 1.0):
         raise DomainError("|t| must be < 1")
-    a = abs(t)
-    branches = []
     gamma_branch = (
         math.gamma((d - 1) / 2) / math.sqrt(math.pi)
         * (4.0 / (n * (1.0 - t * t))) ** ((d - 2) / 2)
     )
-    branches.append(gamma_branch)
     base = n / (n + d - 2) + 2 * a
-    branches.append(base ** (n / 2))
-    if base <= 1.0:
-        prod = 1.0
-        for i in range(1, n + 1):
-            prod *= i / (i + d - 2) + 2 * a
-        branches.append(math.sqrt(prod))
-    return min(branches)
+    bound = np.minimum(gamma_branch, base ** (n / 2))
+    inside = base <= 1.0
+    if np.any(inside):
+        # row i-1 holds the factors i/(i+d-2) + 2|t|, multiplied in order
+        i = np.arange(1, n + 1)
+        factors = (i / (i + d - 2))[:, None] + 2 * a[inside]
+        bound[inside] = np.minimum(bound[inside],
+                                   np.sqrt(np.prod(factors, axis=0)))
+    return bound.reshape(shape) if shape else float(bound[0])
 
 
 def legendre_tail_bound(K: int, d: int, consts: TailConstants = TailConstants()) -> float:
@@ -219,9 +228,11 @@ def changes_slowly_gaps(
 ) -> list[tuple[float, float]]:
     """changes_slowly_gap of each (f, gamma, K) triple, in order.
 
-    All series of one dimension are evaluated on one Legendre table, up to
-    their highest degree, at every +/-gamma and the quadrature nodes; a
-    series reads its own rows and columns, with the values of a single call.
+    All series of one dimension are evaluated together on one Legendre
+    table, up to their highest degree, at every +/-gamma and the quadrature
+    nodes: their coefficients, zero-padded to that degree, are the columns
+    of one matrix.  Each series' values, gap and norm are those of a single
+    call, bit for bit.
     """
     if not len(fs) == len(gammas) == len(Ks):
         raise DomainError("need one gamma and one K per series")
@@ -242,14 +253,29 @@ def changes_slowly_gaps(
         ts = [t for g in column for t in (g, -g)]
         table = legendre_table(d, max(fs[i].degree for i in batch),
                                np.concatenate((ts, nodes)))
-        for i in batch:
-            f, gamma, K = fs[i], gammas[i], Ks[i]
-            vals = _series(f.alpha, table)
-            j = column[gamma]
-            gap = float(abs(vals[j] - vals[j + 1]))
-            l1 = float(np.sum(wts * np.abs(vals[len(ts):])))
-            C = float(np.max(np.abs(f.alpha)))
-            lead = 32.0 * gamma * K**3.5
-            bound = lead * l1 + (lead + 2.0) * C * legendre_tail_bound(K, d, consts)
-            out[i] = (gap, bound)
+        # SERIES_BLOCK series at a time bound the values held at once
+        for first in range(0, len(batch), SERIES_BLOCK):
+            block = batch[first:first + SERIES_BLOCK]
+            coeffs = np.zeros((max(fs[i].degree for i in block) + 1,
+                               len(block)))
+            for r, i in enumerate(block):
+                coeffs[:fs[i].degree + 1, r] = fs[i].alpha
+            # vals[t, r] is series r at point t, a view of one row per series
+            vals = _series(coeffs, table).T
+            cols = np.array([column[gammas[i]] for i in block])
+            series = np.arange(len(block))
+            gaps = np.abs(vals[cols, series] - vals[cols + 1, series])
+            # each series' quadrature values are one contiguous row, summed
+            # as a single call sums them; in place, as vals is not read again
+            quad = vals[len(ts):].T
+            np.abs(quad, out=quad)
+            quad *= wts
+            l1s = np.sum(quad, axis=1)
+            Cs = np.max(np.abs(coeffs), axis=0)
+            for i, gap, l1, C in zip(block, gaps.tolist(), l1s.tolist(),
+                                     Cs.tolist()):
+                gamma, K = gammas[i], Ks[i]
+                lead = 32.0 * gamma * K**3.5
+                tail = legendre_tail_bound(K, d, consts)
+                out[i] = (gap, lead * l1 + (lead + 2.0) * C * tail)
     return out

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 
@@ -165,18 +166,22 @@ def test_mvee_badly_scaled_points_give_symmetric_shape():
     assert float(np.max(ell.quad(pts))) <= 1 + geometry.MVEE_EPS
 
 
-def mutated_khachiyan(Q, eps):
-    """geometry._khachiyan with the sign of tau * w_i in the Sherman-Morrison
-    coefficient flipped and the exact stopping test removed: the loop stops
-    on its carried leverages alone.  (Flipping the whole correction makes the
-    carried leverages grow without bound, which the iteration cap catches.)"""
+def reference_khachiyan(Q, eps):
+    """geometry._khachiyan as it was before it carried its state scaled:
+    V^-1 and the leverages are divided by 1 - tau and u multiplied by it at
+    every step.  Returns u and the number of loop iterations it took, which
+    the scaled loop must match."""
     n, dim = Q.shape
     u = np.full(n, 1.0 / n)
     Vinv, w = geometry._exact_state(Q, u)
-    for _ in range(geometry.MVEE_MAX_ITERS):
+    bound = (1.0 + eps) * dim
+    for step in range(1, geometry.MVEE_MAX_ITERS + 1):
         j = int(np.argmax(w))
-        if w[j] <= (1.0 + eps) * dim:
-            return u
+        if w[j] <= bound:
+            Vinv, w = geometry._exact_state(Q, u)
+            if np.max(w) <= bound:
+                return u, step
+            continue
         k = int(np.argmin(np.where(u > 0.0, w, np.inf)))
         if dim - w[k] > w[j] - dim:
             i = k
@@ -188,9 +193,14 @@ def mutated_khachiyan(Q, eps):
         else:
             i, drop = j, False
             tau = (w[j] - dim) / (dim * (w[j] - 1.0))
+            if tau >= 1.0:
+                u = np.zeros(n)
+                u[j] = 1.0
+                Vinv, w = geometry._exact_state(Q, u)
+                continue
         g = Vinv @ Q[i]
         h = Q @ g
-        c = tau / ((1.0 - tau) - tau * w[i])  # planted bug: - tau * w[i]
+        c = tau / ((1.0 - tau) + tau * w[i])
         Vinv = (Vinv - c * np.outer(g, g)) / (1.0 - tau)
         w = (w - c * h * h) / (1.0 - tau)
         u *= 1.0 - tau
@@ -198,6 +208,43 @@ def mutated_khachiyan(Q, eps):
         if drop:
             u[i] = 0.0
     raise geometry.GeometryError("MVEE iteration cap exceeded")
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("m", [1, 3, 10, 30])
+def test_khachiyan_matches_reference(monkeypatch, m, symmetric):
+    rng = np.random.default_rng(100 + m)
+    P = unit_rows(rng, 20 * m, m)
+    Q = P if symmetric else np.hstack([P + rng.standard_normal(m),
+                                       np.ones((len(P), 1))])
+    expect, steps = reference_khachiyan(Q, geometry.MVEE_EPS)
+    # the same number of steps: enough with the reference's count, one short
+    # without it
+    monkeypatch.setattr(geometry, "MVEE_MAX_ITERS", steps)
+    u = geometry._khachiyan(Q, geometry.MVEE_EPS)
+    assert float(np.max(np.abs(u - expect))) <= 1e-12
+    monkeypatch.setattr(geometry, "MVEE_MAX_ITERS", steps - 1)
+    with pytest.raises(geometry.GeometryError, match="iteration cap"):
+        geometry._khachiyan(Q, geometry.MVEE_EPS)
+
+
+def mutated_khachiyan(Q, eps):
+    """reference_khachiyan with the sign of tau * w_i in the Sherman-Morrison
+    coefficient flipped and the exact stopping test removed: the loop stops
+    on its carried leverages alone.  (Flipping the whole correction makes the
+    carried leverages grow without bound, which the iteration cap catches.)"""
+    source = inspect.getsource(reference_khachiyan)
+    for old, new in [
+            ("(1.0 - tau) + tau * w[i]", "(1.0 - tau) - tau * w[i]"),
+            ("Vinv, w = geometry._exact_state(Q, u)\n"
+             "            if np.max(w) <= bound:\n"
+             "                return u, step\n"
+             "            continue\n", "return u, step\n")]:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    scope = {"np": np, "geometry": geometry}
+    exec(source, scope)
+    return scope["reference_khachiyan"](Q, eps)[0]
 
 
 def test_mutated_rank_one_sign_is_caught():

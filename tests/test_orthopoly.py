@@ -96,6 +96,49 @@ def test_pointwise_bound_domain():
         op.legendre_bound(6, 0, 0.1)
     with pytest.raises(op.DomainError):
         op.legendre_bound(6, 3, 1.0)
+    # an array raises when any one entry is out of range
+    for bad in ([0.1, -1.0], [[0.0], [1.5]]):
+        with pytest.raises(op.DomainError):
+            op.legendre_bound(6, 3, np.array(bad))
+    grid = np.array([0.1, 0.2])
+    with pytest.raises(op.DomainError):
+        op.legendre_bound(4, 3, grid)
+    with pytest.raises(op.DomainError):
+        op.legendre_bound(6, 0, grid)
+
+
+def python_legendre_bound(d, n, t):
+    """legendre_bound on Python floats, branch by branch."""
+    a = abs(t)
+    branches = [math.gamma((d - 1) / 2) / math.sqrt(math.pi)
+                * (4.0 / (n * (1.0 - t * t))) ** ((d - 2) / 2)]
+    base = n / (n + d - 2) + 2 * a
+    branches.append(base ** (n / 2))
+    if base <= 1.0:
+        prod = 1.0
+        for i in range(1, n + 1):
+            prod *= i / (i + d - 2) + 2 * a
+        branches.append(math.sqrt(prod))
+    return min(branches)
+
+
+def test_pointwise_bound_array_matches_scalar_calls():
+    # the grid of the orthopoly suite's legendre_pointwise_bound check
+    inner = np.linspace(-0.99, 0.99, 101)
+    for d in (5, 8, 12):
+        for n in range(1, 41):
+            bound = op.legendre_bound(d, n, inner)
+            assert bound.shape == inner.shape
+            scalar = [op.legendre_bound(d, n, float(t)) for t in inner]
+            assert all(type(b) is float for b in scalar)
+            assert bound.tolist() == scalar
+            # the same branches as on Python floats, up to the rounding of
+            # a vectorized pow
+            exact = [python_legendre_bound(d, n, float(t)) for t in inner]
+            assert np.allclose(bound, exact, rtol=1e-14, atol=0.0)
+    grid = inner[:6].reshape(2, 3)
+    assert np.array_equal(op.legendre_bound(8, 7, grid),
+                          op.legendre_bound(8, 7, inner[:6]).reshape(2, 3))
 
 
 def test_tail_bound_value_and_domination():
@@ -245,6 +288,20 @@ def band_suite_draws():
         passed, _ = harness.verify_lemmas("band")
     assert passed and len(seen) == 1 and len(seen[0][0]) == 1000
     return seen[0]
+
+
+def test_band_suite_draws_match_choice(band_suite_draws):
+    # the suite indexes tuples with rng.integers(0, 2); rng.choice on the
+    # same lists draws the same values from the same stream
+    rng = np.random.default_rng(987)
+    for f, gamma, K in band_suite_draws[0]:
+        d = int(rng.choice([5, 8]))
+        expect_K = int(rng.choice([5, 15]))
+        expect_gamma = float(rng.choice([0.01, 0.05]))
+        deg = int(rng.integers(1, 60))
+        alpha = rng.standard_normal(deg + 1) * 10 ** rng.uniform(-2, 1)
+        assert (f.d, K, gamma) == (d, expect_K, expect_gamma)
+        assert np.array_equal(f.alpha, alpha)
 
 
 def test_batch_matches_single_calls_bit_for_bit(band_suite_draws):
