@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
-"""Compare the working tree against a parent revision on one benchmark
-workload, in alternating pairs of runs.
+"""Compare the working tree against a parent revision on benchmark
+workloads, in alternating pairs of runs.
 
-Usage: python3 scripts/bench_pairs.py --parent REV --workload W --pairs N
-           --seed0 S [--out BENCH_<pr>.json]
+Usage: python3 scripts/bench_pairs.py --parent REV --workload W [W ...]
+           --pairs N --seed0 S [--out BENCH_<pr>.json]
 
 REV's committed files are exported with `git archive` into a temporary
-directory, removed afterwards.  Pair i runs `bench/run.py --workload W
---seed S+i --seconds T --trace 0` once in each tree, T being BENCHMARK.json's
-run_seconds, the parent first on even i and the working tree first on odd i.
-The script prints each side's median and quartiles of every end-to-end
-metric, and whether the working tree's median is worse than the parent's by
-more than that metric's bound in BENCHMARK.json (a fraction of the parent's
-median).  It prints the number of pairs the working tree wins on pass_s, and
-whether the gain rule holds: a win in at least 9 of every 10 pairs, and a
-median gain larger than the parent's interquartile range.  For every run
-whose checks failed it prints the side, the seed and the run's `FAILED
-<check>: <detail>` lines.  With --out the pairs, the summaries, the bound
-verdicts, the failures and the gain verdict are written as JSON.
+directory, removed afterwards.  For each workload W in turn, pair i runs
+`bench/run.py --workload W --seed S+i --seconds T --trace 0` once in each
+tree, T being BENCHMARK.json's run_seconds, the parent first on even i and
+the working tree first on odd i.  The script prints each side's median and
+quartiles of every end-to-end metric, and whether the working tree's median
+is worse than the parent's by more than that metric's bound in
+BENCHMARK.json (a fraction of the parent's median).  It prints the number
+of pairs the working tree wins on pass_s, and whether the gain rule holds:
+a win in at least 9 of every 10 pairs, and a median gain larger than the
+parent's interquartile range.  For every run whose checks failed it prints
+the side, the seed and the run's `FAILED <check>: <detail>` lines.  With
+--out it writes one JSON object keyed by workload, each value holding that
+workload's pairs, summaries, bound verdicts, failures and gain verdict.
 """
 
 import argparse
@@ -39,7 +40,7 @@ def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True,
                    help="git revision to compare with")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, nargs="+")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed0", type=int, required=True)
     p.add_argument("--out", default=None, help="JSON file for the results")
@@ -72,49 +73,33 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def main(argv=None):
-    args = parse_args(argv)
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        benchmark = json.load(fh)
+def compare(workload, args, parent_root, commit, benchmark):
+    """Alternating pairs on one workload: prints the verdicts and returns
+    them as one JSON-ready dict."""
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     sign = 1.0 if better[METRIC] == "lower" else -1.0
-
-    commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
-                            check=True, capture_output=True,
-                            text=True).stdout.strip()
-    tmp = tempfile.mkdtemp(prefix="bench_pairs_")
-    parent_root = os.path.join(tmp, "parent")
-    os.mkdir(parent_root)
-    archive = os.path.join(tmp, "parent.tar")
-    subprocess.run(["git", "archive", "-o", archive, commit], cwd=ROOT,
-                   check=True, capture_output=True)
-    subprocess.run(["tar", "-xf", archive, "-C", parent_root], check=True,
-                   capture_output=True)
+    print(f"workload {workload}", flush=True)
     runs = {"parent": [], "change": []}
     failures = []
-    try:
-        for i in range(args.pairs):
-            seed = args.seed0 + i
-            order = ["parent", "change"]
-            if i % 2:
-                order.reverse()
-            for side in order:
-                root = parent_root if side == "parent" else ROOT
-                metrics, failed = bench_once(root, args.workload, seed,
-                                             seconds)
-                runs[side].append(metrics)
-                if failed:
-                    failures.append({"side": side, "seed": seed,
-                                     "failed": failed})
-                    for line in failed:
-                        print(f"{side} seed {seed}: {line}", flush=True)
-            p, c = (runs[s][-1][METRIC] for s in ("parent", "change"))
-            print(f"pair {i} seed {seed} ({order[0]} first): "
-                  f"{METRIC} parent {p:.4g} change {c:.4g}", flush=True)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+    for i in range(args.pairs):
+        seed = args.seed0 + i
+        order = ["parent", "change"]
+        if i % 2:
+            order.reverse()
+        for side in order:
+            root = parent_root if side == "parent" else ROOT
+            metrics, failed = bench_once(root, workload, seed, seconds)
+            runs[side].append(metrics)
+            if failed:
+                failures.append({"side": side, "seed": seed,
+                                 "failed": failed})
+                for line in failed:
+                    print(f"{side} seed {seed}: {line}", flush=True)
+        p, c = (runs[s][-1][METRIC] for s in ("parent", "change"))
+        print(f"pair {i} seed {seed} ({order[0]} first): "
+              f"{METRIC} parent {p:.4g} change {c:.4g}", flush=True)
 
     summaries = {side: {name: summary([r[name] for r in rs])
                         for name in better if name in rs[0]}
@@ -148,19 +133,38 @@ def main(argv=None):
     correct = {side: not any(f["side"] == side for f in failures)
                for side in runs}
     print(f"checks passed: parent {correct['parent']}, change "
-          f"{correct['change']}")
+          f"{correct['change']}", flush=True)
+    return {"workload": workload, "parent": commit, "seed0": args.seed0,
+            "pairs": args.pairs, "seconds": seconds, "metric": METRIC,
+            "runs": runs, "summaries": summaries,
+            "bound_verdicts": verdicts, "wins": wins, "median_gain": gain,
+            "parent_iqr": iqr, "rule_holds": holds,
+            "checks_passed": correct, "failures": failures}
 
+
+def main(argv=None):
+    args = parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        benchmark = json.load(fh)
+    commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
+                            check=True, capture_output=True,
+                            text=True).stdout.strip()
+    tmp = tempfile.mkdtemp(prefix="bench_pairs_")
+    parent_root = os.path.join(tmp, "parent")
+    os.mkdir(parent_root)
+    archive = os.path.join(tmp, "parent.tar")
+    subprocess.run(["git", "archive", "-o", archive, commit], cwd=ROOT,
+                   check=True, capture_output=True)
+    subprocess.run(["tar", "-xf", archive, "-C", parent_root], check=True,
+                   capture_output=True)
+    try:
+        results = {w: compare(w, args, parent_root, commit, benchmark)
+                   for w in args.workload}
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump({"workload": args.workload, "parent": commit,
-                       "seed0": args.seed0, "pairs": args.pairs,
-                       "seconds": seconds, "metric": METRIC,
-                       "runs": runs, "summaries": summaries,
-                       "bound_verdicts": verdicts, "wins": wins,
-                       "median_gain": gain, "parent_iqr": iqr,
-                       "rule_holds": holds, "checks_passed": correct,
-                       "failures": failures},
-                      fh, indent=1, sort_keys=True)
+            json.dump(results, fh, indent=1, sort_keys=True)
     return 0
 
 

@@ -20,6 +20,16 @@ only steers a solver: exact_gram_product gives K V in float64 from the
 points, one _lower_blocks strip at a time, without storing K, and that is
 what a caller reports numbers from.
 
+Test scores follow the same policy.  From F32_MIN_N support points on,
+screened_scores computes sum_j alpha_j k(x, s_j) from float32 kernel
+entries, summed in float32 over chunks of SCREEN_CHUNK support points and
+in float64 across the chunks, with an a-priori bound on its distance to the
+float64 score of cross_gram(k, X, support) @ alpha.  The bound needs the
+Taylor coefficients and the profile's rounding (KernelSpec.rounding);
+screens decides where it applies.  A screened score only decides the
+points that lie farther than the bound from a threshold; a caller rescores
+the others with the float64 path, as learners.evaluate does.
+
 A symmetric (zonal) kernel k(x, y) = kappa(<x, y>) decomposes as
 kappa(s) = sum_n b_n P_{d,n}(s) with b_n >= 0, and the RKHS norm of a zonal
 function f = sum_n alpha_n P_{d,n}(<e, .>) is sqrt(sum alpha_n^2 / b_n).
@@ -53,6 +63,21 @@ PROFILE_BLOCK = 2**18
 # ms at 4000.  From 2048 the gain is clear at short schedules, and every
 # smaller program keeps its float64 bits
 F32_MIN_N = 2048
+# support points per float32 partial sum in screened_scores: the bound on
+# a sum's rounding grows with its length, gamma_M.  At 4000 rbf support
+# points (d=25, one BLAS thread) 5000 scores took 0.075-0.10 s in float64
+# and 0.04 s screened, alike at M = 16 to 128; at 16 the bound is about
+# 3e-6 sum |alpha|, against 8e-6 at 128, and fewer points need a recheck
+SCREEN_CHUNK = 16
+# numpy's exp and power, in float32 and in float64, are taken to be within
+# LIBM_ROUNDING u of the exact value, u the unit roundoff (about 4 ulp):
+# measured, float32 exp over every float32 in [-104, 0] is within 3.6 u
+# and float32 power to degree 12 within 1.8 u (AVX-512 host, numpy 2.4)
+LIBM_ROUNDING = 8
+U32, U64 = 2.0**-24, 2.0**-53
+# float32's smallest normal number: a float32 operation that underflows is
+# off by less than this
+TINY32 = float(np.finfo(np.float32).tiny)
 
 
 class KernelError(ValueError):
@@ -69,7 +94,10 @@ class KernelSpec:
 
     Exactly one of profile / feature_map is set.  A zonal kernel may carry
     the Taylor coefficients taylor[k] >= 0 of its profile, kappa(s) =
-    sum_k taylor[k] s^k, from which its Legendre expansion is exact.
+    sum_k taylor[k] s^k, from which its Legendre expansion is exact, and
+    the rounding rho of its profile: evaluated in float32 (float64) at a
+    float32 (float64) t in [-1, 1], the profile is within
+    rho u kappa(1) + TINY32 of kappa(t), u = U32 (U64).
     """
 
     name: str = "custom"
@@ -80,6 +108,7 @@ class KernelSpec:
     taylor: np.ndarray | None = None
     params: dict = field(default_factory=dict)
     profile_std_err: object | None = None  # for tabulated MC estimates
+    rounding: float | None = None  # rho above; screened_scores needs it
 
     def __post_init__(self):
         if (self.profile is None) == (self.feature_map is None):
@@ -194,6 +223,106 @@ def exact_gram_product(k: KernelSpec, points: np.ndarray,
         out[lo:hi] += strip @ V[lo:]
         out[hi:] += strip[:, hi - lo:].T @ V[lo:hi]
     return out
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u): a product of n factors 1 + d_i,
+    |d_i| <= u, lies within gamma_n of 1, and a sum or inner product of n
+    terms, in any order, is off by at most gamma_n times the sum of the
+    terms' magnitudes (Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Lemma 3.1 and section 3.1)."""
+    return n * u / (1.0 - n * u)
+
+
+def screens(k: KernelSpec, n_support: int) -> bool:
+    """Whether test scores against n_support points are screened in
+    float32: from F32_MIN_N points on, for a zonal kernel that carries
+    Taylor coefficients and its profile's rounding."""
+    return (n_support >= F32_MIN_N and k.is_zonal and k.taylor is not None
+            and k.rounding is not None)
+
+
+def screened_scores(k: KernelSpec, X: np.ndarray, support: np.ndarray,
+                    alpha: np.ndarray) -> tuple:
+    """(scores, bound): sum_j alpha_j k(x_i, s_j) for each row x_i of X,
+    from float32 kernel entries, and a bound on each score's distance to
+    the float64 one, cross_gram(k, X, support) @ alpha, whatever the block
+    of rows that computes it.
+
+    The support and X are cast to float32, and the entries of a block of
+    test points are one sgemm, S32 X32', with the profile applied in place
+    in float32; each SCREEN_CHUNK rows of that block give one float32
+    partial sum with the float32 alpha, and the partial sums add in float64.
+
+    The bound.  Write t = <x, s>, K = kappa(clip(t)) and f = sum_j alpha_j
+    K_j for exact arithmetic on the float64 inputs, and u = U32, v = U64,
+    lam = TINY32, n support points in R^d, M = min(SCREEN_CHUNK, n) and c
+    chunks.  With taylor c_k >= 0, kappa(1) = sum c_k bounds |kappa| and
+    kappa'(1) = sum k c_k bounds |kappa'| on [-1, 1].
+    - Entries.  Casting x and s to float32 and a float32 inner product give
+      |t^ - t| <= gamma_{d+2} |x| |s| + d lam (one rounding each for x_l
+      and s_l, gamma_d for the inner product, lam for each product that
+      underflows).
+      clip is 1-Lipschitz and kappa is kappa'(1)-Lipschitz on [-1, 1], and
+      the profile adds its own rounding, so each entry is within
+      eps_j = kappa'(1) (gamma_{d+2} |x| |s_j| + d lam) + rho u kappa(1)
+      + lam of K_j, and |K^_j| <= Kbar = kappa(1) (1 + rho u) + lam.
+      Weighted: sum_j |alpha_j| eps_j.
+    - alpha in float32: sum_j |alpha^_j - alpha_j| |K^_j|
+      <= Kbar sum |alpha^ - alpha|, the differences exact in float64.
+    - Sums.  A chunk's float32 sum is within gamma_M sum |alpha^_j| Kbar +
+      M lam of its exact value, and the float64 sum of the c partial sums
+      adds gamma_c(v) times their magnitudes, each at most (1 + gamma_M)
+      Kbar sum |alpha^_j| + M lam.
+    The float64 path is off from f by the same terms with v in place of u:
+    no cast (gamma_d(v) for the inner product), no rounding of alpha, and
+    one sum of n terms, gamma_n(v) Kbar sum |alpha|.  The bound is the sum
+    of both, times 1 + 2^-20 for the rounding of this formula and the
+    Taylor tail cut below eps kappa(1) (kernels._truncated).  |x| and |s|
+    are the norms of the float64 points, so the bound holds for points off
+    the sphere too.  It assumes that the points, alpha and the partial sums
+    lie inside float32's range, as on the sphere, where no entry exceeds
+    kappa(1).
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    support = np.atleast_2d(np.asarray(support, dtype=float))
+    alpha = np.asarray(alpha, dtype=float)
+    (n, d), M = support.shape, min(SCREEN_CHUNK, len(support))
+    S32, a32 = support.astype(np.float32), alpha.astype(np.float32)
+    full = n - n % M  # the chunks of M points; a shorter one may follow
+    chunked = a32[:full].reshape(-1, 1, M)
+    scores = np.empty(len(X))
+    # blocks of at most 2 PROFILE_BLOCK float32 entries, the bytes of a
+    # float64 profile block; Kt's rows are the support points, so its
+    # chunks are one C-ordered (chunks, M, rows) view
+    rows = max(2 * PROFILE_BLOCK // n, 1)
+    for lo in range(0, len(X), rows):
+        Kt = S32 @ X[lo:lo + rows].astype(np.float32).T
+        _apply_profile(k.profile, Kt)
+        partial = np.matmul(chunked, Kt[:full].reshape(-1, M, Kt.shape[1]))
+        out = partial.sum(axis=0, dtype=float)[0]
+        if full < n:
+            out += a32[full:] @ Kt[full:]
+        scores[lo:lo + rows] = out
+
+    taylor = np.asarray(k.taylor, dtype=float)
+    kappa, slope = float(taylor.sum()), float(np.arange(len(taylor)) @ taylor)
+    rho, lam, chunks = float(k.rounding), TINY32, -(-n // M)
+    total = float(np.abs(alpha).sum())
+    total32 = float(np.abs(a32).sum(dtype=float))
+    weighted = float(np.abs(alpha) @ np.linalg.norm(support, axis=1))
+    norms = np.linalg.norm(X, axis=1)
+    kbar = kappa * (1.0 + rho * U32) + lam
+    sums = _gamma(M, U32)
+    screen = (slope * _gamma(d + 2, U32) * weighted * norms
+              + (slope * d * lam + rho * U32 * kappa + lam) * total
+              + kbar * float(np.abs(a32 - alpha).sum())
+              + (sums + _gamma(chunks, U64) * (1.0 + sums)) * kbar * total32
+              + n * lam * (1.0 + _gamma(chunks, U64)))
+    exact = (slope * _gamma(d, U64) * weighted * norms
+             + (slope * d * lam + rho * U64 * kappa + lam) * total
+             + _gamma(n, U64) * kbar * total)
+    return scores, (screen + exact) * (1.0 + 2.0**-20)
 
 
 def min_eigenvalue(G: np.ndarray) -> float:
@@ -340,13 +469,33 @@ def standard_kernel(name: str, **params) -> KernelSpec:
     rbf:    kappa(s) = exp((s - 1) / sigma^2)
                      = exp(-1/sigma^2) sum_k s^k / (sigma^(2k) k!).
     poly:   kappa(s) = ((1 + s) / 2)^degree = sum_k C(degree, k) s^k / 2^degree.
+
+    Each carries its rounding rho (KernelSpec), derived in the precision of
+    t, unit roundoff u <= U32, with IEEE operations correctly rounded, exp
+    and power within L u = LIBM_ROUNDING u, and lam = TINY32 for an output
+    that underflows.  kappa(1) = 1 for all but linear, and gamma_n(u) <=
+    gamma_n(U32), so the U32 values hold in float64 too.
+    linear: the profile is t itself: rho = 0.
+    sss:    fl(1 / fl(2 - t)) = kappa(t) (1 + d2) / (1 + d1): within
+            gamma_2 kappa(t) <= gamma_2 kappa(1).
+    rbf:    z = (t - 1) / sigma^2 takes four roundings (the subtraction,
+            sigma^2 in float64 and cast to t's precision, the division),
+            so |z^ - z| <= g |z|, g = gamma_4, and |exp(z^) (1 + dL) - e^z|
+            <= e^z (e^{g|z|} - 1) (1 + L u) + L u e^z, for z <= 0.  With
+            w = |z|, e^-w (e^{gw} - 1) <= g w e^{-(1-g) w} <= g / (e (1-g)),
+            so rho = (g / (e (1 - g)) (1 + L u) + L u) / u, about 4/e + L.
+    poly:   fl(1 + t) = (1 + t)(1 + d1), the halving is exact, and power
+            adds L u: kappa(t) ((1 + u)^degree (1 + L u) - 1) <= kappa(1)
+            gamma_{degree + L}, so rho = gamma_{degree + L} / u.
     """
+    L = LIBM_ROUNDING
     if name == "linear":
         return KernelSpec(name="linear", profile=_linear,
-                          taylor=np.array([0.0, 1.0]))
+                          taylor=np.array([0.0, 1.0]), rounding=0.0)
     if name == "sss":
         return KernelSpec(name="sss", profile=_sss,
-                          taylor=_truncated(0.5 ** np.arange(1, 65)))
+                          taylor=_truncated(0.5 ** np.arange(1, 65)),
+                          rounding=_gamma(2, U32) / U32)
     if name == "rbf":
         sigma = float(params.get("sigma", 1.0))
         lam = sigma**-2
@@ -359,10 +508,13 @@ def standard_kernel(name: str, **params) -> KernelSpec:
             np.divide(s, sigma**2, out=s)
             return np.exp(s, out=s)
 
+        g = _gamma(4, U32)
         return KernelSpec(
             name="rbf", profile=rbf,
             taylor=_truncated(np.exp(k * math.log(lam) - lam - gammaln(k + 1))),
             params={"sigma": sigma},
+            rounding=(g / (math.e * (1.0 - g)) * (1.0 + L * U32)
+                      + L * U32) / U32,
         )
     if name == "poly":
         degree = int(params.get("degree", 3))
@@ -377,5 +529,6 @@ def standard_kernel(name: str, **params) -> KernelSpec:
             taylor=np.array([math.comb(degree, k) / 2.0**degree
                              for k in range(degree + 1)]),
             params={"degree": degree},
+            rounding=_gamma(degree + L, U32) / U32,
         )
     raise KernelError(f"unknown kernel {name!r}")

@@ -34,6 +34,18 @@ kernels.exact_gram_product, gives K [alpha, a y] in float64 for the returned
 primal point and the best dual point, and the objective, the norm and the
 certificate are reported from it.  Below F32_MIN_N the loop's float64
 numbers are reported as they are.
+
+evaluate follows the same policy on the test points.  From F32_MIN_N
+support points on, for a kernel that kernels.screens, it scores them with
+kernels.screened_scores, float32 entries under an a-priori bound on the
+distance to the float64 score, and rescores with decision_function, the
+float64 path, every block of TEST_BLOCK points that holds a point within
+the bound of margin 0 or gamma.  err01 and err_margin are then those of
+the float64 path bit for bit.  err_surrogate comes from the screened
+scores: for a loss that is L-Lipschitz between them and the float64 scores
+(slope for the piecewise-linear losses, 1 / ln 2 for the logistic one), it
+lies within L times the mean bound of the float64 path's.  Every other
+model is scored by decision_function.
 """
 
 from __future__ import annotations
@@ -47,12 +59,17 @@ from scipy.optimize import brentq
 from scipy.special import entr, expit
 
 from .kernels import (KernelSpec, cross_gram, exact_gram_product, gram,
-                      gram_product)
+                      gram_product, screened_scores, screens)
 
 # the solver stops once its bracket [dual bound, objective] is this narrow
 GAP_TOL = 1e-6
 # test points per product with the support in decision_function: BLAS packs
-# the support once per product, so much smaller blocks cost more in packing
+# the support once per product, so much smaller blocks cost more in packing.
+# A block is also the unit evaluate rescores in float64: a row's float64
+# score depends on the block it is in (the product with alpha gave other
+# bits in blocks of 2, 3, 5 or 7 rows than of 4 or 8, and a one-row kernel
+# product other bits than its row of a larger one), so only the same block
+# gives the same bits
 TEST_BLOCK = 256
 # spectral projected gradient: the non-monotone line search's memory and
 # sufficient-increase constant; the spectral step moves no coordinate by
@@ -280,11 +297,19 @@ class KernelModel:
         return self._norm
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
+        """Scores in float64, TEST_BLOCK rows at a time: the rows' kernel
+        matrix with the support (cross_gram), times alpha, plus b.  A
+        feature map maps the support once per call."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        k, support = self.kernel, self.support
+        if not k.is_zonal:
+            FT = k.feature_map(np.asarray(support, dtype=float)).T
         out = np.empty(len(X))
         for lo in range(0, len(X), TEST_BLOCK):
-            out[lo:lo + TEST_BLOCK] = cross_gram(
-                self.kernel, X[lo:lo + TEST_BLOCK], self.support) @ self.alpha
+            rows = X[lo:lo + TEST_BLOCK]
+            K = (cross_gram(k, rows, support) if k.is_zonal
+                 else k.feature_map(rows) @ FT)
+            out[lo:lo + TEST_BLOCK] = K @ self.alpha
         return out + self.b
 
     def to_json(self) -> str:
@@ -583,11 +608,35 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
 # Metrics.
 # ---------------------------------------------------------------------------
 
+def _test_scores(model, X, y, gamma: float) -> np.ndarray:
+    """The model's scores on X, float64 or screened (module docstring).
+
+    The screened fl(s^ + b) and the float64 path's fl(s + b) differ by at
+    most |s^ - s| + u |s^ + b| + u |s + b|, u = eps / 2, which the bound
+    plus eps |fl(s^ + b)|, times 1 + eps, covers.  A point whose margin
+    lies farther than that from 0 and from gamma falls on the same side of
+    both as under the float64 path; the TEST_BLOCK blocks of the others,
+    and of any margin that is NaN, are rescored."""
+    if not screens(model.kernel, len(model.support)):
+        return model.decision_function(X)
+    scores, bound = screened_scores(model.kernel, X, model.support,
+                                    model.alpha)
+    scores += model.b
+    eps = np.finfo(float).eps
+    bound = (bound + eps * np.abs(scores)) * (1.0 + eps)
+    margins = y * scores
+    decided = np.minimum(np.abs(margins), np.abs(margins - gamma)) > bound
+    for lo in np.unique(np.flatnonzero(~decided) // TEST_BLOCK) * TEST_BLOCK:
+        scores[lo:lo + TEST_BLOCK] = model.decision_function(
+            X[lo:lo + TEST_BLOCK])
+    return scores
+
+
 def evaluate(model, data, gamma: float, boundary_counts: bool = False):
     """(err01, err_margin, err_surrogate) of the model's score function on a
-    dataset tuple (X, y)."""
+    dataset tuple (X, y); see the module docstring for the precision."""
     X, y, _ = _as_arrays(data)
-    margins = y * model.decision_function(X)
+    margins = y * _test_scores(model, X, y, gamma)
     err01 = float(np.mean(margins <= 0.0))
     if boundary_counts:
         err_margin = float(np.mean(margins <= gamma))

@@ -12,7 +12,9 @@ the kernel's exact Legendre expansion (kernels.RkhsProfile.from_kernel).
 
 For trained models this is a consistency check, not a test that can bite:
 at d = 25 the tail term alone is (32 gamma K^3.5 + 2) C 12 s^23 >= 0.86 C
-(about 17 at C = 20), against measured gaps of about 0.05-0.1.
+(about 17 at C = 20).  On the acceptance-1 configs (seed 0) the dual
+solver's models have gaps of 0.100 (linear), 0.129 (sss), 0.195 (rbf) and
+0.187 (poly-3) against bounds of 171, 1798, 1802 and 1802.
 """
 
 from __future__ import annotations

@@ -273,13 +273,92 @@ def test_decision_function_matches_one_cross_gram():
     X = sphere_points(7, 2 * learners.TEST_BLOCK + 37, 2)
     support = sphere_points(7, 600, 3)
     alpha = np.random.default_rng(4).standard_normal(len(support))
-    for name, params in SHIPPED:
-        k = kernels.standard_kernel(name, **params)
+    mapped = []
+
+    def features(Z):
+        mapped.append(len(Z))
+        return np.hstack([Z, Z[:, :3] ** 2])
+
+    fmap = kernels.KernelSpec(name="features", feature_map=features)
+    for k in [kernels.standard_kernel(name, **params)
+              for name, params in SHIPPED] + [fmap]:
         model = learners.KernelModel(support=support, alpha=alpha, b=0.25,
                                      C=1.0, kernel=k,
                                      loss=learners.make_loss("hinge"))
-        assert np.array_equal(model.decision_function(X),
+        mapped.clear()
+        scores = model.decision_function(X)
+        if not k.is_zonal:
+            # the support is mapped once, each of the three blocks once
+            assert sorted(mapped) == [37] + [learners.TEST_BLOCK] * 2 + [600]
+        assert np.array_equal(scores,
                               kernels.cross_gram(k, X, support) @ alpha + 0.25)
+
+
+# the shipped kernels over the ranges the screen is claimed for
+SCREENED = st.one_of(
+    st.builds(lambda s: ("rbf", {"sigma": s}), st.floats(0.3, 3.0)),
+    st.builds(lambda g: ("poly", {"degree": g}), st.integers(1, 8)),
+    st.sampled_from([("sss", {}), ("linear", {})]),
+)
+
+
+def test_profile_rounding_holds():
+    # each shipped profile in float32 lies within rounding u kappa(1) of its
+    # float64 value at the same float32 arguments (whose own error is
+    # ~1e-16), on a dense grid and near 1, where rbf and poly are steepest
+    t = np.concatenate([np.linspace(-1.0, 1.0, 2**18),
+                        1.0 - np.logspace(-8, 0, 4000)]).astype(np.float32)
+    shipped = ([("linear", {}), ("sss", {})]
+               + [("rbf", {"sigma": s}) for s in (0.3, 1.0, 3.0)]
+               + [("poly", {"degree": g}) for g in range(1, 9)])
+    for name, params in shipped:
+        k = kernels.standard_kernel(name, **params)
+        got = k.profile(t.copy()).astype(float)
+        assert got.dtype == np.float64
+        want = k.profile(t.astype(float))
+        kappa = float(np.sum(k.taylor))
+        allowed = k.rounding * kernels.U32 * kappa + kernels.TINY32
+        assert np.max(np.abs(got - want)) <= allowed, (name, params)
+
+
+def screen_error(k, X, support, alpha):
+    """Largest |screened - float64 score| over the bound, and the bound."""
+    scores, bound = kernels.screened_scores(k, X, support, alpha)
+    exact = kernels.cross_gram(k, X, support) @ alpha
+    return float(np.max(np.abs(scores - exact) / bound)), bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(SCREENED, st.integers(2, 30), st.integers(0, 600),
+       st.floats(-3.0, 3.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_screened_scores_within_bound(kernel, d, extra, log_scale,
+                                      positive, seed):
+    # support sizes from F32_MIN_N, alpha of any scale, of one sign (whose
+    # roundings cannot cancel) or of both, and points off the sphere
+    rng = np.random.default_rng(seed)
+    support = rng.standard_normal((kernels.F32_MIN_N + extra, d))
+    support *= rng.uniform(0.25, 1.0, (len(support), 1)) / np.linalg.norm(
+        support, axis=1, keepdims=True)
+    X = rng.standard_normal((40, d))
+    X *= rng.uniform(0.25, 2.0, (40, 1)) / np.linalg.norm(X, axis=1,
+                                                          keepdims=True)
+    alpha = 10.0**log_scale * rng.standard_normal(len(support))
+    if positive:
+        alpha = np.abs(alpha)
+    k = kernels.standard_kernel(kernel[0], **kernel[1])
+    ratio, bound = screen_error(k, X, support, alpha)
+    assert ratio <= 1.0 and np.all(np.isfinite(bound)), kernel
+
+
+def test_screen_applies_from_f32_min_n_to_rounded_zonal_kernels():
+    rbf = kernels.standard_kernel("rbf")
+    assert kernels.screens(rbf, kernels.F32_MIN_N)
+    assert not kernels.screens(rbf, kernels.F32_MIN_N - 1)
+    no_taylor = kernels.symmetrize_mc(rbf, 5, 16, RngStream(0, 0))
+    no_rounding = kernels.KernelSpec(profile=rbf.profile, taylor=rbf.taylor)
+    features = kernels.KernelSpec(feature_map=lambda Z: Z)
+    for k in (no_taylor, no_rounding, features):
+        assert not kernels.screens(k, kernels.F32_MIN_N)
 
 
 def test_gram_rejects_non_kernel():

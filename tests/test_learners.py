@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning, linprog, minimize
 
-from marginlab import kernels
+from marginlab import harness, kernels
 from marginlab import learners as L
 from marginlab.sphere import RngStream
 
@@ -682,3 +682,104 @@ def test_evaluate_conventions():
     assert err_surr == pytest.approx((0.99 + 0.99 + 1.0) / 3)
     with pytest.raises(L.LossError):
         L.evaluate(model, (np.zeros((0, 2)), np.zeros(0)), 0.01)
+
+
+def float64_errors(model, X, y, gamma):
+    """(err01, err_margin strict, err_margin with boundary, err_surrogate)
+    of the float64 path, decision_function."""
+    margins = y * model.decision_function(X)
+    return (float(np.mean(margins <= 0.0)), float(np.mean(margins < gamma)),
+            float(np.mean(margins <= gamma)),
+            float(np.mean(model.loss.value(margins))))
+
+
+def screened_errors(module, model, X, y, gamma):
+    """The same numbers from module.evaluate, both margin conventions."""
+    err01, strict, surrogate = module.evaluate(model, (X, y), gamma)
+    _, boundary, _ = module.evaluate(model, (X, y), gamma,
+                                     boundary_counts=True)
+    return err01, strict, boundary, surrogate
+
+
+@pytest.fixture(scope="module")
+def planted_models():
+    """(model, X, y, gamma) with test points whose float64 margin is
+    exactly 0 or exactly gamma, on a screened model.
+
+    The support repeats four points, each with one weight, so every
+    screened score makes the same float32 roundings F32_MIN_N / 4 times
+    over and sits farther from its float64 value, relative to the bound,
+    than under random weights.  b = -s_i puts point i's score at 0, and gamma is
+    the float64 margin of another point j."""
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((4, 8))
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    support = np.tile(base, (kernels.F32_MIN_N // 4, 1))
+    alpha = np.tile(rng.uniform(0.5, 1.0, 4) * [1.0, -1.0, 1.0, -1.0],
+                    kernels.F32_MIN_N // 4)
+    X = rng.standard_normal((2 * L.TEST_BLOCK + 50, 8))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    y = rng.choice([-1.0, 1.0], len(X))
+    k = kernels.standard_kernel("rbf", sigma=1.0)
+    scores = L.KernelModel(support, alpha, 0.0, 1.0, k,
+                           L.make_loss("hinge")).decision_function(X)
+    planted = []
+    for i in rng.choice(len(X), 8, replace=False):
+        model = L.KernelModel(support, alpha, -float(scores[i]), 1.0, k,
+                              L.make_loss("hinge"))
+        margins = y * model.decision_function(X)
+        gamma = float(rng.choice(margins[margins > 0.0]))
+        assert margins[i] == 0.0
+        planted.append((model, X, y, gamma))
+    return planted
+
+
+def planted_faults(module, planted):
+    """Planted cases where module.evaluate's err01 or err_margin differ
+    from the float64 path's."""
+    return sum(screened_errors(module, *case)[:3]
+               != float64_errors(*case)[:3] for case in planted)
+
+
+def test_planted_thresholds_match_float64(planted_models):
+    for model, X, y, gamma in planted_models:
+        assert kernels.screens(model.kernel, len(model.support))
+        assert np.count_nonzero(y * model.decision_function(X) == gamma) >= 1
+    assert planted_faults(L, planted_models) == 0
+
+
+@pytest.mark.parametrize("old, new", [
+    # screened scores taken as they are
+    ("for lo in np.unique(", "for lo in []:  # "),
+    # a bound a thousand times too small
+    ("np.abs(margins - gamma)) > bound",
+     "np.abs(margins - gamma)) > 1e-3 * bound"),
+    # the undecided rows rescored alone, not in their blocks
+    ("scores[lo:lo + TEST_BLOCK] = model.decision_function(\n"
+     "            X[lo:lo + TEST_BLOCK])",
+     "rows = np.flatnonzero(~decided)\n"
+     "        scores[rows] = model.decision_function(X[rows])"),
+], ids=["no_recheck", "bound_1e-3", "rows_alone"])
+def test_mutated_screen_is_caught(old, new, planted_models):
+    assert planted_faults(mutated_learners(old, new), planted_models) > 0
+
+
+def test_float32_trial_errors_match_float64():
+    # a trial on F32_MIN_N training points, scored through the screen: the
+    # errors equal the float64 path's, and the hinge loss, 1-Lipschitz,
+    # moves by at most the mean bound
+    cfg = harness.ExperimentConfig(
+        d=25, gamma=0.01, theta=0.7, lambda3=0.02, kernel="rbf",
+        kernel_params={"sigma": 1.0}, C=20.0, loss="hinge",
+        n_train=kernels.F32_MIN_N, n_test=3000, max_iters=10, n_restarts=1,
+        seed=3)
+    trial = harness.Trial(cfg, 3)
+    model = trial.model
+    X, y = trial.test_data[:2]
+    assert kernels.screens(model.kernel, len(model.support))
+    got = screened_errors(L, model, X, y, cfg.gamma)
+    want = float64_errors(model, X, y, cfg.gamma)
+    assert got[:3] == want[:3]
+    _, bound = kernels.screened_scores(model.kernel, X, model.support,
+                                       model.alpha)
+    assert abs(got[3] - want[3]) <= float(np.mean(bound))
