@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .sphere import RngStream, sample_unit_sphere
+from .sphere import RngStream, sample_unit_spheres
 
 MVEE_EPS = 1e-3
 MVEE_MAX_ITERS = 100_000
@@ -294,7 +294,7 @@ def build_noise_measure(psi, probe_points, m: int, eps: float = MVEE_EPS,
 
 def default_probes(d: int, m: int, rng: RngStream, extra=None):
     """50*m Haar-uniform sphere probes plus caller-provided candidates."""
-    pts = [sample_unit_sphere(d, rng) for _ in range(50 * m)]
+    pts = list(sample_unit_spheres(d, 50 * m, rng))
     if extra is not None:
         pts.extend(np.asarray(p, dtype=float) for p in extra)
     return pts

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -96,6 +97,13 @@ class ExperimentConfig:
             noise_atoms=atoms, boundary_counts=self.boundary_counts,
         )
 
+    def sample_key(self, seed: int) -> tuple:
+        """What a trial's training and test sets depend on: the fields
+        make_spec reads, the two sizes and the seed."""
+        return (self.d, self.gamma, self.theta, self.lambda2, self.lambda3,
+                self.lambdaN, self.noise_atoms_csv, self.boundary_counts,
+                self.n_train, self.n_test, seed)
+
     def make_kernel(self) -> kernels.KernelSpec:
         return kernels.standard_kernel(self.kernel, **self.kernel_params)
 
@@ -145,31 +153,53 @@ def _blank_row(config: ExperimentConfig, config_id, seed) -> dict:
     return row
 
 
+class Samples:
+    """The training and test sets of one distribution, sizes and seed, each
+    sampled on first use: child 1 of the seed's stream samples the training
+    set and child 2 the test set.
+
+    sweep hands one Samples to every trial whose config has the same
+    ExperimentConfig.sample_key.  A lock lets the first of them sample and
+    the others wait for its arrays; a sampling that raised is tried again
+    by the next trial, from a fresh stream.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._lock = threading.Lock()
+        self._sets = {}
+
+    def get(self, child: int, spec: AdversarialSpec, n: int) -> tuple:
+        with self._lock:
+            if child not in self._sets:
+                rng = RngStream(self.seed, 0).child(child)
+                self._sets[child] = measures.sample_dataset(spec, n, rng)
+            return self._sets[child]
+
+
 class Trial:
     """One (config, seed) trial: the training set, the test set and the
     trained model, each made on first use.
 
-    This is the only place the trial's random streams are derived (child 1
-    samples the training set, child 2 the test set) and the kernel program
-    is trained, so every command that samples, trains or evaluates a config
-    sees the same data and model.
+    This is the only place the trial's samples are drawn (through Samples,
+    shared with other trials or not) and the kernel program is trained, so
+    every command that samples, trains or evaluates a config sees the same
+    data and model.
     """
 
-    def __init__(self, config: ExperimentConfig, seed: int):
+    def __init__(self, config: ExperimentConfig, seed: int,
+                 samples: Samples | None = None):
         self.config = config
         self.spec = config.make_spec()
-        base = RngStream(seed, 0)
-        self.train_rng, self.test_rng = base.child(1), base.child(2)
+        self.samples = Samples(seed) if samples is None else samples
 
-    @functools.cached_property
+    @property
     def train_data(self) -> tuple:
-        return measures.sample_dataset(self.spec, self.config.n_train,
-                                       self.train_rng)
+        return self.samples.get(1, self.spec, self.config.n_train)
 
-    @functools.cached_property
+    @property
     def test_data(self) -> tuple:
-        return measures.sample_dataset(self.spec, self.config.n_test,
-                                       self.test_rng)
+        return self.samples.get(2, self.spec, self.config.n_test)
 
     @functools.cached_property
     def model(self) -> learners.KernelModel:
@@ -193,8 +223,10 @@ class Trial:
         }
 
 
-def run_single(config: ExperimentConfig, seed: int, config_id: int = 0) -> dict:
-    """One (config, seed) trial: sample, train, evaluate, band-check.
+def run_single(config: ExperimentConfig, seed: int, config_id: int = 0,
+               samples: Samples | None = None) -> dict:
+    """One (config, seed) trial: sample (or take the samples given, which
+    must be for config.sample_key(seed)), train, evaluate, band-check.
 
     ratio is err01 over the certified margin error; gap_ratio is the trained
     surrogate optimum over it, an empirical lower bound on the surrogate
@@ -203,7 +235,7 @@ def run_single(config: ExperimentConfig, seed: int, config_id: int = 0) -> dict:
     """
     row = _blank_row(config, config_id, seed)
     try:
-        trial = Trial(config, seed)
+        trial = Trial(config, seed, samples)
         model = trial.model
         row.update(trial.evaluate(model))
         certified = row["err_margin_certified"]
@@ -231,7 +263,13 @@ def run_gap_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def sweep(configs: list, threads: int = 1) -> list:
-    """One row per (config, seed), ordered by (config index, seed)."""
+    """One row per (config, seed), ordered by (config index, seed).
+
+    Trials with the same sample_key share one Samples, so each training and
+    test set is sampled once.  The trials run (or are queued for the pool)
+    one group of such trials after another, so that a group's samples are
+    dropped once its last trial is done.
+    """
     if not configs:
         raise UsageError("sweep needs at least one config")
     tasks = [
@@ -239,12 +277,27 @@ def sweep(configs: list, threads: int = 1) -> list:
         for ci, cfg in enumerate(configs)
         for si in range(cfg.n_seeds)
     ]
+    groups = {}
+    for i, (_, cfg, seed) in enumerate(tasks):
+        groups.setdefault(cfg.sample_key(seed), []).append(i)
+
+    def jobs():
+        for members in groups.values():
+            samples = Samples(tasks[members[0]][2])
+            for i in members:
+                ci, cfg, seed = tasks[i]
+                yield i, (cfg, seed, ci, samples)
+
+    rows = [None] * len(tasks)
     if threads <= 1:
-        return [run_single(cfg, seed, ci) for ci, cfg, seed in tasks]
+        for i, args in jobs():
+            rows[i] = run_single(*args)
+        return rows
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run_single, cfg, seed, ci)
-                   for ci, cfg, seed in tasks]
-        return [f.result() for f in futures]
+        futures = [(i, pool.submit(run_single, *args)) for i, args in jobs()]
+        for i, future in futures:
+            rows[i] = future.result()
+    return rows
 
 
 def _fmt(v) -> str:
@@ -369,7 +422,7 @@ def _suite_kernels(n_sets: int = 25) -> list:
     for i in range(n_sets):
         d = int(rng.gen.integers(3, 12))
         n = int(rng.gen.integers(5, 30))
-        X = np.array([sphere.sample_unit_sphere(d, rng) for _ in range(n)])
+        X = sphere.sample_unit_spheres(d, n, rng)
         for k in shipped:
             G = kernels.gram(k, X)
             min_eig = min(min_eig, kernels.min_eigenvalue(G))
@@ -395,15 +448,14 @@ def _suite_geometry() -> list:
     checks = []
     rng = RngStream(7, 0)
     for m in (2, 3, 5, 10):
-        pts = np.array([sphere.sample_unit_sphere(m, rng) for _ in range(20 * m)])
+        pts = sphere.sample_unit_spheres(m, 20 * m, rng)
         ell = geometry.mvee(pts, symmetric=True)
         contain = float(np.max(ell.quad(pts)))
         checks.append((f"mvee_containment_m{m}", contain <= 1.0 + geometry.MVEE_EPS,
                        {"max_quad": contain}))
         Minv = np.linalg.inv(ell.shape)
         worst = math.inf
-        for _ in range(200):
-            u = sphere.sample_unit_sphere(m, rng)
+        for u in sphere.sample_unit_spheres(m, 200, rng):
             lhs = float(np.max(np.abs(pts @ u)))
             rhs = math.sqrt(float(u @ Minv @ u) / (m * (1 + geometry.MVEE_EPS)))
             worst = min(worst, lhs - rhs)

@@ -28,6 +28,17 @@ half the memory traffic of a general product.  The loop stops once the
 bracket is at most GAP_TOL wide, or when its product budget, max_iters *
 n_restarts, is spent.
 
+Past the product, an iteration is O(n) work in a few dozen numpy calls,
+whose overhead outweighs the product at a few hundred points (at 400, on
+one BLAS thread, the product is about a fifth of an iteration).  The
+loss's conjugate term and bias search are bound to the points once
+(SurrogateLoss.conjugate and bias_search), the loop carries y times the
+scores (the margins) rather than the scores, and the projection sorts all
+its kinks together only where one Newton step does not reach the root.
+Each such change keeps the floating-point operations, and their order, of
+the plain form, so the iterates and the reported numbers are the same bit
+for bit.
+
 From kernels.F32_MIN_N training points on, kernels.gram stores the triangle
 in float32, which then only steers the loop.  One end pass,
 kernels.exact_gram_product, gives K [alpha, a y] in float64 for the returned
@@ -52,6 +63,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,9 +120,13 @@ class SurrogateLoss:
         w l(m) = max { h(a) - a m : lo w <= a <= hi w },
 
     with the box from box() (infinite for the squared loss) and the concave
-    term h, summed over the points with its gradient, from term(a, w).
-    peak(w) is the a of the zero score function (margin 0), and bias gives
-    the exact minimizer of sum w l(y (scores + b)) over |b| <= bias_box.
+    term h.  conjugate(w) is the function a -> (sum of h over the points,
+    its gradient), the gradient a scalar where h is linear.  peak(w) is the
+    a of the zero score function (margin 0), and bias_search(y, w,
+    bias_box) is the function from the margins y * scores to the exact
+    minimizer of sum w l(y (scores + b)) over |b| <= bias_box.  Both
+    compute what depends on the points alone once, for a solver that calls
+    them every iteration.
     """
 
     name: str
@@ -120,13 +136,13 @@ class SurrogateLoss:
     def box(self) -> tuple:
         raise NotImplementedError
 
-    def term(self, a: np.ndarray, w: np.ndarray) -> tuple:
+    def conjugate(self, w: np.ndarray):
         raise NotImplementedError
 
     def peak(self, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def bias(self, scores, y, w, bias_box: float) -> float:
+    def bias_search(self, y: np.ndarray, w: np.ndarray, bias_box: float):
         raise NotImplementedError
 
 
@@ -145,29 +161,43 @@ class PiecewiseLinearLoss(SurrogateLoss):
     def box(self):
         return (-self.slope if self.two_sided else 0.0), self.slope
 
-    def term(self, a, w):
-        value = self.offset * float(w.sum()) + self.kink * float(a.sum())
-        return value, self.kink
+    def conjugate(self, w):
+        base, kink = self.offset * float(w.sum()), self.kink
+
+        def term(a):
+            return base + kink * float(a.sum()), kink
+
+        return term
 
     def peak(self, w):
         return self.slope * w  # every shipped kink is > 0
 
-    def bias(self, scores, y, w, bias_box):
+    def bias_search(self, y, w, bias_box):
         """The objective is convex and piecewise linear in b: its slope
         rises by slope w_i (twice that if two_sided) where point i's margin
         crosses the kink, at b = y_i kink - scores_i.  Walk these kinks up
         from the slope at -bias_box until it turns >= 0."""
-        kinks = y * self.kink - scores
-        rise = float((w * y).dot(self.subgradient(y * (scores - bias_box))))
-        if rise >= 0.0:
-            return -bias_box
-        order = np.argsort(kinks)
-        kinks = kinks[order]
-        first, last = np.searchsorted(kinks, (-bias_box, bias_box), "right")
+        yk, wy, y_box = y * self.kink, w * y, y * bias_box
+        edges = np.array([-bias_box, bias_box])
         jump = (2.0 if self.two_sided else 1.0) * self.slope
-        k = first + int(np.searchsorted(
-            rise + jump * np.cumsum(w[order[first:last]]), 0.0))
-        return float(kinks[k]) if k < last else bias_box
+        subgradient = self.subgradient
+
+        def search(margins):
+            kinks = yk - y * margins
+            rise = float(wy.dot(subgradient(margins - y_box)))
+            if rise >= 0.0:
+                return -bias_box
+            order = kinks.argsort()
+            kinks = kinks.take(order)
+            first, last = kinks.searchsorted(edges, "right")
+            slopes = w.take(order[first:last]).cumsum()
+            if jump != 1.0:
+                slopes *= jump
+            slopes += rise
+            k = first + int(slopes.searchsorted(0.0))
+            return float(kinks[k]) if k < last else bias_box
+
+        return search
 
 
 @dataclass(frozen=True)
@@ -177,16 +207,27 @@ class SquaredLoss(SurrogateLoss):
     def box(self):
         return -math.inf, math.inf
 
-    def term(self, a, w):
-        return float(np.sum(a - a * a / (4.0 * w))), 1.0 - a / (2.0 * w)
+    def conjugate(self, w):
+        w2, w4 = 2.0 * w, 4.0 * w
+
+        def term(a):
+            return float(np.sum(a - a * a / w4)), 1.0 - a / w2
+
+        return term
 
     def peak(self, w):
         return 2.0 * w
 
-    def bias(self, scores, y, w, bias_box):
+    def bias_search(self, y, w, bias_box):
         # the slope in b is affine, with rise 2 sum w
-        rise = float((w * y).dot(self.subgradient(y * scores)))
-        return min(max(-rise / (2.0 * float(w.sum())), -bias_box), bias_box)
+        wy, total = w * y, 2.0 * float(w.sum())
+        subgradient = self.subgradient
+
+        def search(margins):
+            rise = float(wy.dot(subgradient(margins)))
+            return min(max(-rise / total, -bias_box), bias_box)
+
+        return search
 
 
 @dataclass(frozen=True)
@@ -197,34 +238,50 @@ class LogisticLoss(SurrogateLoss):
     def box(self):
         return 0.0, 1.0 / LN2
 
-    def term(self, a, w):
-        p = np.clip(a * LN2 / w, 0.0, 1.0)
-        inner = np.clip(p, ENTROPY_FLOOR, 1.0 - ENTROPY_FLOOR)
-        return (float(w.dot(entr(p) + entr(1.0 - p))) / LN2,
-                np.log1p(-inner) - np.log(inner))
+    def conjugate(self, w):
+        def term(a):
+            p = np.clip(a * LN2 / w, 0.0, 1.0)
+            inner = np.clip(p, ENTROPY_FLOOR, 1.0 - ENTROPY_FLOOR)
+            return (float(w.dot(entr(p) + entr(1.0 - p))) / LN2,
+                    np.log1p(-inner) - np.log(inner))
+
+        return term
 
     def peak(self, w):
         return w / (2.0 * LN2)
 
-    def bias(self, scores, y, w, bias_box):
+    def bias_search(self, y, w, bias_box):
         """The root of the slope in b, which rises with b, by Brent's
         method."""
-        def slope(b):
-            return -float((w * y).dot(expit(-y * (scores + b)))) / LN2
+        wy = w * y
 
-        if slope(-bias_box) >= 0.0:
-            return -bias_box
-        if slope(bias_box) <= 0.0:
-            return bias_box
-        return brentq(slope, -bias_box, bias_box, xtol=1e-15)
+        def search(margins):
+            def slope(b):
+                return -float(wy.dot(expit(-(margins + y * b)))) / LN2
+
+            if slope(-bias_box) >= 0.0:
+                return -bias_box
+            if slope(bias_box) <= 0.0:
+                return bias_box
+            return brentq(slope, -bias_box, bias_box, xtol=1e-15)
+
+        return search
 
 
 def _piecewise(name, offset, slope, kink, two_sided=False):
     rise = slope if two_sided else 0.0
     phi = np.abs if two_sided else (lambda t: np.maximum(t, 0.0))
+
+    def value(x):
+        # kink - x is never -0, so phi is +0 or more (or NaN), and a slope
+        # of 1 or an offset of 0 would change no bit: they are left out
+        v = phi(kink - x)
+        if slope != 1.0:
+            v = slope * v
+        return offset + v if offset else v
+
     return PiecewiseLinearLoss(
-        name,
-        lambda x: offset + slope * phi(kink - x),
+        name, value,
         lambda x: np.where(x < kink, -slope, rise),
         offset=offset, slope=slope, kink=kink, two_sided=two_sided,
     )
@@ -366,50 +423,67 @@ def _projector(y, lower, upper):
     In the coordinates c = y z the bounds become (L, U), and the projection
     is y clip(c - lam, L, U) at the root lam of
     phi(lam) = sum clip(c - lam, L, U): coordinate i sits at U_i up to its
-    kink c_i - U_i, is free up to its kink c_i - L_i and sits at L_i beyond,
-    so phi is non-increasing and linear between kinks, with slope minus the
-    number of free coordinates.  The kinks are sorted once.  project(z,
-    scale) starts from the last root times scale over the last call's
-    scale: for z = a + sigma g with a feasible, the root grows with the
-    spectral step sigma.  Each evaluation of phi takes a Newton step, which
-    is the root if it stops short of the next kink.  If not, the next lam is
-    that step while it stays inside the kinks that bracket the root and
-    Newton keeps halving |phi|, and the middle one of those kinks
-    otherwise.  Every box here holds 0, so the set is never empty.
+    kink c_i - U_i (a top), is free up to its kink c_i - L_i (a bottom) and
+    sits at L_i beyond, so phi is non-increasing and linear between kinks,
+    with slope minus the number of free coordinates.  project(z, scale)
+    starts from the last root times scale over the last call's scale: for
+    z = a + sigma g with a feasible, the root grows with the spectral step
+    sigma.  Each evaluation of phi takes a Newton step, which is the root if
+    it stops short of the next kink.  If not, the next lam is that step
+    while it stays inside the kinks that bracket the root and Newton keeps
+    halving |phi|, and the middle one of those kinks otherwise.  Every box
+    here holds 0, so the set is never empty.
+
+    The tops and the bottoms are sorted apart: a top never lies above its
+    bottom, so the free coordinates are the tops at or below lam less the
+    bottoms there (below lam on the side where phi < 0), and the next kink
+    is the nearer of the next top and the next bottom.  Most calls end at
+    the first Newton step; only the others sort all kinks together, for
+    the middle kink.  The squared loss's infinite box puts every top at
+    -inf and every bottom at +inf, so its first Newton step is the root.
     """
     L = np.where(y > 0, lower, -upper)
     U = np.where(y > 0, upper, -lower)
-    finite = bool(np.isfinite(L).all() and np.isfinite(U).all())
+    m, inf = len(y), math.inf
     root = [0.0]
 
     def project(z, scale=1.0):
         c = y * z
-        top, bottom = c - U, c - L
-        kinks = np.sort(np.concatenate([top, bottom]))
-        if not finite:
-            kinks = kinks[np.isfinite(kinks)]
+        tops, bottoms = c - U, c - L
+        tops.sort()
+        bottoms.sort()
         # the root lies between kinks[lo - 1] and kinks[hi]
-        lo, hi, lam = 0, len(kinks), root[0] * scale
-        last, newton = math.inf, False
-        while True:
-            a = np.minimum(np.maximum(c - lam, L), U)
-            phi = float(a.sum())
-            if phi == 0.0:
-                break
+        kinks, lo, hi, lam = None, 0, 2 * m, root[0] * scale
+        last, newton = inf, False
+        a = np.minimum(np.maximum(c - lam, L), U)
+        phi = float(a.sum())
+        while phi != 0.0:
             # Newton's step with the slope on the root's side, where a
             # coordinate at a kink counts if the step frees it
-            if phi > 0.0:
-                lo = max(lo, int(np.searchsorted(kinks, lam, "right")))
-                free = np.count_nonzero((top <= lam) & (lam < bottom))
-                edge = kinks[lo] if lo < len(kinks) else math.inf
-                step = lam + phi / free if free else math.inf
-                done = step <= edge
+            rising = phi > 0.0
+            side = "right" if rising else "left"
+            i = int(tops.searchsorted(lam, side))
+            j = int(bottoms.searchsorted(lam, side))
+            if rising:
+                lo = max(lo, i + j)
+                step = lam + phi / (i - j) if i > j else inf
+                done = step <= min(tops[i] if i < m else inf,
+                                   bottoms[j] if j < m else inf)
             else:
-                hi = min(hi, int(np.searchsorted(kinks, lam)))
-                free = np.count_nonzero((top < lam) & (lam <= bottom))
-                edge = kinks[hi - 1] if hi > 0 else -math.inf
-                step = lam + phi / free if free else -math.inf
-                done = step >= edge
+                hi = min(hi, i + j)
+                step = lam + phi / (i - j) if i > j else -inf
+                done = step >= max(tops[i - 1] if i else -inf,
+                                   bottoms[j - 1] if j else -inf)
+            if not done:
+                if kinks is None:
+                    kinks = np.concatenate((c - U, c - L))
+                    kinks.sort()
+                if rising:
+                    edge = kinks[lo] if lo < 2 * m else inf
+                    done = step <= edge
+                else:
+                    edge = kinks[hi - 1] if hi > 0 else -inf
+                    done = step >= edge
             if done or lo >= hi:  # the latter only by rounding
                 lam = step if done else edge
                 a = np.minimum(np.maximum(c - lam, L), U)
@@ -419,27 +493,39 @@ def _projector(y, lower, upper):
             newton = (2 * abs(phi) <= last or not newton) and \
                 kinks[lo] <= step <= kinks[hi - 1]
             lam, last = (step if newton else kinks[(lo + hi) // 2]), abs(phi)
+            a = np.minimum(np.maximum(c - lam, L), U)
+            phi = float(a.sum())
         root[0] = lam / scale
         return y * a
 
     return project
 
 
-def _extrapolation(a, Qa, e, Qe, lower, upper, C, mu, term, wts):
+def _extrapolation(a, Qa, dh, e, Qe, lower, upper, C, mu, term):
     """The t in [0, reach] that maximizes the smoothed dual along a + t e,
     where reach is EXTRAP_REACH or the box's edge if nearer; 0 where F does
     not rise along e.  a' Q a along the ray comes from Qa and Qe, and F is
-    concave in t, so the top is reach or the root of F's slope (brentq)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        room = np.where(e > 0, (upper - a) / e,
-                        np.where(e < 0, (lower - a) / e, math.inf))
+    concave in t, so the top is reach or the root of F's slope (brentq).
+    h's part of the slope is its gradient summed along e: a constant where
+    h is linear (its gradient dh at a is a scalar), else the gradient at
+    a + t e."""
+    room = np.full(len(a), math.inf)
+    np.divide(upper - a, e, out=room, where=e > 0)
+    np.divide(lower - a, e, out=room, where=e < 0)
     reach = min(float(room.min()), EXTRAP_REACH)
     aQa, aQe, eQe = float(a.dot(Qa)), float(a.dot(Qe)), float(e.dot(Qe))
+    if np.ndim(dh) == 0:
+        rise = float(np.sum(dh * e))
+
+        def along(t):
+            return rise
+    else:
+        def along(t):
+            return float(np.sum(term(a + t * e)[1] * e))
 
     def slope(t):
         q = max(aQa + t * (2.0 * aQe + t * eQe), 0.0)
-        return (float(np.sum(term(a + t * e, wts)[1] * e))
-                - C * (aQe + t * eQe) / math.sqrt(q + mu * mu))
+        return along(t) - C * (aQe + t * eQe) / math.sqrt(q + mu * mu)
 
     if not (reach > 0.0 and slope(0.0) > 0.0):
         return 0.0
@@ -470,7 +556,8 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
 
     Every iterate a gives the primal point alpha = C (a y) / sqrt(a' Q a +
     mu^2), of norm < C, whose scores G alpha come from the carried Q a, and
-    the bias that minimizes the objective over |b| <= bias_box (loss.bias).
+    the bias that minimizes the objective over |b| <= bias_box
+    (loss.bias_search).
     The gap certificate is the best objective less the best unsmoothed D(a),
     bias_box |y' a| included, so that it holds for every a in the box.  It
     holds for every shipped loss, since each is convex, and for any base
@@ -511,14 +598,16 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
     lo, hi = loss.box()
     box_lo, box_hi = lo * wts, hi * wts
     project = _projector(y, box_lo, box_hi)
-    value, term, sqrt = loss.value, loss.term, math.sqrt
+    term, bias = loss.conjugate(wts), loss.bias_search(y, wts, bias_box)
+    value, sqrt = loss.value, math.sqrt
     a = project(loss.peak(wts))
     Qa = y * gram_product(G, y * a)
     products = 1
-    h, dh = term(a, wts)
+    h, dh = term(a)
     floor = MU_RATIO * GAP_TOL / C if C > 0 else 1.0
     mu = math.inf if C > 0 else floor
-    best_f, lower, history, previous = math.inf, -math.inf, [], None
+    best_f, lower, previous = math.inf, -math.inf, None
+    history = deque(maxlen=SPG_MEMORY)
     steps, anchor = 0, None
     while True:
         aQa = max(float(a.dot(Qa)), 0.0)
@@ -526,21 +615,24 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
         if bound > lower:
             lower, dual = bound, (a, Qa)
         scale = C / sqrt(aQa + mu * mu)
-        scores = scale * (y * Qa)
-        b = loss.bias(scores, y, wts, bias_box)
-        f = float(wts.dot(value(y * (scores + b))))
+        # Qa is y times the scores of a y, so these are y times the scores
+        # of the primal point, bit for bit
+        margins = scale * Qa
+        b = bias(margins)
+        f = float(wts.dot(value(margins + b * y)))
         if f < best_f:
             best_f, best = f, (a, scale, b, Qa)
         gap = best_f - lower
         if gap <= GAP_TOL or products >= budget:
             break
         if mu > floor and C * mu > MU_RATIO * gap:
-            mu, history = max(MU_RATIO * gap / C, floor), []
+            mu = max(MU_RATIO * gap / C, floor)
+            history.clear()
         root = sqrt(aQa + mu * mu)
         g = dh - (C / root) * Qa
-        longest = span / max(float(np.max(np.abs(g))), 1e-300)
+        longest = span / max(float(abs(g).max()), 1e-300)
         if previous is None:
-            sigma = 1.0 / max(float(np.max(np.abs(project(a + g) - a))),
+            sigma = 1.0 / max(float(abs(project(a + g) - a).max()),
                               1.0 / longest)
         else:
             s, g_old = previous
@@ -551,17 +643,19 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
         if not ascent > 0.0:
             if mu <= floor:
                 break
-            mu, history, previous = floor, [], None
+            mu, previous = floor, None
+            history.clear()
             continue
         Qd = y * gram_product(G, y * d)
         products += 1
-        history = (history + [h - C * root])[-SPG_MEMORY:]
+        history.append(h - C * root)
         reference = min(history)
         aQd, dQd = float(a.dot(Qd)), float(d.dot(Qd))
         t = 1.0
         for _ in range(SPG_BACKTRACKS):
-            a_t = a + t * d
-            h_t, dh_t = term(a_t, wts)
+            # a + 1.0 d is a + d, bit for bit
+            a_t = a + t * d if t != 1.0 else a + d
+            h_t, dh_t = term(a_t)
             q = max(aQa + t * (2.0 * aQd + t * dQd), 0.0)
             if (h_t - C * sqrt(q + mu * mu)
                     >= reference + SPG_ARMIJO * t * ascent):
@@ -570,17 +664,18 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
         else:
             break
         previous = (a_t - a, g)
-        a, Qa, h, dh = a_t, Qa + t * Qd, h_t, dh_t
+        a, h, dh = a_t, h_t, dh_t
+        Qa = Qa + t * Qd if t != 1.0 else Qa + Qd
         steps += 1
         if steps % EXTRAP_EVERY:
             continue
         if anchor is not None:
             e, Qe = a - anchor[0], Qa - anchor[1]
-            t = _extrapolation(a, Qa, e, Qe, box_lo, box_hi, C, mu, term, wts)
+            t = _extrapolation(a, Qa, dh, e, Qe, box_lo, box_hi, C, mu, term)
             if t > 0.0:
                 a = np.minimum(np.maximum(a + t * e, box_lo), box_hi)
                 Qa = Qa + t * Qe
-                h, dh = term(a, wts)
+                h, dh = term(a)
         anchor = (a, Qa)
 
     (a, scale, b, Qa), (a_dual, Qa_dual) = best, dual
@@ -595,7 +690,7 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
         alpha, Kalpha, norm = alpha * (C / norm), Kalpha * (C / norm), C
     objective = float(wts.dot(value(y * (Kalpha + b))))
     vKv = max(float(v.dot(Kv)), 0.0)
-    cert = objective - (term(a_dual, wts)[0] - C * sqrt(vKv)
+    cert = objective - (term(a_dual)[0] - C * sqrt(vKv)
                         - bias_box * abs(float(y.dot(a_dual))))
     return KernelModel(
         support=X, alpha=alpha, b=b, C=C, kernel=kernel, loss=loss,

@@ -57,6 +57,29 @@ def sample_unit_sphere(d: int, rng: RngStream) -> np.ndarray:
             return g / norm
 
 
+def sample_unit_spheres(d: int, k: int, rng: RngStream) -> np.ndarray:
+    """k uniform draws from S^{d-1} as a (k, d) array, equal bit for bit to
+    k calls of sample_unit_sphere.
+
+    One standard_normal((k, d)) gives the normals of k draws of d, and each
+    row's squared norm is the same BLAS dot that np.linalg.norm takes of a
+    vector.  A row of norm <= 1e-12 would have been redrawn by
+    sample_unit_sphere, which shifts every later draw, so then the generator
+    is put back where it was and the k draws are made one at a time.
+    """
+    if d < 1:
+        raise DomainError(f"dimension must be >= 1, got {d}")
+    gen = rng.gen
+    state = gen.bit_generator.state
+    g = gen.standard_normal((k, d))
+    norms = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+    if np.all(norms > 1e-12):
+        return g / norms[:, None]
+    gen.bit_generator.state = state
+    draws = [sample_unit_sphere(d, rng) for _ in range(k)]
+    return np.array(draws).reshape(k, d)
+
+
 def sample_band(e: np.ndarray, a, rng: RngStream) -> np.ndarray:
     """Points x on S^{d-1} with <x, e> = a, uniform on the codimension-1 sphere.
 

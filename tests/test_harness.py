@@ -1,12 +1,16 @@
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from marginlab import harness
+from marginlab import geometry, harness, measures, sphere
 from marginlab import orthopoly as op
 from marginlab.harness import ExperimentConfig
+from marginlab.sphere import RngStream
 
 
 def small_config(**kw):
@@ -116,9 +120,97 @@ def test_sweep_rows_and_thread_invariance():
     assert [r["seed"] for r in rows1][1:] == [0, 1]
 
 
+def test_sweep_samples_each_distribution_and_seed_once(monkeypatch):
+    # configs that differ only in kernel and C share their training and test
+    # sets: one sampling per (distribution, size, seed), not one per trial,
+    # and the same rows as trials sampled apart, on any number of threads
+    calls = []
+    sample_dataset = measures.sample_dataset
+
+    def counted(spec, n, rng):
+        calls.append((spec.gamma, n, rng.seed, rng.stream_id))
+        return sample_dataset(spec, n, rng)
+
+    monkeypatch.setattr(measures, "sample_dataset", counted)
+    cfgs = [small_config(gamma=gamma, kernel=kernel, kernel_params=params,
+                         C=C, n_seeds=2)
+            for gamma in (0.02, 0.03)
+            for kernel, params, C in (("linear", {}, 2.0),
+                                      ("rbf", {"sigma": 2.0}, 3.0),
+                                      ("poly", {"degree": 3}, 4.0))]
+    apart = harness.sweep_to_csv(
+        [harness.run_single(cfg, cfg.seed + si, ci)
+         for ci, cfg in enumerate(cfgs) for si in range(cfg.n_seeds)])
+    assert len(calls) == 2 * len(cfgs) * 2
+    for threads in (1, 8):
+        calls.clear()
+        rows = harness.sweep(cfgs, threads=threads)
+        # 2 gammas x 2 seeds, each a training and a test set
+        assert sorted(calls) == sorted(set(calls)) and len(calls) == 8
+        assert harness.sweep_to_csv(rows) == apart
+        assert all(r["error"] == "" for r in rows)
+
+
+def test_shared_samples_sampled_once_under_contention(monkeypatch):
+    # more threads than cores ask one Samples for its training set at once:
+    # each gets the one array pair, sampled once, however they interleave
+    calls = []
+    sample_dataset = measures.sample_dataset
+
+    def slow(spec, n, rng):
+        calls.append(n)
+        time.sleep(0.01)  # widens the window between the check and the store
+        return sample_dataset(spec, n, rng)
+
+    monkeypatch.setattr(measures, "sample_dataset", slow)
+    samples, spec = harness.Samples(0), small_config().make_spec()
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(
+            target=lambda: got.append(samples.get(1, spec, 50)))
+            for _ in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == [50] and len(got) == 16
+    assert all(g is got[0] for g in got)
+
+
 def test_sweep_empty_usage_error():
     with pytest.raises(harness.UsageError):
         harness.sweep([])
+
+
+def test_suites_draw_the_same_sphere_points(monkeypatch):
+    # the kernels and geometry suites and geometry.default_probes draw their
+    # sphere points in batches: each batch must be the points, and leave the
+    # stream where k single draws would
+    batched, seen = sphere.sample_unit_spheres, []
+
+    def checked(d, k, rng):
+        twin = RngStream(rng.seed, rng.stream_id)
+        twin.gen.bit_generator.state = rng.gen.bit_generator.state
+        single = np.array([sphere.sample_unit_sphere(d, twin)
+                           for _ in range(k)]).reshape(k, d)
+        out = batched(d, k, rng)
+        assert out.tobytes() == single.tobytes()
+        assert rng.gen.bit_generator.state == twin.gen.bit_generator.state
+        seen.append(k)
+        return out
+
+    monkeypatch.setattr(sphere, "sample_unit_spheres", checked)
+    monkeypatch.setattr(geometry, "sample_unit_spheres", checked)
+    assert all(ok for _, ok, _ in harness._suite_kernels())
+    assert all(ok for _, ok, _ in harness._suite_geometry())
+    # 25 point sets; 4 x (20 m points and 200 directions); 3 x 50 m probes
+    assert len(seen) == 25 + 8 + 3
+    assert seen[-3:] == [100, 150, 250]
 
 
 def test_verify_unknown_suite():

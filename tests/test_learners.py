@@ -159,19 +159,146 @@ def test_conjugate_recovers_loss(name, params):
     loss = L.make_loss(name, **params)
     w = np.array([0.3])
     lo, hi = loss.box()
+    term = loss.conjugate(w)
     # the squared loss has no box; its maximizer 2 w (1 - m) lies in this one
     grid = np.linspace(max(lo, -8.0), min(hi, 8.0), 20001) * w
-    h = np.array([loss.term(np.array([a]), w)[0] for a in grid])
+    h = np.array([term(np.array([a]))[0] for a in grid])
     for m in (-1.5, -0.2, 0.0, 0.25, 0.5, 0.9, 1.0, 1.7):
         assert float(np.max(h - grid * m)) == pytest.approx(
             float(w[0] * loss.value(np.array(m))), abs=1e-6)
-    assert loss.term(loss.peak(w), w)[0] == pytest.approx(h.max(), abs=1e-9)
+    assert term(loss.peak(w))[0] == pytest.approx(h.max(), abs=1e-9)
     for a in grid[1000:-1000:3000]:
         e = 1e-7
-        slope = (loss.term(np.array([a + e]), w)[0]
-                 - loss.term(np.array([a - e]), w)[0]) / (2 * e)
-        grad = np.broadcast_to(loss.term(np.array([a]), w)[1], 1)[0]
+        slope = (term(np.array([a + e]))[0]
+                 - term(np.array([a - e]))[0]) / (2 * e)
+        grad = np.broadcast_to(term(np.array([a]))[1], 1)[0]
         assert grad == pytest.approx(slope, abs=1e-5)
+
+
+def reference_bias(loss, scores, y, w, bias_box):
+    """PiecewiseLinearLoss's bias search as it was before it bound y and w
+    once (bias_search): every call forms y kink and w y and multiplies by
+    the jump.  The shipped search must return its bits."""
+    kinks = y * loss.kink - scores
+    rise = float((w * y).dot(loss.subgradient(y * (scores - bias_box))))
+    if rise >= 0.0:
+        return -bias_box
+    order = np.argsort(kinks)
+    kinks = kinks[order]
+    first, last = np.searchsorted(kinks, (-bias_box, bias_box), "right")
+    jump = (2.0 if loss.two_sided else 1.0) * loss.slope
+    k = first + int(np.searchsorted(
+        rise + jump * np.cumsum(w[order[first:last]]), 0.0))
+    return float(kinks[k]) if k < last else bias_box
+
+
+def bits(x):
+    """The float64 bytes of a number or an array, which tell -0.0 from 0.0."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+PIECEWISE = [("hinge", {}), ("absolute", {}), ("margin_loss", {"C": 3.0}),
+             ("truncated_margin", {"C": 3.0})]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PIECEWISE),
+       st.lists(st.tuples(st.sampled_from([-1.0, 1.0]),
+                          st.floats(0.05, 1.0),
+                          st.one_of(st.integers(-24, 24),
+                                    st.floats(-3.0, 3.0))),
+                min_size=1, max_size=12),
+       st.sampled_from([10.0, 1.0, 0.25]))
+def test_bias_search_matches_reference(loss_params, points, bias_box):
+    # an integer k puts point i's kink y_i kink - score_i at k / 8: on the
+    # edges of the bias box, on another point's kink or at 0; a float puts
+    # it between kinks
+    name, params = loss_params
+    loss = L.make_loss(name, **params)
+    y = np.array([p[0] for p in points])
+    w = np.array([p[1] for p in points])
+    w = w / w.sum()
+    kinks = np.array([p[2] / 8.0 if isinstance(p[2], int) else p[2]
+                      for p in points])
+    scores = y * loss.kink - kinks
+    search = loss.bias_search(y, w, bias_box)
+    assert bits(search(y * scores)) == bits(
+        reference_bias(loss, scores, y, w, bias_box))
+
+
+def reference_projector(y, lower, upper):
+    """learners._projector as it was before it sorted tops and bottoms
+    apart: all kinks sorted together on every call, the free coordinates
+    counted by masks.  The shipped projector must return its bits."""
+    L_ = np.where(y > 0, lower, -upper)
+    U = np.where(y > 0, upper, -lower)
+    finite = bool(np.isfinite(L_).all() and np.isfinite(U).all())
+    root = [0.0]
+
+    def project(z, scale=1.0):
+        c = y * z
+        top, bottom = c - U, c - L_
+        kinks = np.sort(np.concatenate([top, bottom]))
+        if not finite:
+            kinks = kinks[np.isfinite(kinks)]
+        lo, hi, lam = 0, len(kinks), root[0] * scale
+        last, newton = math.inf, False
+        while True:
+            a = np.minimum(np.maximum(c - lam, L_), U)
+            phi = float(a.sum())
+            if phi == 0.0:
+                break
+            if phi > 0.0:
+                lo = max(lo, int(np.searchsorted(kinks, lam, "right")))
+                free = np.count_nonzero((top <= lam) & (lam < bottom))
+                edge = kinks[lo] if lo < len(kinks) else math.inf
+                step = lam + phi / free if free else math.inf
+                done = step <= edge
+            else:
+                hi = min(hi, int(np.searchsorted(kinks, lam)))
+                free = np.count_nonzero((top < lam) & (lam <= bottom))
+                edge = kinks[hi - 1] if hi > 0 else -math.inf
+                step = lam + phi / free if free else -math.inf
+                done = step >= edge
+            if done or lo >= hi:
+                lam = step if done else edge
+                a = np.minimum(np.maximum(c - lam, L_), U)
+                break
+            newton = (2 * abs(phi) <= last or not newton) and \
+                kinks[lo] <= step <= kinks[hi - 1]
+            lam, last = (step if newton else kinks[(lo + hi) // 2]), abs(phi)
+        root[0] = lam / scale
+        return y * a
+
+    return project
+
+
+# a coordinate of z: k / 8 for an integer k (ties between kinks, zeros and
+# exact roots) or any float in [-4, 4]
+z_entries = st.one_of(st.integers(-32, 32).map(lambda k: k / 8.0),
+                      st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 12),
+       st.sampled_from(["hinge", "absolute", "squared", "logistic",
+                        "truncated_margin"]))
+def test_projector_matches_reference(data, n, name):
+    # a loss's box scaled by random weights, then a run of calls from warm
+    # starts, as the solver makes them: z and the scale vary from call to
+    # call
+    y = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                    min_size=n, max_size=n)))
+    w = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n,
+                                    max_size=n)))
+    lo, hi = L.make_loss(name, C=3.0).box()
+    lower, upper = lo * w, hi * w
+    shipped = L._projector(y, lower, upper)
+    reference = reference_projector(y, lower, upper)
+    for _ in range(data.draw(st.integers(1, 6))):
+        z = np.array(data.draw(st.lists(z_entries, min_size=n, max_size=n)))
+        scale = data.draw(st.sampled_from([1.0, 0.5, 2.0, 1e-3, 37.0]))
+        assert bits(shipped(z, scale)) == bits(reference(z, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +650,7 @@ def test_mutated_support_sign_is_caught():
     # the support term without its square root
     ("bound = h - C * sqrt(aQa)", "bound = h - C * aQa"),
     # each point's kink in the bias search taken at kink - scores
-    ("kinks = y * self.kink - scores", "kinks = self.kink - scores"),
+    ("kinks = yk - y * margins", "kinks = self.kink - y * margins"),
     # a projection onto the box alone, which misses y' a = 0
     ("root[0] = lam / scale\n        return y * a",
      "return y * np.clip(c, L, U)"),

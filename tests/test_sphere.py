@@ -40,6 +40,37 @@ def test_sample_unit_sphere():
         sphere.sample_unit_sphere(0, rng)
 
 
+def test_batched_unit_sphere_draws_equal_single_draws():
+    for d, k in ((1, 5), (3, 40), (10, 200), (25, 7), (4, 0)):
+        batched, single = RngStream(11, d), RngStream(11, d)
+        X = sphere.sample_unit_spheres(d, k, batched)
+        Y = np.array([sphere.sample_unit_sphere(d, single)
+                      for _ in range(k)]).reshape(k, d)
+        assert X.shape == (k, d) and X.tobytes() == Y.tobytes()
+        # and both generators are left in the same state
+        assert batched.gen.standard_normal() == single.gen.standard_normal()
+
+
+def test_batched_unit_sphere_draws_fall_back_on_a_rejected_row():
+    # a zero row is redrawn by sample_unit_sphere, which shifts the later
+    # rows: the batch puts the generator back and draws one at a time
+    class Scripted:
+        def __init__(self, values):
+            self.values, self.bit_generator, self.state = values, self, 0
+
+        def standard_normal(self, shape):
+            n = int(np.prod(shape))
+            out = self.values[self.state:self.state + n]
+            self.state += n
+            return np.array(out, dtype=float).reshape(shape)
+
+    rng = RngStream(0, 0)
+    rng._gen = Scripted([3.0, 4.0, 0.0, 0.0, 0.0, -2.0, 6.0, 8.0])
+    X = sphere.sample_unit_spheres(2, 3, rng)
+    assert np.array_equal(X, [[0.6, 0.8], [0.0, -1.0], [0.6, 0.8]])
+    assert rng._gen.state == 8
+
+
 def test_sample_band_height_and_norm():
     rng = RngStream(2, 0)
     e = sphere.sample_unit_sphere(6, rng)
