@@ -5,20 +5,20 @@ Monte-Carlo kernel symmetrization.
 Kernel matrices are built in one output buffer: the inner products (or the
 feature products) come from one BLAS call, and a zonal profile is applied in
 place, in blocks of at most PROFILE_BLOCK entries, so the blocks stay in a
-core's L2 cache.  A Gram matrix is one BLAS syrk, which computes the lower
-triangle only; the profile runs on that triangle alone and the strict upper
-triangle is left undefined, so every reader of a Gram matrix reads its lower
-triangle: gram_product and min_eigenvalue below, or the diagonal.  A
-profile may overwrite its argument: the shipped ones evaluate in place with
-out= ufuncs, which saves a fresh temporary per operation.
+core's L2 cache.  A Gram matrix holds its lower triangle only; the strict
+upper triangle is left undefined, so every reader of a Gram matrix reads
+its lower triangle: gram_product and min_eigenvalue below, or the diagonal.
+A profile may overwrite its argument: the shipped ones evaluate in place
+with out= ufuncs, which saves a fresh temporary per operation.
 
 The storage precision is decided in gram alone: a Gram matrix of fewer than
-F32_MIN_N points is float64 (dsyrk, and dsymv in gram_product);
-from F32_MIN_N points on it is float32 (ssyrk, the profile in float32,
-ssymv), which halves the memory traffic of every product.  Such a triangle
-only steers a solver: exact_gram_product gives K V in float64 from the
-points, one _lower_blocks strip at a time, without storing K, and that is
-what a caller reports numbers from.
+F32_MIN_N points is float64 (one dsyrk, then the profile, and dsymv in
+gram_product); from F32_MIN_N points on it is float32 (ssymv), built one
+_lower_blocks block at a time, an sgemm and the profile in float32 while
+the block is still in cache, which halves the memory traffic of every
+product.  Such a triangle only steers a solver: exact_gram_product gives
+K V in float64 from the points, one _lower_blocks strip at a time, without
+storing K, and that is what a caller reports numbers from.
 
 Test scores follow the same policy.  From F32_MIN_N support points on,
 screened_scores computes sum_j alpha_j k(x, s_j) from float32 kernel
@@ -58,16 +58,18 @@ SYMMETRIZE_GRID = 257
 PROFILE_BLOCK = 2**18
 # points from which a Gram matrix is stored in float32.  A solve with 40
 # products then costs a float32 build, 40 ssymv and one exact_gram_product
-# in place of a float64 build and 40 dsymv; at one BLAS thread (rbf, d=25)
-# that is 14.0 -> 12.2 ms at 1024 points, 61 -> 45 ms at 2048 and 332 -> 173
-# ms at 4000.  From 2048 the gain is clear at short schedules, and every
-# smaller program keeps its float64 bits
+# in place of a float64 build and 40 dsymv; at one BLAS thread (rbf, d=25,
+# medians of 7 in each of three runs on a shared 2-vCPU Xeon) that is
+# 12-15 -> 10-13 ms at 1024 points, 54-70 -> 36-45 ms at 2048 and 276-304
+# -> 178-200 ms at 4000.  From 2048 the gain is clear at short schedules,
+# and every smaller program keeps its float64 bits
 F32_MIN_N = 2048
 # support points per float32 partial sum in screened_scores: the bound on
 # a sum's rounding grows with its length, gamma_M.  At 4000 rbf support
-# points (d=25, one BLAS thread) 5000 scores took 0.075-0.10 s in float64
-# and 0.04 s screened, alike at M = 16 to 128; at 16 the bound is about
-# 3e-6 sum |alpha|, against 8e-6 at 128, and fewer points need a recheck
+# points (d=25, one BLAS thread, same host) 5000 scores took 0.094-0.111 s
+# in float64 and 0.039-0.053 s screened, alike at M = 16 to 128; at 16 the
+# bound is about 3e-6 sum |alpha|, against 1e-5 at 128, and fewer points
+# need a recheck
 SCREEN_CHUNK = 16
 # numpy's exp and power, in float32 and in float64, are taken to be within
 # LIBM_ROUNDING u of the exact value, u the unit roundoff (about 4 ulp):
@@ -171,21 +173,36 @@ def gram(k: KernelSpec, points: np.ndarray) -> np.ndarray:
     """Lower triangle of the Gram matrix of the points, F-ordered: float32
     from F32_MIN_N points on, float64 below.
 
-    One syrk of the points (or of their features) computes the lower
-    triangle, in float64 equal bit for bit to that of the product X @ X.T,
-    and a zonal profile is applied to it in place, in the same precision.
-    The strict upper triangle is undefined: read G with gram_product,
-    min_eigenvalue or np.tril.
+    A feature map's triangle is one syrk of the features.  Below F32_MIN_N
+    points a zonal kernel's is one dsyrk of the points, equal bit for bit
+    to the lower triangle of the product X @ X.T, with the profile applied
+    to it in place, one _lower_blocks block at a time.  From F32_MIN_N
+    points on each such block, columns lo..hi-1 of G from row lo down, is
+    one sgemm of the float32 points, written into G, and the profile, in
+    float32, runs on it while it is still in cache, without a second pass
+    over the triangle from memory.  That sgemm gave the bits of one ssyrk's
+    triangle in every case measured (scipy's OpenBLAS, n in {7, 600, 2048,
+    2085, 4000}, d in {3, 25}, one and two BLAS threads); it is a property
+    of the BLAS build, not a guarantee, and tests/test_kernels.py pins it.  The strict upper triangle
+    is undefined: read G with gram_product, min_eigenvalue or np.tril.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         raise KernelError("empty point list")
-    syrk = ssyrk if len(points) >= F32_MIN_N else dsyrk
-    G = syrk(1.0, points if k.is_zonal else k.feature_map(points), lower=1)
-    if k.is_zonal:
-        GT = G.T  # C-ordered: row j of GT is column j of G
-        for lo, hi in _lower_blocks(len(G)):
-            _apply_profile(k.profile, GT[lo:hi, lo:])
+    f32 = len(points) >= F32_MIN_N
+    if not k.is_zonal:
+        return (ssyrk if f32 else dsyrk)(1.0, k.feature_map(points), lower=1)
+    if f32:
+        P = points.astype(np.float32)
+        G = np.empty((len(P), len(P)), np.float32, order="F")
+    else:
+        G = dsyrk(1.0, points, lower=1)
+    GT = G.T  # C-ordered: row j of GT is column j of G
+    for lo, hi in _lower_blocks(len(G)):
+        block = GT[lo:hi, lo:]
+        if f32:
+            np.matmul(P[lo:hi], P[lo:].T, out=block)
+        _apply_profile(k.profile, block)
     return G
 
 
@@ -208,17 +225,21 @@ def exact_gram_product(k: KernelSpec, points: np.ndarray,
 
     A feature map gives F (F' V).  A zonal kernel is evaluated one
     _lower_blocks strip K[lo:hi, lo:] at a time (at most PROFILE_BLOCK
-    entries), which adds its rows into out[lo:hi] and, by symmetry, its
-    columns past hi into out[hi:]; K itself is never stored.
+    entries, or one row if a row is longer), which adds its rows into
+    out[lo:hi] and, by symmetry, its columns past hi into out[hi:].  Every
+    strip is formed in one buffer of that size, so K is never stored.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     V = np.asarray(V, dtype=float)
     if not k.is_zonal:
         F = k.feature_map(points)
         return F @ (F.T @ V)
+    n = len(points)
     out = np.zeros(V.shape)
-    for lo, hi in _lower_blocks(len(points)):
-        strip = points[lo:hi] @ points[lo:].T
+    buffer = np.empty(max(PROFILE_BLOCK, n))
+    for lo, hi in _lower_blocks(n):
+        strip = buffer[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+        np.matmul(points[lo:hi], points[lo:].T, out=strip)
         _apply_profile(k.profile, strip)
         out[lo:hi] += strip @ V[lo:]
         out[hi:] += strip[:, hi - lo:].T @ V[lo:hi]
@@ -250,9 +271,10 @@ def screened_scores(k: KernelSpec, X: np.ndarray, support: np.ndarray,
     of rows that computes it.
 
     The support and X are cast to float32, and the entries of a block of
-    test points are one sgemm, S32 X32', with the profile applied in place
-    in float32; each SCREEN_CHUNK rows of that block give one float32
-    partial sum with the float32 alpha, and the partial sums add in float64.
+    test points are one sgemm, S32 X32', into one buffer that every block
+    reuses, with the profile applied in place in float32; each
+    SCREEN_CHUNK rows of that block give one float32 partial sum with the
+    float32 alpha, and the partial sums add in float64.
 
     The bound.  Write t = <x, s>, K = kappa(clip(t)) and f = sum_j alpha_j
     K_j for exact arithmetic on the float64 inputs, and u = U32, v = U64,
@@ -289,6 +311,7 @@ def screened_scores(k: KernelSpec, X: np.ndarray, support: np.ndarray,
     alpha = np.asarray(alpha, dtype=float)
     (n, d), M = support.shape, min(SCREEN_CHUNK, len(support))
     S32, a32 = support.astype(np.float32), alpha.astype(np.float32)
+    X32 = X.astype(np.float32)
     full = n - n % M  # the chunks of M points; a shorter one may follow
     chunked = a32[:full].reshape(-1, 1, M)
     scores = np.empty(len(X))
@@ -296,8 +319,11 @@ def screened_scores(k: KernelSpec, X: np.ndarray, support: np.ndarray,
     # float64 profile block; Kt's rows are the support points, so its
     # chunks are one C-ordered (chunks, M, rows) view
     rows = max(2 * PROFILE_BLOCK // n, 1)
+    buffer = np.empty(n * min(rows, len(X)), np.float32)
     for lo in range(0, len(X), rows):
-        Kt = S32 @ X[lo:lo + rows].astype(np.float32).T
+        block = X32[lo:lo + rows]
+        Kt = buffer[:n * len(block)].reshape(n, len(block))
+        np.matmul(S32, block.T, out=Kt)
         _apply_profile(k.profile, Kt)
         partial = np.matmul(chunked, Kt[:full].reshape(-1, M, Kt.shape[1]))
         out = partial.sum(axis=0, dtype=float)[0]
@@ -502,10 +528,12 @@ def standard_kernel(name: str, **params) -> KernelSpec:
         # c_k is e^-lam times a Poisson(lam) weight: past lam + 12 sqrt(lam)
         # + 40 terms the tail is far below machine epsilon
         k = np.arange(int(lam + 12.0 * math.sqrt(lam)) + 40)
+        square = sigma**2
 
         def rbf(s):
             np.subtract(s, 1.0, out=s)
-            np.divide(s, sigma**2, out=s)
+            if square != 1.0:  # dividing by 1 changes no bit
+                np.divide(s, square, out=s)
             return np.exp(s, out=s)
 
         g = _gamma(4, U32)

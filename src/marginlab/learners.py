@@ -40,9 +40,10 @@ the plain form, so the iterates and the reported numbers are the same bit
 for bit.
 
 From kernels.F32_MIN_N training points on, kernels.gram stores the triangle
-in float32, which then only steers the loop.  One end pass,
-kernels.exact_gram_product, gives K [alpha, a y] in float64 for the returned
-primal point and the best dual point, and the objective, the norm and the
+in float32, formed one cache-sized block at a time, which then only steers
+the loop.  One end pass, kernels.exact_gram_product, gives K [alpha, a y]
+in float64 for the returned primal point and the best dual point, from
+strips of K formed in one reused buffer, and the objective, the norm and the
 certificate are reported from it.  Below F32_MIN_N the loop's float64
 numbers are reported as they are.
 
@@ -441,6 +442,17 @@ def _projector(y, lower, upper):
     the first Newton step; only the others sort all kinks together, for
     the middle kink.  The squared loss's infinite box puts every top at
     -inf and every bottom at +inf, so its first Newton step is the root.
+
+    The search ends within 2m + 1 evaluations of phi, m = len(y).  The root
+    lies between kinks[lo - 1] and kinks[hi], 0 <= lo <= hi <= 2m, where
+    kinks holds the 2m kinks sorted.  Past the first evaluation, each lam
+    is a kink of the bracket or a Newton step inside it, kinks[lo] <= lam
+    <= kinks[hi - 1], so where phi(lam) > 0 the count of kinks <= lam that
+    becomes lo exceeds the old lo, where phi(lam) < 0 the count of kinks <
+    lam that becomes hi is below the old hi, and the search stops once lo
+    >= hi.  So hi - lo falls by at least 1 in every evaluation but the
+    first.  A search that has not ended by then has miscounted the kinks,
+    and raises LossError rather than run on.
     """
     L = np.where(y > 0, lower, -upper)
     U = np.where(y > 0, upper, -lower)
@@ -457,7 +469,9 @@ def _projector(y, lower, upper):
         last, newton = inf, False
         a = np.minimum(np.maximum(c - lam, L), U)
         phi = float(a.sum())
-        while phi != 0.0:
+        for _ in range(2 * m + 1):
+            if phi == 0.0:
+                break
             # Newton's step with the slope on the root's side, where a
             # coordinate at a kink counts if the step frees it
             rising = phi > 0.0
@@ -495,6 +509,9 @@ def _projector(y, lower, upper):
             lam, last = (step if newton else kinks[(lo + hi) // 2]), abs(phi)
             a = np.minimum(np.maximum(c - lam, L), U)
             phi = float(a.sum())
+        else:
+            raise LossError(f"the projection's root search ran past {2 * m + 1}"
+                            " evaluations: its kinks are miscounted")
         root[0] = lam / scale
         return y * a
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import ssyrk
 from scipy.special import roots_gegenbauer
 
 from marginlab import harness, kernels, learners, orthopoly, sphere
@@ -196,6 +198,25 @@ def test_float32_gram_within_rounding():
     assert kernels.gram(k, X[1:]).dtype == np.float64
 
 
+def test_mutated_float32_dropped_last_block_is_caught(monkeypatch):
+    # a float32 build that never forms its last block leaves that corner of
+    # the triangle as whatever the fresh buffer held: zeros, stale entries or
+    # not even finite numbers, so the product is off by far more than the
+    # 8 float32 epsilons that test_float32_gram_within_rounding allows, or
+    # not finite; the linear profile fails too, as no raw inner products are
+    # left behind
+    blocks = kernels._lower_blocks
+    monkeypatch.setattr(kernels, "_lower_blocks",
+                        lambda n: list(blocks(n))[:-1])
+    n = kernels.F32_MIN_N
+    X = sphere_points(6, n, 12)
+    u = np.random.default_rng(12).standard_normal(n)
+    for k in product_kernels():
+        if k.is_zonal:
+            assert kernels.gram(k, X).dtype == np.float32
+            assert not product_error(k, X, u) <= 1e-4, k.name
+
+
 def exact_product_error(k, X, V):
     """||exact_gram_product(k, X, V) - cross_gram(k, X, X) V|| over the
     scale ||K|| ||V||."""
@@ -229,6 +250,141 @@ def test_mutated_exact_product_strip_is_caught(monkeypatch):
             assert exact_product_error(k, X, V) > 1e-3, k.name
 
 
+def reference_gram32(k, X):
+    """kernels.gram from F32_MIN_N points as it was before it formed the
+    triangle block by block: one ssyrk, then the profile over the triangle
+    from memory.  The shipped build must give its lower triangle's bits:
+    blocked sgemm and whole-triangle ssyrk agreeing bit for bit is a
+    property of the BLAS build (measured with scipy's OpenBLAS), which
+    test_cached_blocks_match_references pins."""
+    G = ssyrk(1.0, X, lower=1)
+    GT = G.T
+    for lo, hi in kernels._lower_blocks(len(G)):
+        kernels._apply_profile(k.profile, GT[lo:hi, lo:])
+    return G
+
+
+def reference_exact_gram_product(k, X, V):
+    """kernels.exact_gram_product for a zonal kernel as it was before it
+    reused one buffer: a fresh strip for every block."""
+    out = np.zeros(V.shape)
+    for lo, hi in kernels._lower_blocks(len(X)):
+        strip = X[lo:hi] @ X[lo:].T
+        kernels._apply_profile(k.profile, strip)
+        out[lo:hi] += strip @ V[lo:]
+        out[hi:] += strip[:, hi - lo:].T @ V[lo:hi]
+    return out
+
+
+def reference_screened_scores(k, X, support, alpha):
+    """The scores of kernels.screened_scores as they were before it cast X
+    once and reused one buffer: X cast block by block, a fresh block of
+    entries each time."""
+    n, M = len(support), min(kernels.SCREEN_CHUNK, len(support))
+    S32, a32 = support.astype(np.float32), alpha.astype(np.float32)
+    full = n - n % M
+    chunked = a32[:full].reshape(-1, 1, M)
+    scores = np.empty(len(X))
+    rows = max(2 * kernels.PROFILE_BLOCK // n, 1)
+    for lo in range(0, len(X), rows):
+        Kt = S32 @ X[lo:lo + rows].astype(np.float32).T
+        kernels._apply_profile(k.profile, Kt)
+        partial = np.matmul(chunked, Kt[:full].reshape(-1, M, Kt.shape[1]))
+        out = partial.sum(axis=0, dtype=float)[0]
+        if full < n:
+            out += a32[full:] @ Kt[full:]
+        scores[lo:lo + rows] = out
+    return scores
+
+
+def same_lower_triangle(A, B):
+    """Whether two F-ordered Gram matrices hold the same lower-triangle
+    bits, compared one _lower_blocks block at a time (no n x n copy)."""
+    return all(np.array_equal(np.triu(A.T[lo:hi, lo:]), np.triu(B.T[lo:hi, lo:]))
+               for lo, hi in kernels._lower_blocks(len(A)))
+
+
+# every shipped zonal kernel, rbf at widths below, at and above 1
+ZONAL = [("linear", {}), ("sss", {}), ("rbf", {"sigma": 0.3}),
+         ("rbf", {"sigma": 1.0}), ("rbf", {"sigma": 2.0}),
+         ("poly", {"degree": 3})]
+
+
+@pytest.mark.parametrize("n", [kernels.F32_MIN_N, kernels.F32_MIN_N + 37,
+                               4000])
+@pytest.mark.parametrize("d", [3, 25])
+def test_cached_blocks_match_references(n, d):
+    # the float32 triangle, the exact pass and the screen give the bits of
+    # the forms they replaced; the test points span two whole screen
+    # blocks and a partial one
+    X = sphere_points(d, n, n + d)
+    rng = np.random.default_rng(n + d)
+    V = rng.standard_normal((n, 2))
+    rows = max(2 * kernels.PROFILE_BLOCK // n, 1)
+    T = sphere_points(d, 2 * rows + 37, 1)
+    alpha = rng.standard_normal(n)
+    for name, params in ZONAL:
+        k = kernels.standard_kernel(name, **params)
+        G = kernels.gram(k, X)
+        assert G.dtype == np.float32 and G.flags.f_contiguous
+        assert same_lower_triangle(G, reference_gram32(k, X)), (name, params)
+        del G
+        for W in (V, V[:, 0]):
+            assert np.array_equal(kernels.exact_gram_product(k, X, W),
+                                  reference_exact_gram_product(k, X, W))
+        assert np.array_equal(kernels.screened_scores(k, T, X, alpha)[0],
+                              reference_screened_scores(k, T, X, alpha))
+
+
+def test_one_row_blocks_match_references(monkeypatch):
+    # with a tiny PROFILE_BLOCK the first strips and every screen block are
+    # one row longer than a block, which the buffers must still hold
+    monkeypatch.setattr(kernels, "PROFILE_BLOCK", 64)
+    X = sphere_points(5, 150, 13)
+    assert next(kernels._lower_blocks(len(X))) == (0, 1)
+    rng = np.random.default_rng(13)
+    V = rng.standard_normal((150, 2))
+    T = sphere_points(5, 9, 14)
+    alpha = rng.standard_normal(150)
+    for name, params in ZONAL:
+        k = kernels.standard_kernel(name, **params)
+        for W in (V, V[:, 0]):
+            assert np.array_equal(kernels.exact_gram_product(k, X, W),
+                                  reference_exact_gram_product(k, X, W))
+        assert np.array_equal(kernels.screened_scores(k, T, X, alpha)[0],
+                              reference_screened_scores(k, T, X, alpha))
+
+
+def traced_peak(f, *args):
+    """The peak of the bytes traced by tracemalloc while f(*args) runs,
+    numpy's array data included, above what was traced before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_cached_blocks_memory_contract():
+    # the exact pass holds one float64 block buffer, its output and
+    # products of the output's size, never K (n^2 8 bytes, 35 MB here); the
+    # float32 build holds the triangle's n^2 4 bytes and less than a block
+    # besides
+    n = kernels.F32_MIN_N + 37
+    X = sphere_points(25, n, 15)
+    V = np.random.default_rng(15).standard_normal((n, 2))
+    slack = 64 * 1024
+    for name, params in ZONAL:
+        k = kernels.standard_kernel(name, **params)
+        block = 8 * max(kernels.PROFILE_BLOCK, n)
+        assert traced_peak(kernels.exact_gram_product, k, X, V) \
+            <= block + 3 * V.nbytes + slack, (name, params)
+        assert traced_peak(kernels.gram, k, X) \
+            <= 4 * n * n + 4 * kernels.PROFILE_BLOCK + slack, (name, params)
+
+
 def test_kernel_matrices_leave_inputs_unchanged():
     X = sphere_points(6, 700, 6)
     X[0] *= 1.0 + 1e-12  # one inner product just past 1, which the clip fixes
@@ -252,6 +408,9 @@ def test_kernel_matrices_leave_inputs_unchanged():
     ("poly", {"degree": 2}, lambda s: ((1.0 + s) / 2.0) ** 2),
     ("poly", {"degree": 3}, lambda s: ((1.0 + s) / 2.0) ** 3),
     ("poly", {"degree": 5}, lambda s: ((1.0 + s) / 2.0) ** 5),
+    ("rbf", {"sigma": 0.5}, lambda s: np.exp((s - 1.0) / 0.5**2)),
+    ("rbf", {"sigma": 1.5}, lambda s: np.exp((s - 1.0) / 1.5**2)),
+    ("rbf", {"sigma": 2.0}, lambda s: np.exp((s - 1.0) / 2.0**2)),
 ])
 def test_in_place_profiles_match_closed_forms(name, params, closed):
     # the grid reaches just past [-1, 1], where the clip brings s back

@@ -659,6 +659,22 @@ def test_mutated_dual_solver_is_caught(old, new):
     assert caught_mutation(mutated_learners(old, new)) > 0
 
 
+def test_mutated_projector_count_raises():
+    # the free coordinates counted on the wrong side of lam where phi > 0:
+    # once lam sits on the middle kink of a bracket of one kink, lo stays
+    # put and the search picks that kink again; the cap on its rounds turns
+    # the hang into a LossError, within 2m + 1 = 9 evaluations of phi
+    y = np.array([1.0, -1.0, -1.0, -1.0])
+    upper = np.array([0.25, 0.5, 1.0, 0.25])
+    z = np.array([-1.0, 1.75, 0.5, 1.75])
+    a = L._projector(y, 0.0 * upper, upper)(z)
+    assert np.array_equal(a, [0.25, 0.125, 0.0, 0.125])
+    miscounted = mutated_learners('side = "right" if rising else "left"',
+                                  'side = "left"')
+    with pytest.raises(miscounted.LossError, match="miscounted"):
+        miscounted._projector(y, 0.0 * upper, upper)(z)
+
+
 def test_bracket_stop_fires():
     # the tiny programs close their brackets in a few products, far inside
     # the budget, and a run to the budget ends within GAP_TOL of the stop
