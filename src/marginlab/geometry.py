@@ -1,34 +1,44 @@
 """Minimum-volume enclosing ellipsoids, convex decomposition over point hulls,
 and the finitely supported noise measure they induce for feature-map learners.
 
-The MVEE solver is one Khachiyan barycentric coordinate ascent with
-Todd-Yildirim away steps, run on the points themselves in the symmetric case
-and on the points lifted to (p, 1) in the general case.  It carries V^-1,
-the leverages and the weights scaled by one scalar, so each step is a
-rank-one (Sherman-Morrison) update of V^-1 and of the leverages with no
-rescaling of either, and it stops only on leverages recomputed exactly from
-the unscaled weights.  In the symmetric case the ellipsoid is centered at
-the origin and the shrunk copy E / sqrt(m (1+eps)) lies inside the convex
-hull of the points and their negatives, which is what makes the
-basis-vector decompositions below feasible.  Each decomposition is one
-nonnegative least-squares solve; the noise measure built from them is
-certified by the mean-absolute-score lower bound it supplies to the
-feature-map lower bound.
+The MVEE weights are found by one spectral projected-gradient ascent on the
+D-optimal design problem, max log det(Q' diag(u) Q) over the simplex, with
+Q the points themselves in the symmetric case and the points lifted to
+(p, 1) in the general case.  Each iteration is one Cholesky factorization
+and two n x dim x dim products, vectorized over the points, and the loop
+stops only on leverages q_i' V(u)^-1 q_i computed from the accepted weights.
+That test alone gives containment within eps, and in the symmetric case,
+where the ellipsoid is centered at the origin, it puts the shrunk copy
+E / sqrt(m (1+eps)) inside the convex hull of the points and their
+negatives, which is what makes the basis-vector decompositions below
+feasible.  Each decomposition is one nonnegative least-squares solve; the
+noise measure built from them is certified by the mean-absolute-score lower
+bound it supplies to the feature-map lower bound.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
 
+from .learners import SPG_ARMIJO, SPG_BACKTRACKS, SPG_MEMORY
 from .sphere import RngStream, sample_unit_spheres
 
 MVEE_EPS = 1e-3
-MVEE_MAX_ITERS = 100_000
+# Cholesky evaluations of the design ascent, line-search trials included.
+# The most measured: 161 over 60 000 examples of the property test's random
+# inputs (m <= 8, up to 20 dim points, axis scales up to 10^+-2), 98 for the
+# lemma_checks benchmark's mvee inputs (m = 10, 20, 30, 20 m unit points)
+# and 165 for its noise measures (m = 8, 400 probes), seeds 0-39.  The ascent
+# is affine invariant, so badly scaled inputs take no more.  2000 leaves
+# >10x room and stops a loop that does not converge within about 0.5 s at
+# m = 30 with 600 points.
+MVEE_MAX_ITERS = 2000
 DECOMP_TOL = 1e-9
 WEIGHT_TOL = 1e-12
 
@@ -104,77 +114,92 @@ class WeightedAtomMeasure:
         return cls(atoms)
 
 
-def _exact_state(Q: np.ndarray, u: np.ndarray):
-    """V^-1 and the leverages w_i = q_i' V^-1 q_i for V = Q' diag(u) Q."""
-    Vinv = np.linalg.inv((Q.T * u) @ Q)
-    return Vinv, np.einsum("ij,jk,ik->i", Q, Vinv, Q)
+def _simplex_projection(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of v onto the probability simplex: v shifted by
+    the one theta that leaves sum(max(v - theta, 0)) = 1, found by sorting."""
+    s = np.sort(v)[::-1]
+    tail = (np.cumsum(s) - 1.0) / np.arange(1, len(v) + 1)
+    theta = tail[np.count_nonzero(s > tail) - 1]
+    return np.maximum(v - theta, 0.0)
 
 
-def _khachiyan(Q: np.ndarray, eps: float) -> np.ndarray:
+def _design(QT: np.ndarray, u: np.ndarray):
+    """(log det V, leverages w_i = q_i' V^-1 q_i) for V = Q' diag(u) Q, from
+    QT = Q' in C order, or None where V is not numerically positive
+    definite.  With V = L L', w_i = |L^-1 q_i|^2, and w is the gradient of
+    log det V in u."""
+    try:
+        L = np.linalg.cholesky((QT * u) @ QT.T)
+    except np.linalg.LinAlgError:
+        return None
+    B = np.linalg.inv(L) @ QT
+    B *= B
+    return 2.0 * float(np.log(L.diagonal()).sum()), B.sum(axis=0)
+
+
+def _design_weights(Q: np.ndarray, eps: float) -> np.ndarray:
     """Barycentric weights u with max_i q_i' V(u)^-1 q_i <= (1+eps) dim.
 
-    Khachiyan's coordinate ascent with Todd-Yildirim away steps.  V^-1, the
-    leverages and the weights are carried in scaled form: the true values
-    are S Vinv, S w and us / S for a scalar S that absorbs each step's
-    1 / (1 - tau), so a Sherman-Morrison step is one rank-one update of
-    Vinv and one of w, O(n dim), with no rescaling of either.  The stopping
-    test recomputes both exactly from the unscaled u (and resets S = 1), so
-    rounding drift in the carried state cannot end the loop early.
+    Non-monotone spectral projected-gradient ascent (Birgin, Martinez and
+    Raydan) on the D-optimal design problem, max log det V(u) over the
+    simplex, whose gradient is the leverage vector w.  The iterate moves
+    along d = P(u + lam w) - u, P the simplex projection.  The line search
+    halves the step until log det rises above the best of the last
+    SPG_MEMORY values by SPG_ARMIJO times the step's first-order ascent; a
+    trial point whose Cholesky fails is rejected.  lam is the
+    Barzilai-Borwein step s's / -s'y of the last move, kept where s'y >= 0,
+    which concavity allows only for a move that leaves V unchanged; the
+    first lam, 1 / (n dim), makes the first step the multiplicative update
+    u_i w_i / dim.  The stopping test reads leverages computed from the
+    accepted u alone, so nothing carried between steps can end the loop
+    early.  A direction with no first-order ascent, a line search that
+    fails SPG_BACKTRACKS halvings and an evaluation past MVEE_MAX_ITERS
+    each raise GeometryError.  In the symmetric dim = 1 case, all weight on
+    the longest point is exact.
     """
     n, dim = Q.shape
-    us = np.full(n, 1.0 / n)
-    Vinv, w = _exact_state(Q, us)
-    S = 1.0
-    pen = np.zeros(n)  # +inf off the support of u, 0 on it
+    if dim == 1:
+        u = np.zeros(n)
+        u[np.abs(Q[:, 0]).argmax()] = 1.0
+        return u
     bound = (1.0 + eps) * dim
-    for _ in range(MVEE_MAX_ITERS):
-        j = w.argmax()
-        wj = S * w.item(j)
-        if wj <= bound:
-            us /= S
-            S = 1.0
-            Vinv, w = _exact_state(Q, us)
-            if w.max() <= bound:
-                return us
-            continue
-        k = (w + pen).argmin()
-        wk = S * w.item(k)
-        if dim - wk > wj - dim:
-            # away step: shift weight off the support point with the
-            # smallest leverage, at most down to zero (a drop step)
-            i, wi = k, wk
-            uk = us.item(k) / S
-            floor = -uk / (1.0 - uk)
-            tau = floor
-            if wk > 1.0:
-                tau = max((wk - dim) / (dim * (wk - 1.0)), floor)
-            drop = tau == floor
+    # log det V moves by a constant and the leverages not at all under
+    # Q -> Q A, so the ascent runs on an orthonormal basis of Q's columns,
+    # where V = I / n at the start however badly Q is scaled
+    QT = np.ascontiguousarray(np.linalg.qr(Q)[0].T)
+    u = np.full(n, 1.0 / n)
+    f, w = _design(QT, u)
+    lam = 1.0 / (n * dim)
+    history = deque([f], maxlen=SPG_MEMORY)
+    evals = 1
+    while w.max() > bound:
+        d = _simplex_projection(u + lam * w) - u
+        ascent = float(w.dot(d))
+        if not ascent > 0.0:
+            raise GeometryError("MVEE step direction does not ascend")
+        reference = max(history)
+        t = 1.0
+        for _ in range(SPG_BACKTRACKS):
+            if evals >= MVEE_MAX_ITERS:
+                raise GeometryError("MVEE iteration cap exceeded")
+            evals += 1
+            u_t = u + t * d
+            trial = _design(QT, u_t)
+            if (trial is not None
+                    and trial[0] >= reference + SPG_ARMIJO * t * ascent):
+                break
+            t *= 0.5
         else:
-            i, wi, drop = j, wj, False
-            tau = (wj - dim) / (dim * (wj - 1.0))
-            if tau >= 1.0:  # dim = 1: all weight on the longest point
-                us = np.zeros(n)
-                us[j] = 1.0
-                S = 1.0
-                pen = np.where(us > 0.0, 0.0, np.inf)
-                Vinv, w = _exact_state(Q, us)
-                continue
-        # with c the Sherman-Morrison coefficient and S' = S / (1 - tau),
-        # the true update (S Vinv - c S^2 g g') / (1 - tau) is
-        # S' (Vinv - c S g g'), likewise for w, and the true weights
-        # (1 - tau) us / S + tau e_i are (us + tau S' e_i) / S'
-        cS = S * tau / ((1.0 - tau) + tau * wi)
-        g = Vinv @ Q[i]
-        h = Q @ g
-        Vinv -= np.multiply.outer(g * cS, g)
-        h *= h
-        h *= cS
-        w -= h
-        S /= 1.0 - tau
-        ui = 0.0 if drop else us.item(i) + tau * S
-        us[i] = ui
-        pen[i] = 0.0 if ui > 0.0 else np.inf
-    raise GeometryError("MVEE iteration cap exceeded")
+            raise GeometryError("MVEE line search found no ascent in "
+                                f"{SPG_BACKTRACKS} halvings")
+        f, w_t = trial
+        s = u_t - u
+        sy = float(s.dot(w_t - w))
+        if sy < 0.0:
+            lam = float(s.dot(s)) / -sy
+        u, w = u_t, w_t
+        history.append(f)
+    return u
 
 
 def mvee(points, symmetric: bool = False, eps: float = MVEE_EPS) -> Ellipsoid:
@@ -194,7 +219,7 @@ def mvee(points, symmetric: bool = False, eps: float = MVEE_EPS) -> Ellipsoid:
     rank = np.linalg.matrix_rank(Q)
     if rank < Q.shape[1]:
         raise RankDeficiencyError(rank if symmetric else rank - 1, m)
-    u = _khachiyan(Q, eps)
+    u = _design_weights(Q, eps)
     if symmetric:
         c = np.zeros(m)
         S = np.linalg.inv((P.T * u) @ P) / m

@@ -453,12 +453,13 @@ def _suite_geometry() -> list:
         contain = float(np.max(ell.quad(pts)))
         checks.append((f"mvee_containment_m{m}", contain <= 1.0 + geometry.MVEE_EPS,
                        {"max_quad": contain}))
-        Minv = np.linalg.inv(ell.shape)
-        worst = math.inf
-        for u in sphere.sample_unit_spheres(m, 200, rng):
-            lhs = float(np.max(np.abs(pts @ u)))
-            rhs = math.sqrt(float(u @ Minv @ u) / (m * (1 + geometry.MVEE_EPS)))
-            worst = min(worst, lhs - rhs)
+        # the shrunk ellipsoid E / sqrt(m (1+eps)) lies in conv(+/-pts):
+        # compare support functions along 200 random directions at once
+        U = sphere.sample_unit_spheres(m, 200, rng)
+        lhs = np.abs(pts @ U.T).max(axis=0)
+        rhs = np.sqrt(np.einsum("ij,jk,ik->i", U, np.linalg.inv(ell.shape), U)
+                      / (m * (1 + geometry.MVEE_EPS)))
+        worst = float(np.min(lhs - rhs))
         checks.append((f"john_ratio_m{m}", worst >= -1e-12, {"min_slack": worst}))
     for m in (2, 3, 5):
         A = rng.gen.standard_normal((m, 10))

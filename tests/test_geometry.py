@@ -112,10 +112,11 @@ def test_mvee_contains_random_points(m, symmetric, seed, data):
         pts += data.draw(st.floats(0.0, 5.0)) * rng.standard_normal(m)
     lifted = pts if symmetric else np.hstack([pts, np.ones((n, 1))])
     assume(np.linalg.matrix_rank(lifted) == dim)
-    # the loop took at most 657 steps over 10000 examples of this strategy;
-    # a cap of 10000 fails a loop that does not converge in ~0.2 s, where
-    # MVEE_MAX_ITERS lets each shrinking step run for seconds
-    with mock.patch.object(geometry, "MVEE_MAX_ITERS", 10_000):
+    # the ascent took at most 161 Cholesky evaluations over six runs of
+    # 10 000 examples of this strategy (99.9% of 20 000 uniform draws took
+    # at most 93); a cap of 2.5 times that fails a loop that has slowed
+    # down well before it reaches MVEE_MAX_ITERS
+    with mock.patch.object(geometry, "MVEE_MAX_ITERS", 400):
         ell = geometry.mvee(pts, symmetric=symmetric)
     assert float(np.max(ell.quad(pts))) <= 1 + geometry.MVEE_EPS
     if symmetric:
@@ -149,9 +150,10 @@ def test_mvee_as_many_points_as_dimensions():
 
 
 def test_mvee_iteration_budget(monkeypatch):
-    # m = 30 with 600 points takes about 20 000 Khachiyan steps without away
-    # steps; with them it converges well inside 8000
-    monkeypatch.setattr(geometry, "MVEE_MAX_ITERS", 8000)
+    # m = 30 with 600 points takes 53 Cholesky evaluations symmetric and 52
+    # lifted (the Khachiyan loop before it took 3951 and 3610 steps); the cap
+    # allows twice that
+    monkeypatch.setattr(geometry, "MVEE_MAX_ITERS", 110)
     pts = unit_rows(np.random.default_rng(30), 600, 30)
     for symmetric in (True, False):
         ell = geometry.mvee(pts, symmetric=symmetric)
@@ -171,21 +173,30 @@ def test_mvee_badly_scaled_points_give_symmetric_shape():
     assert float(np.max(ell.quad(pts))) <= 1 + geometry.MVEE_EPS
 
 
+def exact_state(Q, u):
+    """V^-1 and the leverages w_i = q_i' V^-1 q_i for V = Q' diag(u) Q."""
+    Vinv = np.linalg.inv((Q.T * u) @ Q)
+    return Vinv, np.einsum("ij,jk,ik->i", Q, Vinv, Q)
+
+
+REFERENCE_MAX_STEPS = 100_000
+
+
 def reference_khachiyan(Q, eps):
-    """geometry._khachiyan as it was before it carried its state scaled:
-    V^-1 and the leverages are divided by 1 - tau and u multiplied by it at
-    every step.  Returns u and the number of loop iterations it took, which
-    the scaled loop must match."""
+    """Khachiyan's coordinate ascent with Todd-Yildirim away steps, the loop
+    mvee ran before the spectral projected-gradient ascent: V^-1 and the
+    leverages take one rank-one update per step and are recomputed exactly
+    before the loop stops."""
     n, dim = Q.shape
     u = np.full(n, 1.0 / n)
-    Vinv, w = geometry._exact_state(Q, u)
+    Vinv, w = exact_state(Q, u)
     bound = (1.0 + eps) * dim
-    for step in range(1, geometry.MVEE_MAX_ITERS + 1):
+    for _ in range(REFERENCE_MAX_STEPS):
         j = int(np.argmax(w))
         if w[j] <= bound:
-            Vinv, w = geometry._exact_state(Q, u)
+            Vinv, w = exact_state(Q, u)
             if np.max(w) <= bound:
-                return u, step
+                return u
             continue
         k = int(np.argmin(np.where(u > 0.0, w, np.inf)))
         if dim - w[k] > w[j] - dim:
@@ -201,7 +212,7 @@ def reference_khachiyan(Q, eps):
             if tau >= 1.0:
                 u = np.zeros(n)
                 u[j] = 1.0
-                Vinv, w = geometry._exact_state(Q, u)
+                Vinv, w = exact_state(Q, u)
                 continue
         g = Vinv @ Q[i]
         h = Q @ g
@@ -215,22 +226,60 @@ def reference_khachiyan(Q, eps):
     raise geometry.GeometryError("MVEE iteration cap exceeded")
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
-@pytest.mark.parametrize("m", [1, 3, 10, 30])
-def test_khachiyan_matches_reference(monkeypatch, m, symmetric):
+def assert_design_oracle(Q, u, expect, eps=geometry.MVEE_EPS):
+    """u is a valid stop of the design ascent, judged against weights expect
+    that also pass the stopping test.
+
+    u must lie on the simplex and pass the exact test
+    max_i w_i <= (1+eps) dim.  Weak duality then bounds its log det from
+    both sides.  Take any positive definite M with q_i' M q_i <= 1 for every
+    i, and any weights v on the simplex:
+    tr(M V(v)) = sum_i v_i q_i' M q_i <= 1, and by the AM-GM inequality on
+    the eigenvalues of M^1/2 V(v) M^1/2, det(M V(v))^(1/dim) <= 1 / dim, so
+    log det V(v) <= -log det M - dim log dim.  Where u passes the test,
+    M = V(u)^-1 / ((1+eps) dim) is such an M, and the bound reads
+    log det V(v) <= log det V(u) + dim log(1+eps).  Both u and expect pass,
+    so each log det lies within dim log(1+eps) of the other.
+    """
+    dim = Q.shape[1]
+    assert float(u.min()) >= 0.0
+    assert abs(float(u.sum()) - 1.0) <= 1e-12
+    _, w = exact_state(Q, u)
+    assert float(w.max()) <= (1.0 + eps) * dim
+    gap = (np.linalg.slogdet((Q.T * u) @ Q)[1]
+           - np.linalg.slogdet((Q.T * expect) @ Q)[1])
+    assert abs(gap) <= dim * math.log1p(eps)
+
+
+def oracle_input(m, symmetric):
     rng = np.random.default_rng(100 + m)
     P = unit_rows(rng, 20 * m, m)
-    Q = P if symmetric else np.hstack([P + rng.standard_normal(m),
-                                       np.ones((len(P), 1))])
-    expect, steps = reference_khachiyan(Q, geometry.MVEE_EPS)
-    # the same number of steps: enough with the reference's count, one short
-    # without it
-    monkeypatch.setattr(geometry, "MVEE_MAX_ITERS", steps)
-    u = geometry._khachiyan(Q, geometry.MVEE_EPS)
-    assert float(np.max(np.abs(u - expect))) <= 1e-12
-    monkeypatch.setattr(geometry, "MVEE_MAX_ITERS", steps - 1)
-    with pytest.raises(geometry.GeometryError, match="iteration cap"):
-        geometry._khachiyan(Q, geometry.MVEE_EPS)
+    return P if symmetric else np.hstack([P + rng.standard_normal(m),
+                                          np.ones((len(P), 1))])
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("m", [1, 3, 10, 30])
+def test_khachiyan_matches_reference(m, symmetric):
+    # the ascent's weights and the Khachiyan reference's are both valid
+    # stops, and their log dets agree within the weak-duality bound
+    Q = oracle_input(m, symmetric)
+    expect = reference_khachiyan(Q, geometry.MVEE_EPS)
+    assert_design_oracle(Q, expect, expect)
+    assert_design_oracle(Q, geometry._design_weights(Q, geometry.MVEE_EPS),
+                         expect)
+
+
+def mutated_design_weights(Q, eps, old, new):
+    """geometry._design_weights, and the simplex projection it calls, with
+    the source string old replaced by new once."""
+    source = "\n\n".join(inspect.getsource(f) for f in (
+        geometry._simplex_projection, geometry._design_weights))
+    assert source.count(old) == 1
+    source = source.replace(old, new)
+    scope = dict(vars(geometry))
+    exec(source, scope)
+    return scope["_design_weights"](Q, eps)
 
 
 def mutated_khachiyan(Q, eps):
@@ -241,15 +290,15 @@ def mutated_khachiyan(Q, eps):
     source = inspect.getsource(reference_khachiyan)
     for old, new in [
             ("(1.0 - tau) + tau * w[i]", "(1.0 - tau) - tau * w[i]"),
-            ("Vinv, w = geometry._exact_state(Q, u)\n"
+            ("Vinv, w = exact_state(Q, u)\n"
              "            if np.max(w) <= bound:\n"
-             "                return u, step\n"
-             "            continue\n", "return u, step\n")]:
+             "                return u\n"
+             "            continue\n", "return u\n")]:
         assert source.count(old) == 1
         source = source.replace(old, new)
-    scope = {"np": np, "geometry": geometry}
+    scope = dict(globals())
     exec(source, scope)
-    return scope["reference_khachiyan"](Q, eps)[0]
+    return scope["reference_khachiyan"](Q, eps)
 
 
 def test_mutated_rank_one_sign_is_caught():
@@ -259,10 +308,53 @@ def test_mutated_rank_one_sign_is_caught():
     for m in (3, 5, 10):
         P = unit_rows(rng, 20 * m, m)
         u = mutated_khachiyan(P, geometry.MVEE_EPS)
-        _, w = geometry._exact_state(P, u)
+        _, w = exact_state(P, u)
         assert float(np.max(w)) > (1 + geometry.MVEE_EPS) * m
         ell = geometry.mvee(P, symmetric=True)
         assert float(np.max(ell.quad(P))) <= 1 + geometry.MVEE_EPS
+
+
+def test_mutated_design_ascent_is_caught():
+    # a projection without the simplex shift lets sum(u) grow past 1, which
+    # shrinks the leverages below the bound early; a stop that reads a trial
+    # point's leverages before the line search accepts it returns the weights
+    # from before the step.  The oracle rejects both on each input (the
+    # symmetric m = 1 case is a closed form that neither touches)
+    mutations = [
+        ("return np.maximum(v - theta, 0.0)", "return np.maximum(v, 0.0)"),
+        ("            trial = _design(QT, u_t)\n",
+         "            trial = _design(QT, u_t)\n"
+         "            if trial is not None and trial[1].max() <= bound:\n"
+         "                return u\n")]
+    for m, symmetric in [(1, False), (3, True), (10, False), (30, True)]:
+        Q = oracle_input(m, symmetric)
+        expect = reference_khachiyan(Q, geometry.MVEE_EPS)
+        for old, new in mutations:
+            u = mutated_design_weights(Q, geometry.MVEE_EPS, old, new)
+            with pytest.raises(AssertionError):
+                assert_design_oracle(Q, u, expect)
+
+
+def test_design_ascent_fails_fast(monkeypatch):
+    # a step toward the projection of -(u + lam w) descends, and an Armijo
+    # constant of 1e6 asks a concave objective to rise far more than its
+    # first-order ascent: each raises within SPG_BACKTRACKS evaluations
+    # instead of running to MVEE_MAX_ITERS or hanging
+    Q = oracle_input(30, False)
+    calls = []
+    design = geometry._design
+    monkeypatch.setattr(geometry, "_design",
+                        lambda QT, u: calls.append(1) or design(QT, u))
+    exact = geometry._simplex_projection
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_simplex_projection", lambda v: exact(-v))
+        with pytest.raises(geometry.GeometryError, match="does not ascend"):
+            geometry._design_weights(Q, geometry.MVEE_EPS)
+    assert len(calls) == 1
+    monkeypatch.setattr(geometry, "SPG_ARMIJO", 1e6)
+    with pytest.raises(geometry.GeometryError, match="line search"):
+        geometry._design_weights(Q, geometry.MVEE_EPS)
+    assert len(calls) == 2 + geometry.SPG_BACKTRACKS
 
 
 def test_convex_decompose_examples():

@@ -213,6 +213,32 @@ def test_suites_draw_the_same_sphere_points(monkeypatch):
     assert seen[-3:] == [100, 150, 250]
 
 
+def test_john_ratio_matches_direction_loop(monkeypatch):
+    # the geometry suite checks the John ratio with one product per m; a
+    # loop over its 200 directions, one support function at a time, gives
+    # the same minimum slack up to rounding
+    draws, ellipsoids = [], []
+    batched, mvee = sphere.sample_unit_spheres, geometry.mvee
+    monkeypatch.setattr(sphere, "sample_unit_spheres",
+                        lambda d, k, rng: draws.append(batched(d, k, rng))
+                        or draws[-1])
+    monkeypatch.setattr(geometry, "mvee",
+                        lambda P, **kw: ellipsoids.append(mvee(P, **kw))
+                        or ellipsoids[-1])
+    slack = {c: detail["min_slack"] for c, _, detail
+             in harness._suite_geometry() if c.startswith("john_ratio")}
+    for i, m in enumerate((2, 3, 5, 10)):
+        pts, directions = draws[2 * i], draws[2 * i + 1]
+        Minv = np.linalg.inv(ellipsoids[i].shape)
+        worst = math.inf
+        for u in directions:
+            lhs = float(np.max(np.abs(pts @ u)))
+            rhs = math.sqrt(float(u @ Minv @ u)
+                            / (m * (1 + geometry.MVEE_EPS)))
+            worst = min(worst, lhs - rhs)
+        assert abs(slack[f"john_ratio_m{m}"] - worst) <= 1e-12
+
+
 def test_verify_unknown_suite():
     with pytest.raises(harness.UsageError):
         harness.verify_lemmas("nope")
