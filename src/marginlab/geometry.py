@@ -18,7 +18,6 @@ bound it supplies to the feature-map lower bound.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -99,19 +98,6 @@ class WeightedAtomMeasure:
         if abs(total - 1.0) > 1e-6:
             raise GeometryError(f"weights sum to {total}, expected 1")
         self.atoms = cleaned
-
-    @classmethod
-    def from_csv(cls, path: str) -> "WeightedAtomMeasure":
-        atoms = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                atoms.append(
-                    (np.array([float(v) for v in row[:-2]]),
-                     int(row[-2]), float(row[-1]))
-                )
-        return cls(atoms)
 
 
 def _simplex_projection(v: np.ndarray) -> np.ndarray:

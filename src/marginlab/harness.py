@@ -27,7 +27,7 @@ from .sphere import RngStream
 
 SWEEP_COLUMNS = [
     "config_id", "seed", "gamma", "d", "kernel", "C", "loss",
-    "lambda2", "lambda3", "lambdaN", "n_train",
+    "lambda2", "lambda3", "n_train",
     "err01", "err_margin_certified", "err_margin_empirical", "err_surrogate",
     "ratio", "surrogate_optimum", "gap_ratio",
     "band_gap", "band_bound", "solver_gap", "error",
@@ -53,7 +53,6 @@ class ExperimentConfig:
     theta: float = 0.7
     lambda2: float = 0.0
     lambda3: float = 0.0
-    lambdaN: float = 0.0
     kernel: str = "linear"
     kernel_params: dict = field(default_factory=dict)
     loss: str = "hinge"
@@ -66,7 +65,6 @@ class ExperimentConfig:
     n_restarts: int = 4
     eps_opt: float | None = None
     boundary_counts: bool = False
-    noise_atoms_csv: str | None = None
 
     def __post_init__(self):
         if self.n_train < 1 or self.n_test < 1:
@@ -86,23 +84,17 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
 
     def make_spec(self) -> AdversarialSpec:
-        atoms = None
-        if self.lambdaN > 0:
-            if self.noise_atoms_csv is None:
-                raise UsageError("lambdaN > 0 requires noise_atoms_csv")
-            atoms = geometry.WeightedAtomMeasure.from_csv(self.noise_atoms_csv)
         return AdversarialSpec(
             d=self.d, gamma=self.gamma, theta=self.theta,
-            lambda2=self.lambda2, lambda3=self.lambda3, lambdaN=self.lambdaN,
-            noise_atoms=atoms, boundary_counts=self.boundary_counts,
+            lambda2=self.lambda2, lambda3=self.lambda3,
+            boundary_counts=self.boundary_counts,
         )
 
     def sample_key(self, seed: int) -> tuple:
         """What a trial's training and test sets depend on: the fields
         make_spec reads, the two sizes and the seed."""
         return (self.d, self.gamma, self.theta, self.lambda2, self.lambda3,
-                self.lambdaN, self.noise_atoms_csv, self.boundary_counts,
-                self.n_train, self.n_test, seed)
+                self.boundary_counts, self.n_train, self.n_test, seed)
 
     def make_kernel(self) -> kernels.KernelSpec:
         return kernels.standard_kernel(self.kernel, **self.kernel_params)
@@ -147,7 +139,7 @@ def _blank_row(config: ExperimentConfig, config_id, seed) -> dict:
     row.update(
         config_id=config_id, seed=seed, gamma=config.gamma, d=config.d,
         kernel=config.kernel, C=config.C, loss=config.loss,
-        lambda2=config.lambda2, lambda3=config.lambda3, lambdaN=config.lambdaN,
+        lambda2=config.lambda2, lambda3=config.lambda3,
         n_train=config.n_train, error="",
     )
     return row
@@ -258,8 +250,7 @@ def run_single(config: ExperimentConfig, seed: int, config_id: int = 0,
 
 
 def run_gap_experiment(config: ExperimentConfig) -> ExperimentReport:
-    rows = [run_single(config, config.seed + i) for i in range(config.n_seeds)]
-    return ExperimentReport(config.config_hash, _versions(), rows)
+    return ExperimentReport(config.config_hash, _versions(), sweep([config]))
 
 
 def sweep(configs: list, threads: int = 1) -> list:

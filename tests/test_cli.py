@@ -37,6 +37,33 @@ def test_empty_schedule_is_usage_error(config_path, capsys):
             assert "max_iters and n_restarts" in capsys.readouterr().err
 
 
+def test_removed_noise_atom_keys_are_usage_errors(config_path, tmp_path,
+                                                 capsys):
+    # config and model JSON from before the noise-atom component was
+    # deleted carries lambdaN and noise_atoms_csv; both are refused by name
+    with open(config_path) as fh:
+        cfg = json.load(fh)
+    model_path = os.path.join(tmp_path, "model.json")
+    assert cli.main(["train", "--config", config_path,
+                     "--out", model_path]) == cli.EXIT_OK
+    model = json.load(open(model_path))
+    old_config = os.path.join(tmp_path, "old_cfg.json")
+    old_model = os.path.join(tmp_path, "old_model.json")
+    for key, value in (("lambdaN", 0.0), ("noise_atoms_csv", None)):
+        with open(old_config, "w") as fh:
+            json.dump(dict(cfg, **{key: value}), fh)
+        for command in ("gap", "sweep", "train"):
+            assert cli.main([command, "--config", old_config]) == \
+                cli.EXIT_USAGE
+            assert key in capsys.readouterr().err
+        with open(old_model, "w") as fh:
+            json.dump(dict(model, config=dict(model["config"],
+                                              **{key: value})), fh)
+        assert cli.main(["eval", "--config", config_path,
+                         "--model", old_model]) == cli.EXIT_USAGE
+        assert key in capsys.readouterr().err
+
+
 def test_bad_command_is_usage_error():
     assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
 

@@ -1,6 +1,5 @@
 import inspect
 import math
-import os
 from unittest import mock
 
 import numpy as np
@@ -409,21 +408,11 @@ def test_convex_decompose_random_hulls(m, seed, data):
         geometry.convex_decompose(target + gap * u, P)
 
 
-def test_weighted_atom_measure_validation_and_csv(tmp_path):
+def test_weighted_atom_measure_validation():
     with pytest.raises(geometry.GeometryError):
         WeightedAtomMeasure([(np.zeros(2), 1, 0.4)])  # mass != 1
     with pytest.raises(geometry.GeometryError):
         WeightedAtomMeasure([(np.zeros(2), 2, 1.0)])  # bad label
-    # the file format of hand-written noise measures: a header, then one
-    # atom per row with its coordinates, label and weight
-    path = os.path.join(tmp_path, "mu.csv")
-    with open(path, "w") as fh:
-        fh.write("x0,x1,label,weight\n0.1,-0.2,1,0.25\n0.3,0.4,-1,0.75\n")
-    mu = WeightedAtomMeasure.from_csv(path)
-    expected = [([0.1, -0.2], 1, 0.25), ([0.3, 0.4], -1, 0.75)]
-    assert len(mu.atoms) == len(expected)
-    for (p, y, w), (q, z, v) in zip(mu.atoms, expected):
-        assert np.array_equal(p, q) and y == z and w == v
 
 
 def test_build_noise_measure_1d():

@@ -97,6 +97,17 @@ def test_gap_experiment_deterministic():
     assert r1.config_hash == cfg.config_hash
 
 
+def test_gap_experiment_rows_are_per_seed_trials():
+    # the gap experiment is the sweep of its one config: one trial per seed
+    # from config.seed on, each sampled apart
+    cfg = small_config(n_seeds=3, seed=4)
+    rows = harness.run_gap_experiment(cfg).rows
+    apart = [harness.run_single(cfg, cfg.seed + i) for i in range(3)]
+    assert [r["seed"] for r in rows] == [4, 5, 6]
+    assert json.dumps(rows, sort_keys=True) == json.dumps(apart,
+                                                          sort_keys=True)
+
+
 def test_integrality_report():
     row = harness.run_single(small_config(), 0)
     assert row["error"] == ""

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from marginlab import measures
-from marginlab.geometry import WeightedAtomMeasure
 from marginlab.learners import make_loss
 from marginlab.measures import AdversarialSpec
 from marginlab.sphere import RngStream
@@ -25,17 +24,11 @@ def test_spec_validation():
         make_spec(lambda2=0.6, lambda3=0.5)
     with pytest.raises(measures.SpecError):
         make_spec(e=np.ones(10))  # not unit
-    with pytest.raises(measures.SpecError):
-        make_spec(lambdaN=0.1)  # missing atoms
 
 
 def test_clean_weight():
-    atoms = WeightedAtomMeasure(
-        [(np.eye(10)[1], 1, 0.5), (-np.eye(10)[1], -1, 0.5)]
-    )
-    spec = make_spec(lambda2=0.05, lambda3=0.1, lambdaN=0.02,
-                     noise_atoms=atoms)
-    assert spec.clean_weight == pytest.approx(0.83)
+    spec = make_spec(lambda2=0.05, lambda3=0.1)
+    assert spec.clean_weight == pytest.approx(0.85)
 
 
 def band_rows(spec, X):
@@ -77,29 +70,20 @@ def test_clean_component_frequencies():
 
 
 def test_component_shares():
-    atoms = WeightedAtomMeasure([(np.eye(10)[1], 1, 0.75),
-                                 (-np.eye(10)[2], -1, 0.25)])
-    spec = make_spec(lambda2=0.1, lambda3=0.2, lambdaN=0.15, noise_atoms=atoms)
+    spec = make_spec(lambda2=0.1, lambda3=0.2)
     n = 20000
     X, y = measures.sample_dataset(spec, n, RngStream(4, 0))
     t = X @ spec.e
-    hits = [np.all(X == p, axis=1) for p, _, _ in atoms.atoms]
-    atom = np.any(hits, axis=0)
     flipped = np.isclose(t, -spec.gamma, rtol=0, atol=1e-12) & (y == 1)
     clean = np.isclose(t * y, spec.gamma, rtol=0, atol=1e-12)
-    band = band_rows(spec, X) & ~atom
-    assert not np.any(atom & (flipped | clean))
-    assert np.all(atom | flipped | clean | band)
+    band = band_rows(spec, X)
+    assert np.all(flipped | clean | band)
     tol = 4 * math.sqrt(0.25 / n)
     assert np.mean(clean) == pytest.approx(spec.clean_weight, abs=tol)
     assert np.mean(flipped) == pytest.approx(0.1, abs=tol)
     assert np.mean(band) == pytest.approx(0.2, abs=tol)
     # band labels are fair coins
     assert np.mean(y[band] == 1) == pytest.approx(0.5, abs=0.03)
-    # noise atoms come back with their own labels, at frequency lambdaN w
-    for hit, (_, label, w) in zip(hits, atoms.atoms):
-        assert np.all(y[hit] == label)
-        assert np.mean(hit) == pytest.approx(spec.lambdaN * w, abs=tol)
 
 
 def test_certified_margin_bound_values():
@@ -112,13 +96,6 @@ def test_certified_margin_bound_values():
     spec = make_spec(lambda3=0.02)
     expect = 0.02 * (0.5 + math.asin(0.08) / math.pi)
     assert measures.certified_margin_bound(spec) == pytest.approx(expect, rel=1e-12)
-    # finite atoms: only those strictly inside the margin count
-    atoms = WeightedAtomMeasure([
-        (np.eye(10)[0], 1, 0.5),               # t=1, correct side
-        (-np.eye(10)[0], 1, 0.5),              # t=-1, wrong side
-    ])
-    spec = make_spec(lambdaN=0.1, noise_atoms=atoms)
-    assert measures.certified_margin_bound(spec) == pytest.approx(0.1 * 0.5)
 
 
 def test_certified_margin_bound_monte_carlo_agreement():
