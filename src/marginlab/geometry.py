@@ -5,8 +5,10 @@ The MVEE weights are found by one spectral projected-gradient ascent on the
 D-optimal design problem, max log det(Q' diag(u) Q) over the simplex, with
 Q the points themselves in the symmetric case and the points lifted to
 (p, 1) in the general case.  Each iteration is one Cholesky factorization
-and two n x dim x dim products, vectorized over the points, and the loop
-stops only on leverages q_i' V(u)^-1 q_i computed from the accepted weights.
+and one triangular inverse, called in LAPACK directly (dpotrf, dtrtri) to
+skip numpy.linalg's per-call overhead, and two n x dim x dim products,
+vectorized over the points; the loop stops only on leverages
+q_i' V(u)^-1 q_i computed from the accepted weights.
 That test alone gives containment within eps, and in the symmetric case,
 where the ellipsoid is centered at the origin, it puts the shrunk copy
 E / sqrt(m (1+eps)) inside the convex hull of the points and their
@@ -23,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.optimize import nnls
 
 from .learners import SPG_ARMIJO, SPG_BACKTRACKS, SPG_MEMORY
@@ -35,8 +38,9 @@ MVEE_EPS = 1e-3
 # lemma_checks benchmark's mvee inputs (m = 10, 20, 30, 20 m unit points)
 # and 165 for its noise measures (m = 8, 400 probes), seeds 0-39.  The ascent
 # is affine invariant, so badly scaled inputs take no more.  2000 leaves
-# >10x room and stops a loop that does not converge within about 0.5 s at
-# m = 30 with 600 points.
+# >10x room and stops a loop that does not converge within about 0.3 s at
+# m = 30 with 600 points (135-155 us per evaluation, line search included,
+# on a 2-vCPU Xeon).
 MVEE_MAX_ITERS = 2000
 DECOMP_TOL = 1e-9
 WEIGHT_TOL = 1e-12
@@ -113,14 +117,23 @@ def _design(QT: np.ndarray, u: np.ndarray):
     """(log det V, leverages w_i = q_i' V^-1 q_i) for V = Q' diag(u) Q, from
     QT = Q' in C order, or None where V is not numerically positive
     definite.  With V = L L', w_i = |L^-1 q_i|^2, and w is the gradient of
-    log det V in u."""
-    try:
-        L = np.linalg.cholesky((QT * u) @ QT.T)
-    except np.linalg.LinAlgError:
+    log det V in u.
+
+    L comes from LAPACK dpotrf and L^-1 from dtrtri, called directly: at the
+    dims the ascent runs (2-31), numpy.linalg's cholesky wrapper costs 4-7
+    us against 0.7-3.4 us for dpotrf, and its inv, an LU solve, 4-30 us
+    against 0.6-5 us for dtrtri (one core of a 2-vCPU Xeon).  dpotrf's info > 0 marks
+    a pivot <= 0; OpenBLAS passes a NaN pivot with info = 0, which shows as
+    a NaN log det."""
+    L, info = dpotrf((QT * u) @ QT.T, lower=1, clean=1)
+    if info > 0:
         return None
-    B = np.linalg.inv(L) @ QT
+    f = 2.0 * float(np.log(L.diagonal()).sum())
+    if math.isnan(f):
+        return None
+    B = dtrtri(L, lower=1)[0] @ QT
     B *= B
-    return 2.0 * float(np.log(L.diagonal()).sum()), B.sum(axis=0)
+    return f, B.sum(axis=0)
 
 
 def _design_weights(Q: np.ndarray, eps: float) -> np.ndarray:
@@ -208,13 +221,19 @@ def mvee(points, symmetric: bool = False, eps: float = MVEE_EPS) -> Ellipsoid:
     u = _design_weights(Q, eps)
     if symmetric:
         c = np.zeros(m)
-        S = np.linalg.inv((P.T * u) @ P) / m
+        V, scale = (P.T * u) @ P, m
     else:
         c = P.T @ u
         V = (P.T * u) @ P - np.outer(c, c)
         # lifted termination gives (p-c)' V^-1 (p-c) <= m + eps (m+1); fold
         # the overshoot into the shape so containment holds within eps
-        S = np.linalg.inv(V) / (m + eps * (m + 1))
+        scale = m + eps * (m + 1)
+    try:
+        S = np.linalg.inv(V) / scale
+    except np.linalg.LinAlgError as exc:
+        # weights found on the orthonormal basis can still give a shape
+        # that is singular in floating point on badly scaled points
+        raise GeometryError(f"MVEE shape matrix is singular: {exc}") from exc
     # on badly scaled points the inverse is symmetric only up to rounding
     # amplified by the condition number
     return Ellipsoid(c, (S + S.T) / 2.0)
@@ -276,7 +295,11 @@ def build_noise_measure(psi, probe_points, m: int, eps: float = MVEE_EPS,
 
     ell = mvee(images, symmetric=True, eps=eps)
     M = ell.shape
-    basis = np.linalg.inv(np.linalg.cholesky(M)).T  # columns e_i
+    try:
+        basis = np.linalg.inv(np.linalg.cholesky(M)).T  # columns e_i
+    except np.linalg.LinAlgError as exc:
+        raise GeometryError(f"John shape matrix has no Cholesky factor: "
+                            f"{exc}") from exc
 
     n = len(images)
     signed = np.vstack([images, -images])

@@ -104,55 +104,77 @@ def legendre_table(d: int, nmax: int, t) -> np.ndarray:
     return out
 
 
-def chebyshev_eval(kind: str, n: int, t):
-    """Chebyshev polynomial T_n(t) (kind='first') or U_n(t) (kind='second')."""
-    if n < 0 or n > MAX_DEGREE:
-        raise DomainError(f"degree must be in [0, {MAX_DEGREE}], got {n}")
+def chebyshev_table(kind: str, nmax: int, t) -> np.ndarray:
+    """All T_n(t) (kind='first') or U_n(t) (kind='second') for n = 0..nmax,
+    shape (nmax+1,) + shape(t)."""
+    if nmax < 0 or nmax > MAX_DEGREE:
+        raise DomainError(f"degree must be in [0, {MAX_DEGREE}], got {nmax}")
     t = _check_t(t)
     if kind == "first":
         # T_n = P_{2,n}
-        return legendre_table(2, n, t)[n]
+        return legendre_table(2, nmax, t)
     if kind == "second":
-        prev, cur = np.ones_like(t), 2.0 * t
-        if n == 0:
-            return prev
-        for _ in range(2, n + 1):
-            prev, cur = cur, 2.0 * t * cur - prev
-        return cur
+        out = np.empty((nmax + 1,) + t.shape, dtype=float)
+        out[0] = 1.0
+        if nmax >= 1:
+            out[1] = 2.0 * t
+        for n in range(2, nmax + 1):
+            out[n] = 2.0 * t * out[n - 1] - out[n - 2]
+        return out
     raise DomainError(f"unknown Chebyshev kind {kind!r}")
 
 
-def legendre_bound(d: int, n: int, t):
+def chebyshev_eval(kind: str, n: int, t):
+    """Chebyshev polynomial T_n(t) (kind='first') or U_n(t) (kind='second'),
+    row n of chebyshev_table."""
+    return chebyshev_table(kind, n, t)[n]
+
+
+def legendre_bound(d: int, n, t):
     """Pointwise upper bound on |P_{d,n}(t)|, min over the applicable branches.
 
     Branches: the Gamma-function decay bound, (n/(n+d-2) + 2|t|)^(n/2), and
     (only when n/(n+d-2) + 2|t| <= 1) the product form
-    sqrt(prod_i (i/(i+d-2) + 2|t|)).  An array t gives the bound at each of
-    its entries, a scalar t a float; both run the same array operations, so
-    an entry's bound does not depend on the entries around it.
+    sqrt(prod_i (i/(i+d-2) + 2|t|)).  The degree n is an integer or an
+    integer array that broadcasts against t, and the bound has the
+    broadcast shape; scalar n and t give a float.  Every entry runs the same
+    operations, so its bound does not depend on the entries around it: the
+    power is taken one degree at a time with a scalar exponent, since numpy
+    rounds x ** 0.5 and x ** 2 (its sqrt and square fast paths) differently
+    from a power with an array exponent, and row n of the cumulative product
+    multiplies the factors i = 1..n in order, as a product of n factors does.
     """
     if d < 5:
         raise DomainError(f"dimension must be >= 5, got {d}")
-    if n < 1:
-        raise DomainError(f"degree must be >= 1, got {n}")
-    shape = np.shape(t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    a = np.abs(t)
-    if np.any(a >= 1.0):
+    n = np.asarray(n)
+    if n.dtype.kind not in "iu":
+        raise DomainError(f"degree must be an integer, got {n.dtype}")
+    if np.any(n < 1):
+        raise DomainError(f"degree must be >= 1, got {n.min()}")
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) >= 1.0):
         raise DomainError("|t| must be < 1")
+    shape = np.broadcast_shapes(n.shape, t.shape)
+    n, t = (np.broadcast_to(x, shape).ravel() for x in (n, t))
+    a = np.abs(t)
     gamma_branch = (
         math.gamma((d - 1) / 2) / math.sqrt(math.pi)
         * (4.0 / (n * (1.0 - t * t))) ** ((d - 2) / 2)
     )
     base = n / (n + d - 2) + 2 * a
-    bound = np.minimum(gamma_branch, base ** (n / 2))
-    inside = base <= 1.0
-    if np.any(inside):
-        # row i-1 holds the factors i/(i+d-2) + 2|t|, multiplied in order
-        i = np.arange(1, n + 1)
-        factors = (i / (i + d - 2))[:, None] + 2 * a[inside]
-        bound[inside] = np.minimum(bound[inside],
-                                   np.sqrt(np.prod(factors, axis=0)))
+    power = np.empty_like(base)
+    for k in np.unique(n).tolist():
+        at = n == k
+        power[at] = base[at] ** (k / 2)
+    bound = np.minimum(gamma_branch, power)
+    inside = np.flatnonzero(base <= 1.0)
+    if len(inside):
+        # row i-1 holds the factors i/(i+d-2) + 2|t| of every entry inside
+        i = np.arange(1, n[inside].max() + 1)
+        prods = np.cumprod((i / (i + d - 2))[:, None] + 2 * a[inside], axis=0)
+        bound[inside] = np.minimum(
+            bound[inside],
+            np.sqrt(prods[n[inside] - 1, np.arange(len(inside))]))
     return bound.reshape(shape) if shape else float(bound[0])
 
 

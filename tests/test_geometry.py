@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import math
 from unittest import mock
@@ -170,6 +171,63 @@ def test_mvee_badly_scaled_points_give_symmetric_shape():
     ell = geometry.mvee(pts)
     assert np.array_equal(ell.shape, ell.shape.T)
     assert float(np.max(ell.quad(pts))) <= 1 + geometry.MVEE_EPS
+
+
+def scaled_rotated_points(seed, e):
+    """60 standard-normal points in R^5, axis j scaled by 10^(e (j/2 - 1)),
+    then rotated by a random orthogonal matrix."""
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((60, 5)) * 10.0 ** np.linspace(-e, e, 5)
+    return P @ np.linalg.qr(rng.standard_normal((5, 5)))[0].T
+
+
+def test_mvee_badly_scaled_points_raise_geometry_error():
+    # at axis ratios of 10^10 and 10^12 the shape matrix can be singular in
+    # floating point (seed 31 at e = 5, symmetric, among others); mvee then
+    # raises the GeometryError its callers catch, not numpy's LinAlgError.
+    # Whether the ellipsoids it does return contain their points at these
+    # scales is not asserted
+    for e in (5, 6):
+        for seed in range(40):
+            P = scaled_rotated_points(seed, e)
+            for symmetric in (True, False):
+                with contextlib.suppress(geometry.GeometryError):
+                    geometry.mvee(P, symmetric=symmetric)
+
+
+def test_noise_measure_cholesky_failure_is_geometry_error(monkeypatch):
+    def singular(M):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(geometry.np.linalg, "cholesky", singular)
+    probes = list(unit_rows(np.random.default_rng(2), 40, 3))
+    with pytest.raises(geometry.GeometryError, match="Cholesky"):
+        geometry.build_noise_measure(lambda x: x, probes, 3)
+
+
+def test_design_returns_none_where_v_is_not_positive_definite():
+    rng = np.random.default_rng(4)
+    n, dim = 30, 5
+    Q = rng.standard_normal((n, dim))
+    # weights on dim - 1 points that span only the first dim - 1 axes, and
+    # on no point at all: V has an exact zero pivot
+    Q[:dim - 1, -1] = 0.0
+    QT = np.ascontiguousarray(Q.T)
+    u = np.zeros(n)
+    assert geometry._design(QT, u) is None
+    u[:dim - 1] = 1.0 / (dim - 1)
+    assert geometry._design(QT, u) is None
+    # a NaN weight makes V all NaN, which dpotrf passes with info = 0
+    u = np.full(n, 1.0 / n)
+    u[7] = np.nan
+    assert geometry._design(QT, u) is None
+    # a positive definite V gives numpy.linalg's log det and leverages
+    u = rng.dirichlet(np.ones(n))
+    f, w = geometry._design(QT, u)
+    V = (QT * u) @ QT.T
+    assert f == pytest.approx(np.linalg.slogdet(V)[1], rel=1e-12)
+    assert np.allclose(w, np.einsum("ij,jk,ik->i", Q, np.linalg.inv(V), Q),
+                       rtol=1e-12, atol=0.0)
 
 
 def exact_state(Q, u):

@@ -261,6 +261,58 @@ def test_verify_orthopoly_passes():
     assert all(c["passed"] for c in report["orthopoly"])
 
 
+def per_degree_orthopoly_details():
+    """The batched checks of the orthopoly suite, one degree and one series
+    at a time."""
+    inner = np.linspace(-0.99, 0.99, 101)
+    worst = 0.0
+    for d in (5, 8, 12):
+        table = op.legendre_table(d, 40, inner)
+        for n in range(1, 41):
+            b = op.legendre_bound(d, n, inner)
+            worst = max(worst, float(np.max(np.abs(table[n]) - b)))
+    h = 1e-6
+    ts = np.linspace(-0.9, 0.9, 50)
+    rel = 0.0
+    for n in range(1, 21):
+        tp = (op.chebyshev_eval("first", n, ts + h)
+              - op.chebyshev_eval("first", n, ts - h)) / (2 * h)
+        un = n * op.chebyshev_eval("second", n - 1, ts)
+        rel = max(rel, float(np.max(np.abs(tp - un) / (1.0 + np.abs(un)))))
+    grid = np.linspace(-1.0, 1.0, 401)
+    sup_dev = 0.0
+    for n in range(0, 21):
+        u = op.chebyshev_eval("second", n, grid)
+        sup_dev = max(sup_dev, abs(float(np.max(np.abs(u))) - (n + 1)))
+    nodes, wts = op.gauss_chebyshev_nodes(256)
+    basis = op.arcsine_orthopoly_table(harness.ARCSINE_ROWS - 1, nodes)
+    rng = np.random.default_rng(1234)
+    worst_l12 = -math.inf
+    for _ in range(500):
+        K = int(rng.integers(1, harness.ARCSINE_ROWS + 1))
+        alpha = rng.standard_normal(K) * 10 ** rng.uniform(-2, 2)
+        vals = alpha @ basis[:K]
+        l1 = float(np.sum(wts * np.abs(vals)))
+        l2 = float(np.sqrt(np.sum(wts * vals**2)))
+        pmax = 1.0 if K == 1 else math.sqrt(2.0)
+        worst_l12 = max(worst_l12, l2 - math.sqrt(K) * l1 * pmax - 1e-9 * l2)
+    return {"legendre_pointwise_bound": {"excess": worst},
+            "chebyshev_derivative_identity": {"rel": rel},
+            "chebyshev_second_sup": {"dev": sup_dev},
+            "l1_l2_inequality": {"excess": worst_l12}}
+
+
+def test_orthopoly_suite_batches_match_per_degree_reference():
+    # the suite batches degrees and series; each detail keeps the bits of
+    # the checks made one degree and one series at a time
+    ok, report = harness.verify_lemmas("orthopoly")
+    details = {c["check"]: c["detail"] for c in report["orthopoly"]}
+    expect = per_degree_orthopoly_details()
+    assert ok
+    assert {c: details[c] for c in expect} == expect
+    assert all(type(v) is float for e in expect.values() for v in e.values())
+
+
 def flipped_table(d, nmax, t):
     """legendre_table with a "+" on the P_{d,n-2} term."""
     t = np.asarray(t, dtype=float)

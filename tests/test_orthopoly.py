@@ -141,6 +141,45 @@ def test_pointwise_bound_array_matches_scalar_calls():
                           op.legendre_bound(8, 7, inner[:6]).reshape(2, 3))
 
 
+def test_pointwise_bound_degree_column_matches_per_degree_calls():
+    # the orthopoly suite's batch: rows n = 1 and n = 4, whose scalar powers
+    # x ** 0.5 and x ** 2 numpy rounds by its sqrt and square fast paths,
+    # included, and the product branch at every degree
+    inner = np.linspace(-0.99, 0.99, 101)
+    for d in (5, 8, 12):
+        column = op.legendre_bound(d, np.arange(1, 41)[:, None], inner)
+        assert column.shape == (40, 101)
+        for n in range(1, 41):
+            assert np.array_equal(column[n - 1], op.legendre_bound(d, n, inner))
+    # degrees broadcast against t entry by entry, scalars included
+    n = np.array([[1], [4], [9]])
+    t = np.array([0.0, 0.05, -0.3, 0.7])
+    grid = op.legendre_bound(6, n, t)
+    assert grid.shape == (3, 4)
+    assert grid.tolist() == [[op.legendre_bound(6, int(k), float(x)) for x in t]
+                             for k in n[:, 0]]
+    assert np.array_equal(op.legendre_bound(6, np.array([2, 3]), 0.1),
+                          [op.legendre_bound(6, 2, 0.1),
+                           op.legendre_bound(6, 3, 0.1)])
+    with pytest.raises(op.DomainError):
+        op.legendre_bound(6, np.array([1, 0]), 0.1)
+    with pytest.raises(op.DomainError):
+        op.legendre_bound(6, 2.0, 0.1)
+
+
+def test_chebyshev_table_rows_match_eval():
+    t = np.linspace(-1.0, 1.0, 37)
+    for kind in ("first", "second"):
+        table = op.chebyshev_table(kind, 30, t)
+        assert table.shape == (31, 37)
+        for n in range(31):
+            assert np.array_equal(table[n], op.chebyshev_eval(kind, n, t))
+    with pytest.raises(op.DomainError):
+        op.chebyshev_table("third", 3, t)
+    with pytest.raises(op.DomainError):
+        op.chebyshev_table("second", -1, t)
+
+
 def test_tail_bound_value_and_domination():
     c = op.TailConstants()
     expect = c.r**10 / (1 - c.r) + 12.0 * c.s**8
