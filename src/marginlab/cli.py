@@ -64,7 +64,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override config seed")
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("MGL_THREADS", "1")))
+                        help="sweep threads (default: MGL_THREADS, or 1)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--model", help="trained model JSON (for eval)")
     parser.add_argument("--suite", default="all",
@@ -106,7 +106,15 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "sweep":
-        rows = harness.sweep(configs, threads=args.threads)
+        threads = args.threads
+        if threads is None:
+            env = os.environ.get("MGL_THREADS", "1")
+            try:
+                threads = int(env)
+            except ValueError:
+                raise UsageError(
+                    f"MGL_THREADS must be an integer, got {env!r}") from None
+        rows = harness.sweep(configs, threads=threads)
         if args.format == "json":
             _emit(json.dumps(rows, sort_keys=True, default=float) + "\n",
                   args.out)

@@ -255,7 +255,8 @@ def run_gap_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def sweep(configs: list, threads: int = 1) -> list:
-    """One row per (config, seed), ordered by (config index, seed).
+    """One row per (config, seed), ordered by (config index, seed), from
+    threads >= 1 pool threads (the calling thread alone at 1).
 
     Trials with the same sample_key share one Samples, so each training and
     test set is sampled once.  The trials run (or are queued for the pool)
@@ -264,6 +265,8 @@ def sweep(configs: list, threads: int = 1) -> list:
     """
     if not configs:
         raise UsageError("sweep needs at least one config")
+    if threads < 1:
+        raise UsageError(f"threads must be >= 1, got {threads}")
     tasks = [
         (ci, cfg, cfg.seed + si)
         for ci, cfg in enumerate(configs)
@@ -281,7 +284,7 @@ def sweep(configs: list, threads: int = 1) -> list:
                 yield i, (cfg, seed, ci, samples)
 
     rows = [None] * len(tasks)
-    if threads <= 1:
+    if threads == 1:
         for i, args in jobs():
             rows[i] = run_single(*args)
         return rows

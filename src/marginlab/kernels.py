@@ -30,6 +30,26 @@ screens decides where it applies.  A screened score only decides the
 points that lie farther than the bound from a threshold; a caller rescores
 the others with the float64 path, as learners.evaluate does.
 
+The three float32-regime passes, gram from F32_MIN_N points, its end pass
+exact_gram_product and screened_scores, spread their blocks over the CPUs
+the process may use (_WORKERS, from os.sched_getaffinity; there is no
+option).  The blocks are cut into _WORKERS contiguous runs of about equal
+work; the calling thread works the first run and a module pool of
+_WORKERS - 1 threads, made at its first use and shared by all callers,
+the others.  numpy releases the GIL in the sgemm and the profile's ufuncs,
+so the runs overlap, and a profile may be called from several threads at
+once.  The bits are those of one serial loop: gram's blocks and the
+screen's row blocks write disjoint parts of their output, and in the exact
+pass the first run adds into the output as it goes, while each later run
+keeps its strips' two products, which the calling thread adds in block
+order afterwards.  A worker holds one block buffer of its own (2 MB), and
+the exact pass holds the kept products too, (n - lo) m 8 bytes for each
+block [lo, hi) past the first run (0.5 MB at n = 4000, m = 2, two
+workers).  At one worker the passes are the plain loop with no
+pool, as are float64-regime calls.  gram_product stays serial: scipy's
+symv wrappers hold the GIL, and splitting the product would change its
+bits.
+
 A symmetric (zonal) kernel k(x, y) = kappa(<x, y>) decomposes as
 kappa(s) = sum_n b_n P_{d,n}(s) with b_n >= 0, and the RKHS norm of a zonal
 function f = sum_n alpha_n P_{d,n}(<e, .>) is sqrt(sum alpha_n^2 / b_n).
@@ -42,7 +62,10 @@ exactly, sum b_n = kappa(1) and sum b_n P_{d,n} = kappa within a few ulps.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +103,11 @@ U32, U64 = 2.0**-24, 2.0**-53
 # float32's smallest normal number: a float32 operation that underflows is
 # off by less than this
 TINY32 = float(np.finfo(np.float32).tiny)
+
+try:  # threads of the float32 passes: the CPUs this process may run on
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no sched_getaffinity on this platform
+    _WORKERS = os.cpu_count() or 1
 
 
 class KernelError(ValueError):
@@ -151,6 +179,57 @@ def _lower_blocks(n: int):
         lo = hi
 
 
+def _lower_runs(n: int) -> list:
+    """The blocks of _lower_blocks(n) cut into runs, each block weighed by
+    its entries."""
+    blocks = list(_lower_blocks(n))
+    return _runs(blocks, [(hi - lo) * (n - lo) for lo, hi in blocks])
+
+
+def _runs(blocks: list, weights: list) -> list:
+    """The blocks cut into at most _WORKERS contiguous runs of about equal
+    weight: a block joins the run its weight's midpoint falls in."""
+    total, runs, before = sum(weights), [[] for _ in range(_WORKERS)], 0
+    for block, weight in zip(blocks, weights):
+        runs[min(int(_WORKERS * (before + weight / 2) / total),
+                 _WORKERS - 1)].append(block)
+        before += weight
+    return [run for run in runs if run]
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():  # a forked child has none of its parent's threads
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _spread(work, runs: list) -> list:
+    """[work(run) for run in runs]: the first run on the calling thread, the
+    others on the module's pool of _WORKERS - 1 threads, made at its first
+    use.  Every run has finished when this returns or raises; the first
+    error, in run order, is raised."""
+    global _pool
+    if len(runs) < 2:
+        return [work(run) for run in runs]
+    with _pool_lock:
+        if _pool is None:
+            _pool = concurrent.futures.ThreadPoolExecutor(
+                _WORKERS - 1, thread_name_prefix="marginlab-kernels")
+    futures = [_pool.submit(work, run) for run in runs[1:]]
+    try:
+        first = work(runs[0])
+    finally:
+        concurrent.futures.wait(futures)
+    return [first] + [future.result() for future in futures]
+
+
 def cross_gram(k: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Kernel matrix k(X_i, Y_j), shape (len(X), len(Y)).
 
@@ -180,7 +259,8 @@ def gram(k: KernelSpec, points: np.ndarray) -> np.ndarray:
     points on each such block, columns lo..hi-1 of G from row lo down, is
     one sgemm of the float32 points, written into G, and the profile, in
     float32, runs on it while it is still in cache, without a second pass
-    over the triangle from memory.  That sgemm gave the bits of one ssyrk's
+    over the triangle from memory; the runs of blocks (module docstring)
+    write disjoint parts of G.  That sgemm gave the bits of one ssyrk's
     triangle in every case measured (scipy's OpenBLAS, n in {7, 600, 2048,
     2085, 4000}, d in {3, 25}, one and two BLAS threads); it is a property
     of the BLAS build, not a guarantee, and tests/test_kernels.py pins it.  The strict upper triangle
@@ -198,11 +278,16 @@ def gram(k: KernelSpec, points: np.ndarray) -> np.ndarray:
     else:
         G = dsyrk(1.0, points, lower=1)
     GT = G.T  # C-ordered: row j of GT is column j of G
-    for lo, hi in _lower_blocks(len(G)):
-        block = GT[lo:hi, lo:]
-        if f32:
-            np.matmul(P[lo:hi], P[lo:].T, out=block)
-        _apply_profile(k.profile, block)
+
+    def build(run):  # the runs write disjoint blocks of G
+        for lo, hi in run:
+            block = GT[lo:hi, lo:]
+            if f32:
+                np.matmul(P[lo:hi], P[lo:].T, out=block)
+            _apply_profile(k.profile, block)
+
+    n = len(G)
+    _spread(build, _lower_runs(n) if f32 else [list(_lower_blocks(n))])
     return G
 
 
@@ -226,8 +311,9 @@ def exact_gram_product(k: KernelSpec, points: np.ndarray,
     A feature map gives F (F' V).  A zonal kernel is evaluated one
     _lower_blocks strip K[lo:hi, lo:] at a time (at most PROFILE_BLOCK
     entries, or one row if a row is longer), which adds its rows into
-    out[lo:hi] and, by symmetry, its columns past hi into out[hi:].  Every
-    strip is formed in one buffer of that size, so K is never stored.
+    out[lo:hi] and, by symmetry, its columns past hi into out[hi:].  The
+    strips of a run (module docstring) are formed in one buffer of that
+    size, so K is never stored.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     V = np.asarray(V, dtype=float)
@@ -236,13 +322,27 @@ def exact_gram_product(k: KernelSpec, points: np.ndarray,
         return F @ (F.T @ V)
     n = len(points)
     out = np.zeros(V.shape)
-    buffer = np.empty(max(PROFILE_BLOCK, n))
-    for lo, hi in _lower_blocks(n):
-        strip = buffer[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
-        np.matmul(points[lo:hi], points[lo:].T, out=strip)
-        _apply_profile(k.profile, strip)
-        out[lo:hi] += strip @ V[lo:]
-        out[hi:] += strip[:, hi - lo:].T @ V[lo:hi]
+    runs = _lower_runs(n) if n >= F32_MIN_N else [list(_lower_blocks(n))]
+
+    def add(lo, hi, rows, columns):
+        out[lo:hi] += rows
+        out[hi:] += columns
+
+    def product(run):  # each run forms its strips in its own buffer
+        kept, buffer = [], np.empty(max(PROFILE_BLOCK, n))
+        for lo, hi in run:
+            strip = buffer[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+            np.matmul(points[lo:hi], points[lo:].T, out=strip)
+            _apply_profile(k.profile, strip)
+            kept.append((lo, hi, strip @ V[lo:],
+                         strip[:, hi - lo:].T @ V[lo:hi]))
+            if run is runs[0]:  # the calling thread's run adds as it goes
+                add(*kept.pop())
+        return kept
+
+    for kept in _spread(product, runs):  # in block order, as one loop adds
+        for strip_product in kept:
+            add(*strip_product)
     return out
 
 
@@ -272,9 +372,10 @@ def screened_scores(k: KernelSpec, X: np.ndarray, support: np.ndarray,
 
     The support and X are cast to float32, and the entries of a block of
     test points are one sgemm, S32 X32', into one buffer that every block
-    reuses, with the profile applied in place in float32; each
-    SCREEN_CHUNK rows of that block give one float32 partial sum with the
-    float32 alpha, and the partial sums add in float64.
+    of a run (module docstring) reuses, with the profile applied in place
+    in float32; each SCREEN_CHUNK rows of that block give one float32
+    partial sum with the float32 alpha, and the partial sums add in
+    float64.
 
     The bound.  Write t = <x, s>, K = kappa(clip(t)) and f = sum_j alpha_j
     K_j for exact arithmetic on the float64 inputs, and u = U32, v = U64,
@@ -319,17 +420,21 @@ def screened_scores(k: KernelSpec, X: np.ndarray, support: np.ndarray,
     # float64 profile block; Kt's rows are the support points, so its
     # chunks are one C-ordered (chunks, M, rows) view
     rows = max(2 * PROFILE_BLOCK // n, 1)
-    buffer = np.empty(n * min(rows, len(X)), np.float32)
-    for lo in range(0, len(X), rows):
-        block = X32[lo:lo + rows]
-        Kt = buffer[:n * len(block)].reshape(n, len(block))
-        np.matmul(S32, block.T, out=Kt)
-        _apply_profile(k.profile, Kt)
-        partial = np.matmul(chunked, Kt[:full].reshape(-1, M, Kt.shape[1]))
-        out = partial.sum(axis=0, dtype=float)[0]
-        if full < n:
-            out += a32[full:] @ Kt[full:]
-        scores[lo:lo + rows] = out
+    blocks = [(lo, min(lo + rows, len(X))) for lo in range(0, len(X), rows)]
+
+    def score(run):  # each run forms its blocks in its own buffer
+        buffer = np.empty(n * min(rows, len(X)), np.float32)
+        for lo, hi in run:
+            Kt = buffer[:n * (hi - lo)].reshape(n, hi - lo)
+            np.matmul(S32, X32[lo:hi].T, out=Kt)
+            _apply_profile(k.profile, Kt)
+            partial = np.matmul(chunked, Kt[:full].reshape(-1, M, hi - lo))
+            out = partial.sum(axis=0, dtype=float)[0]
+            if full < n:
+                out += a32[full:] @ Kt[full:]
+            scores[lo:hi] = out
+
+    _spread(score, _runs(blocks, [hi - lo for lo, hi in blocks]))
 
     taylor = np.asarray(k.taylor, dtype=float)
     kappa, slope = float(taylor.sum()), float(np.arange(len(taylor)) @ taylor)

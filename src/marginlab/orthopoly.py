@@ -124,12 +124,6 @@ def chebyshev_table(kind: str, nmax: int, t) -> np.ndarray:
     raise DomainError(f"unknown Chebyshev kind {kind!r}")
 
 
-def chebyshev_eval(kind: str, n: int, t):
-    """Chebyshev polynomial T_n(t) (kind='first') or U_n(t) (kind='second'),
-    row n of chebyshev_table."""
-    return chebyshev_table(kind, n, t)[n]
-
-
 def legendre_bound(d: int, n, t):
     """Pointwise upper bound on |P_{d,n}(t)|, min over the applicable branches.
 

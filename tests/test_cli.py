@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from marginlab import cli
+from marginlab import cli, harness
 
 
 @pytest.fixture
@@ -66,6 +66,32 @@ def test_removed_noise_atom_keys_are_usage_errors(config_path, tmp_path,
 
 def test_bad_command_is_usage_error():
     assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
+
+
+def test_bad_thread_counts_are_usage_errors(config_path, tmp_path,
+                                            monkeypatch, capsys):
+    # a thread count below 1, given or from MGL_THREADS, and an MGL_THREADS
+    # that is no integer are usage errors, not a traceback or a silent
+    # serial run; a command that takes no threads does not read MGL_THREADS
+    for threads in ("0", "-2"):
+        assert cli.main(["sweep", "--config", config_path,
+                         "--threads", threads]) == cli.EXIT_USAGE
+        assert "threads must be >= 1" in capsys.readouterr().err
+        monkeypatch.setenv("MGL_THREADS", threads)
+        assert cli.main(["sweep", "--config", config_path]) == cli.EXIT_USAGE
+        assert "threads must be >= 1" in capsys.readouterr().err
+    monkeypatch.setenv("MGL_THREADS", "abc")
+    assert cli.main(["sweep", "--config", config_path]) == cli.EXIT_USAGE
+    assert "error: MGL_THREADS must be an integer" in capsys.readouterr().err
+    out = os.path.join(tmp_path, "rows.csv")
+    assert cli.main(["sweep", "--config", config_path, "--threads", "2",
+                     "--out", out]) == cli.EXIT_OK
+    assert cli.main(["verify", "--suite", "orthopoly",
+                     "--out", os.path.join(tmp_path, "v.json")]) == cli.EXIT_OK
+    with open(config_path) as fh:
+        config = harness.ExperimentConfig(**json.load(fh))
+    with pytest.raises(harness.UsageError):
+        harness.sweep([config], threads=0)
 
 
 def test_gen_writes_dataset(config_path, tmp_path):

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from marginlab import geometry, harness, measures, sphere
+from marginlab import geometry, harness, kernels, measures, sphere
 from marginlab import orthopoly as op
 from marginlab.harness import ExperimentConfig
 from marginlab.sphere import RngStream
@@ -162,6 +162,37 @@ def test_sweep_samples_each_distribution_and_seed_once(monkeypatch):
         assert all(r["error"] == "" for r in rows)
 
 
+def test_sweep_at_float32_sizes_is_thread_invariant(monkeypatch):
+    # with the float32 regime from 100 points on and small blocks, every
+    # trial builds a float32 triangle, ends with the exact pass and screens
+    # its test points, their blocks spread over the one kernel pool that
+    # the sweep's threads share: the same CSV bytes at 1 and 4 threads, and
+    # as from one kernel worker
+    monkeypatch.setattr(kernels, "F32_MIN_N", 100)
+    monkeypatch.setattr(kernels, "PROFILE_BLOCK", 2**10)
+    spread = kernels._spread
+    spread_runs = []
+
+    def counted(work, runs):
+        spread_runs.append(len(runs))
+        return spread(work, runs)
+
+    monkeypatch.setattr(kernels, "_spread", counted)
+    cfgs = [small_config(kernel=kernel, kernel_params=params, n_seeds=2)
+            for kernel, params in (("linear", {}), ("rbf", {"sigma": 2.0}),
+                                   ("poly", {"degree": 3}))]
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
+    serial = harness.sweep_to_csv(harness.sweep(cfgs, threads=1))
+    assert set(spread_runs) == {1}
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    spread_runs.clear()
+    for threads in (1, 4):
+        rows = harness.sweep(cfgs, threads=threads)
+        assert all(r["error"] == "" for r in rows)
+        assert harness.sweep_to_csv(rows) == serial
+    assert set(spread_runs) == {2}
+
+
 def test_shared_samples_sampled_once_under_contention(monkeypatch):
     # more threads than cores ask one Samples for its training set at once:
     # each gets the one array pair, sampled once, however they interleave
@@ -275,14 +306,14 @@ def per_degree_orthopoly_details():
     ts = np.linspace(-0.9, 0.9, 50)
     rel = 0.0
     for n in range(1, 21):
-        tp = (op.chebyshev_eval("first", n, ts + h)
-              - op.chebyshev_eval("first", n, ts - h)) / (2 * h)
-        un = n * op.chebyshev_eval("second", n - 1, ts)
+        tp = (op.chebyshev_table("first", n, ts + h)[n]
+              - op.chebyshev_table("first", n, ts - h)[n]) / (2 * h)
+        un = n * op.chebyshev_table("second", n - 1, ts)[n - 1]
         rel = max(rel, float(np.max(np.abs(tp - un) / (1.0 + np.abs(un)))))
     grid = np.linspace(-1.0, 1.0, 401)
     sup_dev = 0.0
     for n in range(0, 21):
-        u = op.chebyshev_eval("second", n, grid)
+        u = op.chebyshev_table("second", n, grid)[n]
         sup_dev = max(sup_dev, abs(float(np.max(np.abs(u))) - (n + 1)))
     nodes, wts = op.gauss_chebyshev_nodes(256)
     basis = op.arcsine_orthopoly_table(harness.ARCSINE_ROWS - 1, nodes)
