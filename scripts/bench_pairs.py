@@ -13,12 +13,14 @@ the working tree first on odd i.  The script prints each side's median and
 quartiles of every end-to-end metric, and whether the working tree's median
 is worse than the parent's by more than that metric's bound in
 BENCHMARK.json (a fraction of the parent's median).  It prints the number
-of pairs the working tree wins on pass_s, and whether the gain rule holds:
-a win in at least 9 of every 10 pairs, and a median gain larger than the
-parent's interquartile range.  For every run whose checks failed it prints
-the side, the seed and the run's `FAILED <check>: <detail>` lines.  With
+of pairs the working tree wins on each end-to-end metric, and whether the
+gain rule holds there: a win in at least 9 of every 10 pairs, and a median
+gain larger than the parent's interquartile range.  For every run whose
+checks failed it prints the side, the seed and the run's
+`FAILED <check>: <detail>` lines.  With
 --out it writes one JSON object keyed by workload, each value holding that
-workload's pairs, summaries, bound verdicts, failures and gain verdict.
+workload's pairs, summaries, bound verdicts, failures, the gain verdict of
+every metric ("gains") and, at the top level, that of pass_s.
 """
 
 import argparse
@@ -32,7 +34,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# the end-to-end metric whose gain is judged
+# the metric printed for each pair, whose gain verdict heads the JSON
 METRIC = "pass_s"
 
 
@@ -79,7 +81,6 @@ def compare(workload, args, parent_root, commit, benchmark):
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
-    sign = 1.0 if better[METRIC] == "lower" else -1.0
     print(f"workload {workload}", flush=True)
     runs = {"parent": [], "change": []}
     failures = []
@@ -121,15 +122,20 @@ def compare(workload, args, parent_root, commit, benchmark):
               f"bound {bounds[name]:.0%}: "
               f"{'within bound' if within else 'REGRESSION'}")
 
-    wins = sum(sign * (p[METRIC] - c[METRIC]) > 0
-               for p, c in zip(runs["parent"], runs["change"]))
-    ps, cs = summaries["parent"][METRIC], summaries["change"][METRIC]
-    gain = sign * (ps["median"] - cs["median"])
-    iqr = ps["q3"] - ps["q1"]
-    holds = wins >= math.ceil(0.9 * args.pairs) and gain > iqr
-    print(f"{METRIC}: change wins {wins} of {args.pairs} pairs; median "
-          f"gain {gain:.4g} against parent IQR {iqr:.4g}; rule "
-          f"{'holds' if holds else 'does not hold'}")
+    gains = {}
+    for name in verdicts:
+        sign = 1.0 if better[name] == "lower" else -1.0
+        wins = sum(sign * (p[name] - c[name]) > 0
+                   for p, c in zip(runs["parent"], runs["change"]))
+        ps, cs = summaries["parent"][name], summaries["change"][name]
+        gain = sign * (ps["median"] - cs["median"])
+        iqr = ps["q3"] - ps["q1"]
+        holds = wins >= math.ceil(0.9 * args.pairs) and gain > iqr
+        gains[name] = {"wins": wins, "median_gain": gain, "parent_iqr": iqr,
+                       "rule_holds": holds}
+        print(f"{name}: change wins {wins} of {args.pairs} pairs; median "
+              f"gain {gain:.4g} against parent IQR {iqr:.4g}; rule "
+              f"{'holds' if holds else 'does not hold'}")
     correct = {side: not any(f["side"] == side for f in failures)
                for side in runs}
     print(f"checks passed: parent {correct['parent']}, change "
@@ -137,8 +143,7 @@ def compare(workload, args, parent_root, commit, benchmark):
     return {"workload": workload, "parent": commit, "seed0": args.seed0,
             "pairs": args.pairs, "seconds": seconds, "metric": METRIC,
             "runs": runs, "summaries": summaries,
-            "bound_verdicts": verdicts, "wins": wins, "median_gain": gain,
-            "parent_iqr": iqr, "rule_holds": holds,
+            "bound_verdicts": verdicts, "gains": gains, **gains[METRIC],
             "checks_passed": correct, "failures": failures}
 
 

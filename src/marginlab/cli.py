@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -23,6 +24,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_NONCONVERGENCE = 3
+# what eval --model reads from a model JSON that train wrote
+MODEL_KEYS = ("config", "support", "alpha", "b", "C")
 
 
 def _load_configs(path):
@@ -90,9 +93,8 @@ def _dispatch(args) -> int:
         return EXIT_OK if passed else EXIT_VERIFY
 
     configs = _load_configs(args.config)
-    if args.seed is not None:
-        for c in configs:
-            c.seed = args.seed
+    if args.seed is not None:  # replace checks the new seed as a config does
+        configs = [dataclasses.replace(c, seed=args.seed) for c in configs]
     config = configs[0]
 
     if args.command == "gap":
@@ -139,6 +141,9 @@ def _dispatch(args) -> int:
         if args.model:
             with open(args.model) as fh:
                 doc = json.load(fh)
+            missing = [key for key in MODEL_KEYS if key not in doc]
+            if missing:
+                raise UsageError(f"model JSON lacks {', '.join(missing)}")
             model_config = ExperimentConfig(**doc["config"])
             model = learners.KernelModel(
                 support=np.array(doc["support"]),

@@ -74,6 +74,12 @@ class ExperimentConfig:
             raise UsageError("n_seeds must be >= 1")
         if self.max_iters < 1 or self.n_restarts < 1:
             raise UsageError("max_iters and n_restarts must be >= 1")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        try:  # the factories read nothing but these fields
+            self.make_kernel(), self.make_loss()
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            raise UsageError(str(exc)) from None
         if self.eps_opt is None:
             self.eps_opt = math.sqrt(self.gamma)
 

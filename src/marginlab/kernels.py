@@ -48,7 +48,25 @@ block [lo, hi) past the first run (0.5 MB at n = 4000, m = 2, two
 workers).  At one worker the passes are the plain loop with no
 pool, as are float64-regime calls.  gram_product stays serial: scipy's
 symv wrappers hold the GIL, and splitting the product would change its
-bits.
+bits.  Each worker makes BLAS calls of its own, and where
+OPENBLAS_NUM_THREADS is unset each such call starts threads of its own,
+one per CPU, which oversubscribes the CPUs: run_single on the bench's
+headline config (2 CPUs) then took 0.386-0.397 s, against 0.374-0.394 s
+from the plain loop.  Runs should set OPENBLAS_NUM_THREADS=1, as the bench
+does; nothing here reads it.
+
+A float32 triangle lives in an anonymous mapping of its own, n^2 4 bytes,
+advised onto 4 KB pages where the platform defines MADV_NOHUGEPAGE, so
+only the pages that the build writes become resident: the lower triangle
+and the block corners, about n^2 2 bytes and one page per column (45 MiB
+at n = 4000, against 62 MiB on 2 MB pages).  A caller that reads its
+triangle no more hands it back (hand_back), as train_kernel_program does
+when its loop ends, and the next float32 gram of that size takes it, under
+a lock, in place of a fresh mapping, so it faults in no page.  The process
+keeps at most one such spare, until it exits or a later hand-back
+replaces it; a triangle that is not handed back is unmapped once it is
+freed, and two live triangles never share memory.  A build writes all of
+the lower triangle, so what the spare held before changes no bit.
 
 A symmetric (zonal) kernel k(x, y) = kappa(<x, y>) decomposes as
 kappa(s) = sum_n b_n P_{d,n}(s) with b_n >= 0, and the RKHS norm of a zonal
@@ -64,6 +82,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import mmap
 import os
 import threading
 from dataclasses import dataclass, field
@@ -199,6 +218,9 @@ def _runs(blocks: list, weights: list) -> list:
 
 _pool = None
 _pool_lock = threading.Lock()
+# the mapping of a float32 triangle that hand_back was given, or None
+_spare = None
+_spare_lock = threading.Lock()
 
 
 def _forget_pool():  # a forked child has none of its parent's threads
@@ -228,6 +250,41 @@ def _spread(work, runs: list) -> list:
     finally:
         concurrent.futures.wait(futures)
     return [first] + [future.result() for future in futures]
+
+
+def _triangle(n: int) -> np.ndarray:
+    """An F-ordered float32 (n, n) array for gram: the spare, if it has n
+    rows, or else a fresh private anonymous mapping of n^2 4 bytes, advised
+    onto 4 KB pages where the platform allows, so that only the pages a
+    build writes become resident."""
+    global _spare
+    with _spare_lock:
+        if _spare is not None and len(_spare) == 4 * n * n:
+            buffer, _spare = _spare, None
+        else:
+            buffer = None
+    if buffer is None:
+        if hasattr(mmap, "MAP_PRIVATE"):
+            buffer = mmap.mmap(-1, 4 * n * n, mmap.MAP_PRIVATE)
+        else:
+            buffer = mmap.mmap(-1, 4 * n * n)
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.ndarray((n, n), np.float32, buffer, order="F")
+
+
+def hand_back(G: np.ndarray) -> None:
+    """Keep the memory of G, a float32 triangle from gram, or a view of all
+    of it, as the spare for the next gram of its size; the caller reads G
+    no more.  It replaces the spare before it, and any other array is left
+    alone."""
+    global _spare
+    buffer = G
+    while isinstance(buffer, np.ndarray):
+        buffer = buffer.base
+    if isinstance(buffer, mmap.mmap) and len(buffer) == G.nbytes:
+        with _spare_lock:
+            _spare = buffer
 
 
 def cross_gram(k: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -260,11 +317,16 @@ def gram(k: KernelSpec, points: np.ndarray) -> np.ndarray:
     one sgemm of the float32 points, written into G, and the profile, in
     float32, runs on it while it is still in cache, without a second pass
     over the triangle from memory; the runs of blocks (module docstring)
-    write disjoint parts of G.  That sgemm gave the bits of one ssyrk's
-    triangle in every case measured (scipy's OpenBLAS, n in {7, 600, 2048,
-    2085, 4000}, d in {3, 25}, one and two BLAS threads); it is a property
-    of the BLAS build, not a guarantee, and tests/test_kernels.py pins it.  The strict upper triangle
-    is undefined: read G with gram_product, min_eigenvalue or np.tril.
+    write disjoint parts of G, which is the spare triangle or a fresh
+    mapping (module docstring).  The sgemm of a block of two rows or more
+    gave the bits of one ssyrk's triangle in every case measured (scipy's
+    OpenBLAS, n in {7, 600, 2048, 2085, 4000}, d in {3, 25}, one and two
+    BLAS threads); it is a property of the BLAS build, not a guarantee,
+    and tests/test_kernels.py pins it.  A one-row block goes to a BLAS gemv
+    through numpy's matmul and rounds otherwise.  At the shipped
+    PROFILE_BLOCK only the last block can be one row up to 2^17 points, and
+    from 2^17 + 1 points on the first one is.  The strict upper triangle is
+    undefined: read G with gram_product, min_eigenvalue or np.tril.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
@@ -274,7 +336,7 @@ def gram(k: KernelSpec, points: np.ndarray) -> np.ndarray:
         return (ssyrk if f32 else dsyrk)(1.0, k.feature_map(points), lower=1)
     if f32:
         P = points.astype(np.float32)
-        G = np.empty((len(P), len(P)), np.float32, order="F")
+        G = _triangle(len(P))
     else:
         G = dsyrk(1.0, points, lower=1)
     GT = G.T  # C-ordered: row j of GT is column j of G

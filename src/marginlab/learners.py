@@ -41,10 +41,12 @@ for bit.
 
 From kernels.F32_MIN_N training points on, kernels.gram stores the triangle
 in float32, formed one cache-sized block at a time, which then only steers
-the loop.  One end pass, kernels.exact_gram_product, gives K [alpha, a y]
-in float64 for the returned primal point and the best dual point, from
-strips of K formed in one reused buffer, and the objective, the norm and the
-certificate are reported from it.  Below F32_MIN_N the loop's float64
+the loop; the loop hands it back when it ends (kernels.hand_back), so that
+the next training of that size builds in the same memory.  One end pass,
+kernels.exact_gram_product, gives K [alpha, a y] in float64 for the
+returned primal point and the best dual point, from strips of K formed in
+one reused buffer, and the objective, the norm and the certificate are
+reported from it.  Below F32_MIN_N the loop's float64
 numbers are reported as they are.
 
 evaluate follows the same policy on the test points.  From F32_MIN_N
@@ -72,7 +74,7 @@ from scipy.optimize import brentq
 from scipy.special import entr, expit
 
 from .kernels import (KernelSpec, cross_gram, exact_gram_product, gram,
-                      gram_product, screened_scores, screens)
+                      gram_product, hand_back, screened_scores, screens)
 
 # the solver stops once its bracket [dual bound, objective] is this narrow
 GAP_TOL = 1e-6
@@ -700,6 +702,7 @@ def train_kernel_program(data, kernel: KernelSpec, loss: SurrogateLoss, C: float
     if G.dtype == np.float64:
         Kalpha, Kv = scale * (y * Qa), y * Qa_dual
     else:
+        hand_back(G)  # the end pass forms K from the points, not from G
         Kalpha, Kv = exact_gram_product(kernel, X,
                                         np.column_stack([alpha, v])).T
     norm = sqrt(max(float(alpha.dot(Kalpha)), 0.0))

@@ -64,6 +64,65 @@ def test_removed_noise_atom_keys_are_usage_errors(config_path, tmp_path,
         assert key in capsys.readouterr().err
 
 
+def test_negative_seeds_are_usage_errors(config_path, tmp_path, capsys):
+    # a seed below 0, in the config or from --seed, is refused before any
+    # sampling, not raised by numpy or written into a row
+    with open(config_path) as fh:
+        cfg = json.load(fh)
+    out = os.path.join(tmp_path, "out.csv")
+    for command, seed in (("gen", "-1"), ("gap", "-2"), ("sweep", "-1"),
+                          ("train", "-3")):
+        assert cli.main([command, "--config", config_path, "--seed", seed,
+                         "--out", out]) == cli.EXIT_USAGE
+        assert f"error: seed must be >= 0, got {seed}" in \
+            capsys.readouterr().err
+    assert not os.path.exists(out)
+    bad = os.path.join(tmp_path, "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(dict(cfg, seed=-1), fh)
+    for command in ("gen", "gap", "sweep", "train", "eval"):
+        assert cli.main([command, "--config", bad]) == cli.EXIT_USAGE
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+
+
+def test_unknown_kernel_and_loss_are_usage_errors(config_path, tmp_path,
+                                                  capsys):
+    with open(config_path) as fh:
+        cfg = json.load(fh)
+    bad = os.path.join(tmp_path, "bad.json")
+    for key, value, message in (("kernel", "foo", "unknown kernel 'foo'"),
+                                ("loss", "bar", "unknown loss 'bar'")):
+        with open(bad, "w") as fh:
+            json.dump(dict(cfg, **{key: value}), fh)
+        for command in ("gen", "gap", "sweep", "train", "eval"):
+            assert cli.main([command, "--config", bad]) == cli.EXIT_USAGE
+            assert f"error: {message}" in capsys.readouterr().err
+        # a list of configs is checked config by config
+        with open(bad, "w") as fh:
+            json.dump([cfg, dict(cfg, **{key: value})], fh)
+        assert cli.main(["sweep", "--config", bad]) == cli.EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_incomplete_model_json_is_usage_error(config_path, tmp_path, capsys):
+    model_path = os.path.join(tmp_path, "model.json")
+    assert cli.main(["train", "--config", config_path,
+                     "--out", model_path]) == cli.EXIT_OK
+    model = json.load(open(model_path))
+    partial = os.path.join(tmp_path, "partial.json")
+    for key in cli.MODEL_KEYS:
+        with open(partial, "w") as fh:
+            json.dump({k: v for k, v in model.items() if k != key}, fh)
+        assert cli.main(["eval", "--config", config_path,
+                         "--model", partial]) == cli.EXIT_USAGE
+        assert f"error: model JSON lacks {key}" in capsys.readouterr().err
+    with open(partial, "w") as fh:
+        json.dump(dict(model, config=dict(model["config"], kernel="foo")), fh)
+    assert cli.main(["eval", "--config", config_path,
+                     "--model", partial]) == cli.EXIT_USAGE
+    assert "error: unknown kernel 'foo'" in capsys.readouterr().err
+
+
 def test_bad_command_is_usage_error():
     assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
 

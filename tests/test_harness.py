@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from marginlab import geometry, harness, kernels, measures, sphere
+from marginlab import geometry, harness, kernels, learners, measures, sphere
 from marginlab import orthopoly as op
 from marginlab.harness import ExperimentConfig
 from marginlab.sphere import RngStream
@@ -30,6 +30,15 @@ def test_config_validation_and_json():
     # an empty solver schedule has no iterate to report
     for bad in (dict(max_iters=0), dict(n_restarts=0), dict(max_iters=-1)):
         with pytest.raises(harness.UsageError, match="max_iters"):
+            ExperimentConfig(**bad)
+    # a seed below 0, and whatever the kernel and loss factories raise
+    for bad, message in ((dict(seed=-1), "seed must be >= 0"),
+                         (dict(loss="nope"), "unknown loss"),
+                         (dict(loss="margin_loss", C=0.0), "C > 0"),
+                         (dict(kernel="rbf", kernel_params={"sigma": 0.0}),
+                          "negative power"),
+                         (dict(kernel_params=[1]), "mapping")):
+        with pytest.raises(harness.UsageError, match=message):
             ExperimentConfig(**bad)
     cfg = small_config()
     cfg2 = ExperimentConfig(**json.loads(cfg.to_json()))
@@ -81,10 +90,18 @@ def test_separable_config_ratio_sentinel():
     assert row["err01"] <= 0.01
 
 
-def test_seed_failure_recorded_not_raised():
-    cfg = small_config(kernel="nope")
-    row = harness.run_single(cfg, 0)
-    assert row["error"] != ""
+def test_seed_failure_recorded_not_raised(monkeypatch):
+    # a failure inside a trial (a planted solver error here) becomes the
+    # row's error; an unknown kernel is a config error and never gets here
+    with pytest.raises(harness.UsageError, match="unknown kernel 'nope'"):
+        small_config(kernel="nope")
+
+    def fail(*args, **kwargs):
+        raise learners.LossError("planted")
+
+    monkeypatch.setattr(learners, "train_kernel_program", fail)
+    row = harness.run_single(small_config(), 0)
+    assert row["error"] == "LossError: planted"
     assert math.isnan(row["err01"])
 
 
@@ -166,8 +183,10 @@ def test_sweep_at_float32_sizes_is_thread_invariant(monkeypatch):
     # with the float32 regime from 100 points on and small blocks, every
     # trial builds a float32 triangle, ends with the exact pass and screens
     # its test points, their blocks spread over the one kernel pool that
-    # the sweep's threads share: the same CSV bytes at 1 and 4 threads, and
-    # as from one kernel worker
+    # the sweep's threads share: the same CSV bytes at 1, 2 and 4 threads,
+    # and as from one kernel worker.  Each sweep runs twice, so the second
+    # trains on triangles that the first handed back
+    monkeypatch.setattr(kernels, "_spare", None)
     monkeypatch.setattr(kernels, "F32_MIN_N", 100)
     monkeypatch.setattr(kernels, "PROFILE_BLOCK", 2**10)
     spread = kernels._spread
@@ -186,11 +205,27 @@ def test_sweep_at_float32_sizes_is_thread_invariant(monkeypatch):
     assert set(spread_runs) == {1}
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     spread_runs.clear()
-    for threads in (1, 4):
+    for threads in (1, 2, 4) * 2:
         rows = harness.sweep(cfgs, threads=threads)
         assert all(r["error"] == "" for r in rows)
         assert harness.sweep_to_csv(rows) == serial
     assert set(spread_runs) == {2}
+    assert kernels._spare is not None
+
+
+def test_float32_trial_on_a_nan_spare_keeps_its_row(monkeypatch):
+    # a float32-size trial hands its triangle back; filled with NaN, that
+    # spare is the next trial's triangle, and the row keeps every byte
+    monkeypatch.setattr(kernels, "_spare", None)
+    monkeypatch.setattr(kernels, "F32_MIN_N", 100)
+    monkeypatch.setattr(kernels, "PROFILE_BLOCK", 2**10)
+    cfg = small_config()
+    fresh = harness.sweep_to_csv([harness.run_single(cfg, 0)])
+    spare = kernels._spare
+    assert spare is not None and len(spare) == 4 * cfg.n_train**2
+    np.frombuffer(spare, np.float32).fill(np.nan)
+    assert harness.sweep_to_csv([harness.run_single(cfg, 0)]) == fresh
+    assert kernels._spare is spare
 
 
 def test_shared_samples_sampled_once_under_contention(monkeypatch):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -517,12 +518,13 @@ def test_forked_child_makes_its_own_pool():
 
 def traced_peak(f, *args):
     """The peak of the bytes traced by tracemalloc while f(*args) runs,
-    numpy's array data included, above what was traced before."""
+    numpy's array data included, above what was traced before, and what f
+    returned."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        f(*args)
-        return tracemalloc.get_traced_memory()[1] - base
+        out = f(*args)
+        return tracemalloc.get_traced_memory()[1] - base, out
     finally:
         tracemalloc.stop()
 
@@ -532,8 +534,12 @@ def test_cached_blocks_memory_contract(monkeypatch):
     # products that the runs after the first keep for the calling thread to
     # add in block order, its output and products of the output's size,
     # never K (n^2 8 bytes, 35 MB here); at one worker that is one buffer.
-    # The float32 build holds the triangle's n^2 4 bytes and less than a
-    # block besides, at any worker count
+    # The float32 build's triangle is an anonymous mapping, which
+    # tracemalloc does not see: the traced build holds less than a block
+    # besides, at any worker count, and returns the n^2 4 bytes of its
+    # mapping, and after a hand-back the next build of that size returns
+    # the same mapping
+    monkeypatch.setattr(kernels, "_spare", None)
     n = kernels.F32_MIN_N + 37
     X = sphere_points(25, n, 15)
     V = np.random.default_rng(15).standard_normal((n, 2))
@@ -547,12 +553,94 @@ def test_cached_blocks_memory_contract(monkeypatch):
         assert (workers > 1) == (kept > 0)
         for name, params in ZONAL:
             k = kernels.standard_kernel(name, **params)
-            assert traced_peak(kernels.exact_gram_product, k, X, V) \
-                <= workers * block + kept + 3 * V.nbytes + slack, \
+            peak, _ = traced_peak(kernels.exact_gram_product, k, X, V)
+            assert peak <= workers * block + kept + 3 * V.nbytes + slack, \
                 (workers, name, params)
-            assert traced_peak(kernels.gram, k, X) \
-                <= 4 * n * n + 4 * kernels.PROFILE_BLOCK + slack, \
+            peak, G = traced_peak(kernels.gram, k, X)
+            assert peak <= 4 * kernels.PROFILE_BLOCK + slack, \
                 (workers, name, params)
+            assert isinstance(G.base, mmap.mmap)
+            assert len(G.base) == G.nbytes == 4 * n * n
+            kernels.hand_back(G)
+            peak, again = traced_peak(kernels.gram, k, X)
+            assert peak <= 4 * kernels.PROFILE_BLOCK + slack
+            assert again.base is G.base
+            del G, again
+
+
+@pytest.mark.parametrize("block, n", [(2**12, 300),
+                                      (kernels.PROFILE_BLOCK,
+                                       kernels.F32_MIN_N + 37)])
+def test_spare_full_of_nan_changes_no_bit(monkeypatch, block, n):
+    # a build writes all of the lower triangle, so a spare whose every
+    # entry is NaN, as stale as a spare can be, gives a fresh mapping's
+    # bits, at one worker and at two
+    monkeypatch.setattr(kernels, "_spare", None)
+    monkeypatch.setattr(kernels, "PROFILE_BLOCK", block)
+    monkeypatch.setattr(kernels, "F32_MIN_N", 100)
+    X = sphere_points(5, n, n)
+    for name, params in ZONAL:
+        k = kernels.standard_kernel(name, **params)
+        fresh = kernels.gram(k, X)
+        for workers in (1, 2):
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            spare = kernels.gram(k, X)
+            spare.fill(np.nan)
+            kernels.hand_back(spare)
+            G = kernels.gram(k, X)
+            assert G.base is spare.base and kernels._spare is None
+            assert same_lower_triangle(G, fresh), (workers, name, params)
+            assert not np.isnan(np.tril(G)).any()
+
+
+def test_triangles_held_at_once_never_share_memory(monkeypatch):
+    # a build takes the spare only where its caller handed one back, and
+    # only once; the process keeps one spare, of the last triangle handed
+    # back, and no array that is not all of a float32 triangle's mapping
+    monkeypatch.setattr(kernels, "_spare", None)
+    monkeypatch.setattr(kernels, "F32_MIN_N", 100)
+    k = kernels.standard_kernel("rbf", sigma=0.5)
+    X = sphere_points(5, 200, 20)
+    first, second = kernels.gram(k, X), kernels.gram(k, X)
+    assert not np.shares_memory(first, second)
+    kernels.hand_back(first)
+    third, fourth = kernels.gram(k, X), kernels.gram(k, X)
+    assert third.base is first.base
+    assert not any(np.shares_memory(fourth, G) for G in (first, second))
+    kernels.hand_back(second)
+    kernels.hand_back(fourth)
+    assert kernels._spare is fourth.base
+    other = kernels.gram(k, X[:150])  # another size leaves the spare
+    assert kernels._spare is fourth.base
+    assert not np.shares_memory(other, fourth)
+    for not_a_triangle in (kernels.gram(k, X[:50]),  # float64, from dsyrk
+                           kernels.gram(kernels.KernelSpec(
+                               feature_map=lambda Z: Z[:, :3]), X),  # ssyrk's
+                           other[:, :100],  # a part of a triangle
+                           np.zeros((150, 150), np.float32, order="F")):
+        kernels.hand_back(not_a_triangle)
+        assert kernels._spare is fourth.base
+    # a view of all of a triangle, as a tracer may wrap one, is kept
+    kernels.hand_back(other.T)
+    assert kernels._spare is other.base
+
+
+def test_no_one_row_block_before_the_last_up_to_2_17_points():
+    # a one-row block goes to a BLAS gemv through numpy's matmul, which
+    # rounds otherwise than the sgemm of a longer block.  A block's rows,
+    # PROFILE_BLOCK // (n - lo), grow along the triangle, so the first
+    # block has the fewest of all but the last: at the shipped
+    # PROFILE_BLOCK it has two rows or more up to 2^17 points and one row
+    # from 2^17 + 1 points on
+    assert kernels.PROFILE_BLOCK == 2**18
+    for n in range(1, 2**17 + 1):
+        lo, hi = next(kernels._lower_blocks(n))
+        assert hi - lo >= 2 or hi == n, n
+    rng = np.random.default_rng(21)
+    for n in [2**17 - 1, 2**17] + list(rng.integers(2, 2**17, 20)):
+        blocks = list(kernels._lower_blocks(int(n)))
+        assert all(hi - lo >= 2 for lo, hi in blocks[:-1]), n
+    assert next(kernels._lower_blocks(2**17 + 1)) == (0, 1)
 
 
 def test_kernel_matrices_leave_inputs_unchanged():

@@ -2,6 +2,8 @@ import dataclasses
 import inspect
 import math
 import sys
+import threading
+import time
 import types
 import warnings
 from unittest import mock
@@ -926,3 +928,58 @@ def test_float32_trial_errors_match_float64():
     _, bound = kernels.screened_scores(model.kernel, X, model.support,
                                        model.alpha)
     assert abs(got[3] - want[3]) <= float(np.mean(bound))
+
+
+def test_concurrent_trainings_never_share_a_triangle(monkeypatch):
+    # two float32-size trainings hold their triangles at once, with one
+    # spare of their size to take: the first takes it, the second, started
+    # once the first is in its loop, builds on a fresh mapping, and both
+    # give the models of trainings one at a time
+    monkeypatch.setattr(kernels, "_spare", None)
+    monkeypatch.setattr(kernels, "F32_MIN_N", 100)
+    monkeypatch.setattr(kernels, "PROFILE_BLOCK", 2**10)
+    cfg = harness.ExperimentConfig(
+        d=8, gamma=0.02, theta=0.7, lambda3=0.05, kernel="rbf",
+        kernel_params={"sigma": 2.0}, C=3.0, n_train=150, n_test=10,
+        max_iters=30, n_restarts=1)
+    trial = harness.Trial(cfg, 0)
+    args = (trial.train_data, cfg.make_kernel(), cfg.make_loss(), cfg.C,
+            cfg.solver_opts())
+    alone = [L.train_kernel_program(*args) for _ in range(2)]
+    spare = kernels._spare
+    assert spare is not None
+    held, looping, both = [], [], threading.Barrier(2)
+    gram, gram_product = L.gram, L.gram_product
+
+    def holding(kernel, X):
+        held.append(gram(kernel, X))
+        return held[-1]
+
+    def product(G, u):  # a training's first product waits for the other's
+        if threading.get_ident() not in looping:
+            looping.append(threading.get_ident())
+            both.wait(timeout=60)
+        return gram_product(G, u)
+
+    monkeypatch.setattr(L, "gram", holding)
+    monkeypatch.setattr(L, "gram_product", product)
+    models = [None, None]
+
+    def train(i):
+        models[i] = L.train_kernel_program(*args)
+
+    threads = [threading.Thread(target=train, args=(i,)) for i in range(2)]
+    threads[0].start()
+    deadline = time.monotonic() + 60
+    while not looping and time.monotonic() < deadline:
+        time.sleep(0.001)
+    threads[1].start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(held) == 2 and not np.shares_memory(*held)
+    assert held[0].base is spare and held[1].base is not spare
+    for model, want in zip(models + alone, alone * 2):
+        assert np.array_equal(model.alpha, want.alpha)
+        assert (model.b, model.objective, model.gap_certificate) == \
+            (want.b, want.objective, want.gap_certificate)
