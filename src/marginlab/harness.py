@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise UsageError("max_iters and n_restarts must be >= 1")
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
+        if not self.C >= 0:  # the norm bound; NaN fails too
+            raise UsageError(f"C must be >= 0, got {self.C}")
         try:  # the factories read nothing but these fields
             self.make_kernel(), self.make_loss()
         except (ValueError, TypeError, ArithmeticError) as exc:

@@ -68,6 +68,24 @@ replaces it; a triangle that is not handed back is unmapped once it is
 freed, and two live triangles never share memory.  A build writes all of
 the lower triangle, so what the spare held before changes no bit.
 
+While it waits for the next gram, the spare lends scratch memory (_loan):
+the exact end pass takes its strip buffers from it, the screen its block
+buffers, and cross_gram_product the kernel matrix of a block of test
+points, so that nothing larger than a few rows is allocated between a
+training's hand-back and the next gram.  A loan gives out the head of the
+mapping, its first min(n, PAGESIZE / 4) columns (16 MB at n = 4000): in
+each of those columns the unread upper part is shorter than a page, so
+every page there holds lower-triangle bytes, which the build has made
+resident, and the loan faults in no page.  The spare is out of the module
+while it is lent, so a gram that runs meanwhile maps a fresh triangle, as
+when there is no spare, and no loan shares memory with a live triangle;
+the spare comes back when the loan ends, unless a hand-back has replaced
+it.  A loan falls back to np.empty where there is no spare, where another
+loan holds it, or where its head is too small for the buffers asked for
+(the end pass and the screen ask for one 2 MB buffer per worker, and the
+screen its float32 points besides).  What a
+loan writes is scratch: the next build overwrites every byte it reads.
+
 A symmetric (zonal) kernel k(x, y) = kappa(<x, y>) decomposes as
 kappa(s) = sum_n b_n P_{d,n}(s) with b_n >= 0, and the RKHS norm of a zonal
 function f = sum_n alpha_n P_{d,n}(<e, .>) is sqrt(sum alpha_n^2 / b_n).
@@ -81,6 +99,7 @@ exactly, sum b_n = kappa(1) and sum b_n P_{d,n} = kappa within a few ulps.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
 import mmap
 import os
@@ -273,6 +292,33 @@ def _triangle(n: int) -> np.ndarray:
     return np.ndarray((n, n), np.float32, buffer, order="F")
 
 
+@contextlib.contextmanager
+def _loan(shape, dtype=float):
+    """An uninitialized array of the shape and dtype, for scratch until the
+    with block ends: the head of the spare triangle, taken out of the
+    module meanwhile, where it holds enough bytes, or else np.empty (module
+    docstring).  No view of it may outlive the block."""
+    global _spare
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    with _spare_lock:
+        spare = _spare
+        if spare is not None:
+            n = math.isqrt(len(spare) // 4)
+            if 4 * n * min(n, mmap.PAGESIZE // 4) >= nbytes:
+                _spare = None
+            else:
+                spare = None
+    if spare is None:
+        yield np.empty(shape, dtype)
+        return
+    try:
+        yield np.ndarray(shape, dtype, spare)
+    finally:
+        with _spare_lock:
+            if _spare is None:  # else a later hand-back replaced it
+                _spare = spare
+
+
 def hand_back(G: np.ndarray) -> None:
     """Keep the memory of G, a float32 triangle from gram, or a view of all
     of it, as the spare for the next gram of its size; the caller reads G
@@ -298,11 +344,30 @@ def cross_gram(k: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if not k.is_zonal:
         return k.feature_map(X) @ k.feature_map(Y).T
-    K = X @ Y.T
+    return _zonal_cross(k, X, Y, np.empty((len(X), len(Y))))
+
+
+def _zonal_cross(k: KernelSpec, X: np.ndarray, Y: np.ndarray,
+                 K: np.ndarray) -> np.ndarray:
+    """cross_gram of a zonal kernel, formed in K, a C-ordered (len(X),
+    len(Y)) float64 array."""
+    np.matmul(X, Y.T, out=K)
     rows = max(PROFILE_BLOCK // max(K.shape[1], 1), 1)
     for lo in range(0, len(K), rows):
         _apply_profile(k.profile, K[lo:lo + rows])
     return K
+
+
+def cross_gram_product(k: KernelSpec, X: np.ndarray, Y: np.ndarray,
+                       v: np.ndarray) -> np.ndarray:
+    """cross_gram(k, X, Y) @ v, bit for bit, with a zonal kernel's matrix
+    formed in a loan of the spare triangle (module docstring)."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if not k.is_zonal:
+        return cross_gram(k, X, Y) @ v
+    with _loan((len(X), len(Y))) as K:
+        return _zonal_cross(k, X, Y, K) @ v
 
 
 def gram(k: KernelSpec, points: np.ndarray) -> np.ndarray:
@@ -375,7 +440,7 @@ def exact_gram_product(k: KernelSpec, points: np.ndarray,
     entries, or one row if a row is longer), which adds its rows into
     out[lo:hi] and, by symmetry, its columns past hi into out[hi:].  The
     strips of a run (module docstring) are formed in one buffer of that
-    size, so K is never stored.
+    size, lent by the spare triangle where it can, so K is never stored.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     V = np.asarray(V, dtype=float)
@@ -390,8 +455,9 @@ def exact_gram_product(k: KernelSpec, points: np.ndarray,
         out[lo:hi] += rows
         out[hi:] += columns
 
-    def product(run):  # each run forms its strips in its own buffer
-        kept, buffer = [], np.empty(max(PROFILE_BLOCK, n))
+    def product(work):  # each run forms its strips in its own buffer
+        buffer, run = work
+        kept = []
         for lo, hi in run:
             strip = buffer[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
             np.matmul(points[lo:hi], points[lo:].T, out=strip)
@@ -402,7 +468,9 @@ def exact_gram_product(k: KernelSpec, points: np.ndarray,
                 add(*kept.pop())
         return kept
 
-    for kept in _spread(product, runs):  # in block order, as one loop adds
+    with _loan((len(runs), max(PROFILE_BLOCK, n))) as buffers:
+        done = _spread(product, list(zip(buffers, runs)))
+    for kept in done:  # in block order, as one loop adds
         for strip_product in kept:
             add(*strip_product)
     return out
@@ -415,6 +483,13 @@ def _gamma(n: int, u: float) -> float:
     terms' magnitudes (Accuracy and Stability of Numerical Algorithms,
     2nd ed., Lemma 3.1 and section 3.1)."""
     return n * u / (1.0 - n * u)
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(A, axis=1) bit for bit, its squares formed in a
+    loan."""
+    with _loan(A.shape) as squares:
+        return np.sqrt(np.add.reduce(np.multiply(A, A, out=squares), axis=1))
 
 
 def screens(k: KernelSpec, n_support: int) -> bool:
@@ -437,7 +512,8 @@ def screened_scores(k: KernelSpec, X: np.ndarray, support: np.ndarray,
     of a run (module docstring) reuses, with the profile applied in place
     in float32; each SCREEN_CHUNK rows of that block give one float32
     partial sum with the float32 alpha, and the partial sums add in
-    float64.
+    float64.  The casts, the blocks' buffers and the squares behind the
+    points' norms are formed in loans of the spare triangle.
 
     The bound.  Write t = <x, s>, K = kappa(clip(t)) and f = sum_j alpha_j
     K_j for exact arithmetic on the float64 inputs, and u = U32, v = U64,
@@ -473,8 +549,7 @@ def screened_scores(k: KernelSpec, X: np.ndarray, support: np.ndarray,
     support = np.atleast_2d(np.asarray(support, dtype=float))
     alpha = np.asarray(alpha, dtype=float)
     (n, d), M = support.shape, min(SCREEN_CHUNK, len(support))
-    S32, a32 = support.astype(np.float32), alpha.astype(np.float32)
-    X32 = X.astype(np.float32)
+    a32 = alpha.astype(np.float32)
     full = n - n % M  # the chunks of M points; a shorter one may follow
     chunked = a32[:full].reshape(-1, 1, M)
     scores = np.empty(len(X))
@@ -484,8 +559,8 @@ def screened_scores(k: KernelSpec, X: np.ndarray, support: np.ndarray,
     rows = max(2 * PROFILE_BLOCK // n, 1)
     blocks = [(lo, min(lo + rows, len(X))) for lo in range(0, len(X), rows)]
 
-    def score(run):  # each run forms its blocks in its own buffer
-        buffer = np.empty(n * min(rows, len(X)), np.float32)
+    def score(work):  # each run forms its blocks in its own buffer
+        buffer, run = work
         for lo, hi in run:
             Kt = buffer[:n * (hi - lo)].reshape(n, hi - lo)
             np.matmul(S32, X32[lo:hi].T, out=Kt)
@@ -496,15 +571,22 @@ def screened_scores(k: KernelSpec, X: np.ndarray, support: np.ndarray,
                 out += a32[full:] @ Kt[full:]
             scores[lo:hi] = out
 
-    _spread(score, _runs(blocks, [hi - lo for lo, hi in blocks]))
+    runs = _runs(blocks, [hi - lo for lo, hi in blocks])
+    size, cast = n * min(rows, len(X)), (n + len(X)) * d
+    with _loan((cast + len(runs) * size,), np.float32) as scratch:
+        S32 = scratch[:n * d].reshape(n, d)
+        X32 = scratch[n * d:cast].reshape(len(X), d)
+        S32[...], X32[...] = support, X  # the casts of astype(np.float32)
+        buffers = scratch[cast:].reshape(len(runs), size)
+        _spread(score, list(zip(buffers, runs)))
 
     taylor = np.asarray(k.taylor, dtype=float)
     kappa, slope = float(taylor.sum()), float(np.arange(len(taylor)) @ taylor)
     rho, lam, chunks = float(k.rounding), TINY32, -(-n // M)
     total = float(np.abs(alpha).sum())
     total32 = float(np.abs(a32).sum(dtype=float))
-    weighted = float(np.abs(alpha) @ np.linalg.norm(support, axis=1))
-    norms = np.linalg.norm(X, axis=1)
+    weighted = float(np.abs(alpha) @ _row_norms(support))
+    norms = _row_norms(X)
     kbar = kappa * (1.0 + rho * U32) + lam
     sums = _gamma(M, U32)
     screen = (slope * _gamma(d + 2, U32) * weighted * norms
@@ -652,6 +734,11 @@ def _sss(s):
     return np.divide(1.0, s, out=s)
 
 
+# the shipped kernels and the parameters each reads
+KERNEL_PARAMS = {"linear": (), "sss": (), "rbf": ("sigma",),
+                 "poly": ("degree",)}
+
+
 def standard_kernel(name: str, **params) -> KernelSpec:
     """Factory for the shipped zonal kernels, with their Taylor coefficients.
     Their profiles evaluate in place, in the operation order of the closed
@@ -680,7 +767,15 @@ def standard_kernel(name: str, **params) -> KernelSpec:
     poly:   fl(1 + t) = (1 + t)(1 + d1), the halving is exact, and power
             adds L u: kappa(t) ((1 + u)^degree (1 + L u) - 1) <= kappa(1)
             gamma_{degree + L}, so rho = gamma_{degree + L} / u.
+
+    A parameter that the named kernel does not read raises KernelError.
     """
+    if name not in KERNEL_PARAMS:
+        raise KernelError(f"unknown kernel {name!r}")
+    unknown = sorted(set(params) - set(KERNEL_PARAMS[name]))
+    if unknown:
+        raise KernelError(f"kernel {name!r} takes no parameter "
+                          f"{', '.join(map(repr, unknown))}")
     L = LIBM_ROUNDING
     if name == "linear":
         return KernelSpec(name="linear", profile=_linear,
@@ -711,19 +806,17 @@ def standard_kernel(name: str, **params) -> KernelSpec:
             rounding=(g / (math.e * (1.0 - g)) * (1.0 + L * U32)
                       + L * U32) / U32,
         )
-    if name == "poly":
-        degree = int(params.get("degree", 3))
+    degree = int(params.get("degree", 3))  # poly
 
-        def poly(s):
-            np.add(1.0, s, out=s)
-            np.divide(s, 2.0, out=s)
-            return np.power(s, degree, out=s)
+    def poly(s):
+        np.add(1.0, s, out=s)
+        np.divide(s, 2.0, out=s)
+        return np.power(s, degree, out=s)
 
-        return KernelSpec(
-            name="poly", profile=poly,
-            taylor=np.array([math.comb(degree, k) / 2.0**degree
-                             for k in range(degree + 1)]),
-            params={"degree": degree},
-            rounding=_gamma(degree + L, U32) / U32,
-        )
-    raise KernelError(f"unknown kernel {name!r}")
+    return KernelSpec(
+        name="poly", profile=poly,
+        taylor=np.array([math.comb(degree, k) / 2.0**degree
+                         for k in range(degree + 1)]),
+        params={"degree": degree},
+        rounding=_gamma(degree + L, U32) / U32,
+    )

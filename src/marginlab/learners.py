@@ -54,7 +54,11 @@ support points on, for a kernel that kernels.screens, it scores them with
 kernels.screened_scores, float32 entries under an a-priori bound on the
 distance to the float64 score, and rescores with decision_function, the
 float64 path, every block of TEST_BLOCK points that holds a point within
-the bound of margin 0 or gamma.  err01 and err_margin are then those of
+the bound of margin 0 or gamma.  A rescored block's kernel matrix, TEST_BLOCK
+x n float64 (8 MB at n = 4000), is formed in the head of the triangle that
+the training handed back (kernels.cross_gram_product), as are the screen's
+blocks and the end pass's strips, so evaluation allocates no matrix of its
+own while that triangle is idle.  err01 and err_margin are then those of
 the float64 path bit for bit.  err_surrogate comes from the screened
 scores: for a loss that is L-Lipschitz between them and the float64 scores
 (slope for the piecewise-linear losses, 1 / ln 2 for the logistic one), it
@@ -73,8 +77,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import entr, expit
 
-from .kernels import (KernelSpec, cross_gram, exact_gram_product, gram,
-                      gram_product, hand_back, screened_scores, screens)
+from .kernels import (KernelSpec, cross_gram_product, exact_gram_product,
+                      gram, gram_product, hand_back, screened_scores,
+                      screens)
 
 # the solver stops once its bracket [dual bound, objective] is this narrow
 GAP_TOL = 1e-6
@@ -358,8 +363,9 @@ class KernelModel:
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Scores in float64, TEST_BLOCK rows at a time: the rows' kernel
-        matrix with the support (cross_gram), times alpha, plus b.  A
-        feature map maps the support once per call."""
+        matrix with the support (cross_gram), times alpha, plus b.  A zonal
+        kernel forms that matrix in kernels.cross_gram_product; a feature
+        map maps the support once per call."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         k, support = self.kernel, self.support
         if not k.is_zonal:
@@ -367,9 +373,9 @@ class KernelModel:
         out = np.empty(len(X))
         for lo in range(0, len(X), TEST_BLOCK):
             rows = X[lo:lo + TEST_BLOCK]
-            K = (cross_gram(k, rows, support) if k.is_zonal
-                 else k.feature_map(rows) @ FT)
-            out[lo:lo + TEST_BLOCK] = K @ self.alpha
+            out[lo:lo + TEST_BLOCK] = (
+                cross_gram_product(k, rows, support, self.alpha)
+                if k.is_zonal else (k.feature_map(rows) @ FT) @ self.alpha)
         return out + self.b
 
     def to_json(self) -> str:

@@ -78,12 +78,13 @@ def sample_dataset(spec: AdversarialSpec, n: int, rng: RngStream):
     phase = g.uniform(-math.pi / 2, math.pi / 2, size=int(band.sum()))
     t[band] = BAND_HALF_WIDTH * np.sin(phase)
     y[band] = np.where(coin[band] < 0.5, 1.0, -1.0)
-    # X is allocated before sample_band's temporaries and filled from its
-    # result: keeping the result itself let the allocator hand memory back
-    # to the system and fault it in again on every pass of the sweep_small
-    # benchmark (~1400 minor faults, ~5% of its time, Linux x86-64)
+    # X is allocated before sample_band's temporaries and filled in place:
+    # keeping an array that sample_band allocated let the allocator hand
+    # memory back to the system and fault it in again on every pass of the
+    # sweep_small benchmark (~1400 minor faults, ~5% of its time, Linux
+    # x86-64)
     X = np.empty((n, spec.d))
-    X[:] = sample_band(spec.e, t, rng)
+    sample_band(spec.e, t, rng, out=X)
     return X, y
 
 

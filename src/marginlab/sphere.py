@@ -12,6 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NORM_TOL = 1e-9
+# entries of the draws and of the outer products with e that sample_band
+# forms at a time: 64 KB, below glibc's mmap threshold, so they come from
+# the heap
+ROW_CHUNK = 2**13
 
 _CHILD_MULT = 0x9E3779B97F4A7C15  # 64-bit golden-ratio mixer
 _MASK64 = (1 << 64) - 1
@@ -80,13 +84,24 @@ def sample_unit_spheres(d: int, k: int, rng: RngStream) -> np.ndarray:
     return np.array(draws).reshape(k, d)
 
 
-def sample_band(e: np.ndarray, a, rng: RngStream) -> np.ndarray:
+def sample_band(e: np.ndarray, a, rng: RngStream,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Points x on S^{d-1} with <x, e> = a, uniform on the codimension-1 sphere.
 
     Constructs x = a e + sqrt(1 - a^2) z with z uniform on the unit sphere of
     the orthogonal complement of e.  A scalar height gives one point of shape
     (d,); an array of n heights gives n points of shape (n, d), drawn in one
-    pass.
+    pass, into out if it is given (a C-ordered float64 (n, d) array).
+
+    The points are formed in the array returned.  Where no height is +-1,
+    the Gaussian draw is made into it ROW_CHUNK entries at a time, which
+    gives the numbers of one draw; it is then projected, normalized and
+    mixed with the heights in place, with the outer products with e formed
+    ROW_CHUNK entries at a time.  Beyond the points, nothing larger than a
+    column of n is allocated, except for rows drawn again.  Each entry
+    takes the floating-point operations of the plain formula,
+    g - outer(g @ e, e), its rows over np.linalg.norm, and
+    a e + sqrt(1 - a^2) z, so the points are that formula's bit for bit.
     """
     e = np.asarray(e, dtype=float)
     d = len(e)
@@ -99,15 +114,40 @@ def sample_band(e: np.ndarray, a, rng: RngStream) -> np.ndarray:
     todo = np.flatnonzero(np.abs(heights) < 1.0)
     if d < 2 and len(todo):
         raise DomainError("band sampling needs d >= 2 when |a| < 1")
-    z = np.zeros((len(heights), d))
+    n = len(heights)
+    x = np.empty((n, d)) if out is None else out
+    rows = max(ROW_CHUNK // max(d, 1), 1)
+    buffer = np.empty((min(rows, n), d))
+    if len(todo) < n:
+        x.fill(0.0)  # z is 0 at the poles
     while len(todo):  # redraw the rows whose orthogonal part is degenerate
-        g = rng.gen.standard_normal((len(todo), d))
-        g -= np.outer(g @ e, e)
-        norm = np.linalg.norm(g, axis=1)
+        if len(todo) == n:  # the draw of every row, in chunks, as one draw
+            for lo in range(0, n, rows):
+                x[lo:lo + rows] = rng.gen.standard_normal(x[lo:lo + rows].shape)
+            g = x
+        else:
+            g = rng.gen.standard_normal((len(todo), d))
+        p = g @ e
+        norm = np.empty(len(g))
+        for lo in range(0, len(g), rows):  # g -= outer(p, e), and its norms
+            chunk = g[lo:lo + rows]
+            part = buffer[:len(chunk)]
+            np.subtract(chunk, np.multiply(p[lo:lo + rows, None], e,
+                                           out=part), out=chunk)
+            np.add.reduce(np.multiply(chunk, chunk, out=part), axis=1,
+                          out=norm[lo:lo + rows])
+        np.sqrt(norm, out=norm)
         ok = norm > 1e-12
-        z[todo[ok]] = g[ok] / norm[ok, None]
+        np.divide(g, norm[:, None], out=g, where=ok[:, None])
+        if g is not x:
+            x[todo[ok]] = g[ok]
         todo = todo[~ok]
-    x = heights[:, None] * e + np.sqrt(1.0 - heights * heights)[:, None] * z
+    # x becomes a e + sqrt(1 - a^2) z; the sum's operands commute
+    np.multiply(x, np.sqrt(1.0 - heights * heights)[:, None], out=x)
+    for lo in range(0, n, rows):
+        chunk = x[lo:lo + rows]
+        np.add(chunk, np.multiply(heights[lo:lo + rows, None], e,
+                                  out=buffer[:len(chunk)]), out=chunk)
     return x[0] if a.ndim == 0 else x
 
 

@@ -104,6 +104,29 @@ def test_unknown_kernel_and_loss_are_usage_errors(config_path, tmp_path,
         assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_unread_kernel_params_and_negative_C_are_usage_errors(
+        config_path, tmp_path, capsys):
+    # a misspelled kernel parameter would train at the default while the
+    # config carried the typo, and C < 0 would fail every trial as a row
+    with open(config_path) as fh:
+        cfg = json.load(fh)
+    bad = os.path.join(tmp_path, "bad.json")
+    out = os.path.join(tmp_path, "out.csv")
+    for change, message in (
+            (dict(kernel_params={"sigm": 0.3}),
+             "kernel 'rbf' takes no parameter 'sigm'"),
+            (dict(kernel="linear", kernel_params={"degree": 3}),
+             "kernel 'linear' takes no parameter 'degree'"),
+            (dict(C=-1.0), "C must be >= 0, got -1.0")):
+        with open(bad, "w") as fh:
+            json.dump(dict(cfg, **change), fh)
+        for command in ("gen", "gap", "sweep", "train", "eval"):
+            assert cli.main([command, "--config", bad, "--out", out]) == \
+                cli.EXIT_USAGE
+            assert f"error: {message}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 def test_incomplete_model_json_is_usage_error(config_path, tmp_path, capsys):
     model_path = os.path.join(tmp_path, "model.json")
     assert cli.main(["train", "--config", config_path,

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+import mmap
 import sys
 import threading
 import time
@@ -31,8 +33,15 @@ def test_config_validation_and_json():
     for bad in (dict(max_iters=0), dict(n_restarts=0), dict(max_iters=-1)):
         with pytest.raises(harness.UsageError, match="max_iters"):
             ExperimentConfig(**bad)
-    # a seed below 0, and whatever the kernel and loss factories raise
+    # a seed below 0, a norm bound below 0, and whatever the kernel and
+    # loss factories raise, a parameter the kernel does not read included
     for bad, message in ((dict(seed=-1), "seed must be >= 0"),
+                         (dict(C=-1.0), "C must be >= 0, got -1.0"),
+                         (dict(C=math.nan), "C must be >= 0, got nan"),
+                         (dict(kernel="rbf", kernel_params={"sigm": 0.3}),
+                          "kernel 'rbf' takes no parameter 'sigm'"),
+                         (dict(kernel_params={"degree": 3}),
+                          "kernel 'linear' takes no parameter 'degree'"),
                          (dict(loss="nope"), "unknown loss"),
                          (dict(loss="margin_loss", C=0.0), "C > 0"),
                          (dict(kernel="rbf", kernel_params={"sigma": 0.0}),
@@ -205,12 +214,16 @@ def test_sweep_at_float32_sizes_is_thread_invariant(monkeypatch):
     assert set(spread_runs) == {1}
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     spread_runs.clear()
+    lent = lending(monkeypatch)
     for threads in (1, 2, 4) * 2:
         rows = harness.sweep(cfgs, threads=threads)
         assert all(r["error"] == "" for r in rows)
         assert harness.sweep_to_csv(rows) == serial
     assert set(spread_runs) == {2}
     assert kernels._spare is not None
+    # the end passes and the screens borrowed the spare, while the other
+    # threads' trials built and borrowed too
+    assert any(lent)
 
 
 def test_float32_trial_on_a_nan_spare_keeps_its_row(monkeypatch):
@@ -226,6 +239,56 @@ def test_float32_trial_on_a_nan_spare_keeps_its_row(monkeypatch):
     np.frombuffer(spare, np.float32).fill(np.nan)
     assert harness.sweep_to_csv([harness.run_single(cfg, 0)]) == fresh
     assert kernels._spare is spare
+
+
+def lending(monkeypatch) -> list:
+    """A list that records, for each kernels._loan from now on, whether it
+    lent the spare triangle."""
+    loan, lent = kernels._loan, []
+
+    @contextlib.contextmanager
+    def recorded(shape, dtype=float):
+        with loan(shape, dtype) as buffer:
+            lent.append(isinstance(buffer.base, mmap.mmap))
+            yield buffer
+
+    monkeypatch.setattr(kernels, "_loan", recorded)
+    return lent
+
+
+def test_loans_from_a_nan_spare_keep_the_row(monkeypatch):
+    # the end pass, the screen and the rescored blocks borrow the triangle
+    # that the training has just handed back; filled with NaN right after
+    # the hand-back, it gives the row of a trial with no spare to borrow,
+    # byte for byte.  The screen's bound is widened so that every test
+    # block is rescored
+    monkeypatch.setattr(kernels, "_spare", None)
+    monkeypatch.setattr(kernels, "F32_MIN_N", 100)
+    monkeypatch.setattr(kernels, "PROFILE_BLOCK", 2**12)
+    screened_scores, hand_back = learners.screened_scores, learners.hand_back
+
+    def undecided(*args):
+        scores, bound = screened_scores(*args)
+        return scores, bound + 1e3
+
+    def poisoned(G):
+        hand_back(G)
+        np.frombuffer(kernels._spare, np.float32).fill(np.nan)
+
+    monkeypatch.setattr(learners, "screened_scores", undecided)
+    cfg = small_config(n_train=600, n_test=3 * learners.TEST_BLOCK + 5)
+    lent = lending(monkeypatch)
+    rows = {}
+    for name, give in (("none", lambda G: None), ("nan", poisoned)):
+        monkeypatch.setattr(learners, "hand_back", give)
+        lent.clear()
+        row = harness.run_single(cfg, 0)
+        assert row["error"] == "" and math.isfinite(row["err_surrogate"])
+        rows[name] = harness.sweep_to_csv([row])
+        # the end pass, the screen's buffers and its two sets of norms, and
+        # four rescored blocks
+        assert lent == [name == "nan"] * 8, (name, lent)
+    assert rows["nan"] == rows["none"]
 
 
 def test_shared_samples_sampled_once_under_contention(monkeypatch):

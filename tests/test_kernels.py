@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import mmap
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -50,6 +51,12 @@ def test_shipped_kernel_values():
     assert poly.profile_value(0.0) == pytest.approx(0.125)
     with pytest.raises(kernels.KernelError):
         kernels.standard_kernel("nope")
+    # a parameter the kernel does not read is refused, not dropped
+    for name, params in (("rbf", {"sigm": 0.3}), ("linear", {"degree": 3}),
+                         ("sss", {"sigma": 1.0}),
+                         ("poly", {"degree": 2, "sigma": 1.0})):
+        with pytest.raises(kernels.KernelError, match="takes no parameter"):
+            kernels.standard_kernel(name, **params)
 
 
 def test_sss_profile_matches_normalized_form():
@@ -538,11 +545,15 @@ def test_cached_blocks_memory_contract(monkeypatch):
     # tracemalloc does not see: the traced build holds less than a block
     # besides, at any worker count, and returns the n^2 4 bytes of its
     # mapping, and after a hand-back the next build of that size returns
-    # the same mapping
+    # the same mapping.  With that spare present, the exact pass, the
+    # screen and a rescored block of test points borrow its head: each
+    # holds less than one float64 block of its own
     monkeypatch.setattr(kernels, "_spare", None)
     n = kernels.F32_MIN_N + 37
     X = sphere_points(25, n, 15)
     V = np.random.default_rng(15).standard_normal((n, 2))
+    T = sphere_points(25, 1000, 16)
+    hinge = learners.make_loss("hinge")
     slack = 64 * 1024
     block = 8 * max(kernels.PROFILE_BLOCK, n)
     for workers in (kernels._WORKERS, 1):
@@ -565,6 +576,17 @@ def test_cached_blocks_memory_contract(monkeypatch):
             peak, again = traced_peak(kernels.gram, k, X)
             assert peak <= 4 * kernels.PROFILE_BLOCK + slack
             assert again.base is G.base
+            kernels.hand_back(again)
+            model = learners.KernelModel(support=X, alpha=V[:, 0], b=0.0,
+                                         C=1.0, kernel=k, loss=hinge)
+            for f, args in ((kernels.exact_gram_product, (k, X, V)),
+                            (kernels.screened_scores, (k, T, X, V[:, 0])),
+                            (model.decision_function,
+                             (T[:learners.TEST_BLOCK],))):
+                peak, _ = traced_peak(f, *args)
+                assert peak < 8 * kernels.PROFILE_BLOCK, \
+                    (workers, name, params, f.__name__)
+                assert kernels._spare is G.base
             del G, again
 
 
@@ -623,6 +645,58 @@ def test_triangles_held_at_once_never_share_memory(monkeypatch):
     # a view of all of a triangle, as a tracer may wrap one, is kept
     kernels.hand_back(other.T)
     assert kernels._spare is other.base
+
+
+def test_loans_never_share_memory_with_a_live_triangle(monkeypatch):
+    # the spare is out of the module while it is lent: a build meanwhile
+    # maps a fresh triangle, another loan gets fresh memory, and a
+    # hand-back meanwhile replaces the lent spare; else the spare comes
+    # back, raise or not.  A loan lends the head of the spare, its first
+    # min(n, PAGESIZE / 4) columns, and nothing past it
+    monkeypatch.setattr(kernels, "_spare", None)
+    monkeypatch.setattr(kernels, "F32_MIN_N", 100)
+    k = kernels.standard_kernel("rbf", sigma=0.5)
+    X = sphere_points(5, 200, 22)
+    with kernels._loan((10, 10)) as buffer:  # no spare: np.empty
+        assert not isinstance(buffer.base, mmap.mmap)
+    first = kernels.gram(k, X)
+    kernels.hand_back(first)
+    spare = kernels._spare
+    with kernels._loan((200 * 200 + 1,), np.float32) as buffer:  # too big
+        assert buffer.base is not spare and kernels._spare is spare
+    with kernels._loan((200, 100)) as lent:  # all of the mapping
+        assert lent.base is spare and kernels._spare is None
+        with kernels._loan((10,)) as other:
+            assert not np.shares_memory(other, lent)
+        second = kernels.gram(k, X)
+        assert not np.shares_memory(second, lent)
+    assert kernels._spare is spare
+    with pytest.raises(RuntimeError):
+        with kernels._loan((5,)) as lent:
+            raise RuntimeError
+    assert kernels._spare is spare
+    with kernels._loan((200, 100)) as lent:
+        third = kernels.gram(k, X)
+        kernels.hand_back(second)
+        assert not np.shares_memory(third, lent)
+    assert kernels._spare is second.base  # the later hand-back's
+    fourth = kernels.gram(k, X)
+    assert fourth.base is second.base
+    with kernels._loan((10,)) as buffer:
+        assert not any(np.shares_memory(buffer, G) for G in (third, fourth))
+    n = 1100  # past PAGESIZE / 4 columns on 4 KB pages
+    G = kernels.gram(k, sphere_points(5, n, 23))
+    kernels.hand_back(G)
+    head = 4 * n * min(n, mmap.PAGESIZE // 4)
+    with kernels._loan((head + 1,), np.uint8) as buffer:
+        assert buffer.base is not G.base
+    with kernels._loan((head,), np.uint8) as buffer:
+        assert buffer.base is G.base
+        # the build made every page of the head resident
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        buffer.fill(1)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < head // mmap.PAGESIZE // 10, faults
 
 
 def test_no_one_row_block_before_the_last_up_to_2_17_points():

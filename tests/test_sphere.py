@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from marginlab import sphere
+from marginlab import measures, sphere
 from marginlab.sphere import RngStream
 
 
@@ -121,6 +121,104 @@ def test_sample_band_redraws_degenerate_rows():
     X = sphere.sample_band(e, np.array([0.0, 0.6]), rng)
     assert np.allclose(X, [[0.0, 0.0, 1.0], [0.6, 0.0, -0.8]])
     assert rng._gen.draws == []
+
+
+def reference_sample_band(e, a, rng):
+    """sphere.sample_band as it was before it worked in place: the plain
+    formula, with a fresh array for each operation."""
+    e = np.asarray(e, dtype=float)
+    a = np.asarray(a, dtype=float)
+    heights = np.clip(np.atleast_1d(a), -1.0, 1.0)
+    todo = np.flatnonzero(np.abs(heights) < 1.0)
+    z = np.zeros((len(heights), len(e)))
+    while len(todo):
+        g = rng.gen.standard_normal((len(todo), len(e)))
+        g -= np.outer(g @ e, e)
+        norm = np.linalg.norm(g, axis=1)
+        ok = norm > 1e-12
+        z[todo[ok]] = g[ok] / norm[ok, None]
+        todo = todo[~ok]
+    x = heights[:, None] * e + np.sqrt(1.0 - heights * heights)[:, None] * z
+    return x[0] if a.ndim == 0 else x
+
+
+def test_in_place_band_sampling_keeps_the_plain_formulas_bits():
+    # every size up to a few chunks of outer products and past them, one
+    # point, a scalar height and the poles, on an axis and off it
+    for seed in range(3):
+        for d in (2, 3, 25, 40, 700):
+            axis = np.eye(d)[seed % d]
+            tilted = sphere.sample_unit_sphere(d, RngStream(seed, 1))
+            chunk = sphere.ROW_CHUNK // d
+            for e in (axis, tilted):
+                for n in (1, 2, 7, chunk, chunk + 1, 3 * chunk + 5, 1000):
+                    a = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+                    if n > 2:
+                        a[:2] = (1.0, -1.0)
+                    for heights in (a, a[:1], np.full(n, 0.125)):
+                        got = sphere.sample_band(e, heights,
+                                                 RngStream(seed, n))
+                        want = reference_sample_band(e, heights,
+                                                     RngStream(seed, n))
+                        assert got.tobytes() == want.tobytes(), (seed, d, n)
+                for a in (0.3, -1.0, 1.0, 0.0):
+                    got = sphere.sample_band(e, a, RngStream(seed, 2))
+                    want = reference_sample_band(e, a, RngStream(seed, 2))
+                    assert got.shape == want.shape == (d,)
+                    assert got.tobytes() == want.tobytes()
+
+
+def test_in_place_band_sampling_redraws_with_the_plain_formulas_bits():
+    # a generator whose first n rows hold rows parallel to e: those rows
+    # alone are drawn again, from the generator's own later draws, and the
+    # points keep the plain formula's bits, however the first n rows are
+    # split between calls
+    class Degenerate:
+        def __init__(self, seed, e, rows):
+            self.gen, self.e, self.rows = RngStream(seed, 0).gen, e, rows
+            self.drawn = 0
+
+        def standard_normal(self, shape):
+            out = self.gen.standard_normal(shape)
+            for i in self.rows:
+                if 0 <= i - self.drawn < len(out):
+                    out[i - self.drawn] = 3.0 * self.e
+            self.drawn += len(out)
+            return out
+
+    for d, e in ((2, np.eye(2)[1]), (25, np.eye(25)[0]),
+                 (25, sphere.sample_unit_sphere(25, RngStream(9, 0)))):
+        for n, rows in ((1, [0]), (40, [0, 17]), (5000, [400, 4999])):
+            a = np.random.default_rng(d).uniform(-0.5, 0.5, n)
+            points = []
+            for sample in (sphere.sample_band, reference_sample_band):
+                rng = RngStream(0, 0)
+                rng._gen = Degenerate(n, e, rows)
+                points.append(sample(e, a, rng))
+                assert rng._gen.drawn == n + len(rows)
+            assert points[0].tobytes() == points[1].tobytes(), (d, n)
+            assert np.allclose(points[0] @ e, a, atol=1e-12)
+
+
+def plain_sample_band(e, a, rng, out):
+    """measures.sample_dataset's call of sample_band as it was: the plain
+    formula, copied into out."""
+    out[...] = reference_sample_band(e, a, rng)
+    return out
+
+
+def test_sample_dataset_keeps_the_plain_band_formulas_bits(monkeypatch):
+    # the mixture's points, with the plain formula in sample_band's place
+    spec = measures.AdversarialSpec(d=25, gamma=0.01, theta=0.7,
+                                    lambda2=0.05, lambda3=0.3)
+    for seed in range(5):
+        for n in (1, 7, 400, 4000, 5000):
+            got = measures.sample_dataset(spec, n, RngStream(seed, 1))
+            with monkeypatch.context() as patch:
+                patch.setattr(measures, "sample_band", plain_sample_band)
+                want = measures.sample_dataset(spec, n, RngStream(seed, 1))
+            assert got[0].tobytes() == want[0].tobytes(), (seed, n)
+            assert got[1].tobytes() == want[1].tobytes(), (seed, n)
 
 
 def test_band_sampling_uniform_on_complement():
