@@ -10,9 +10,11 @@ directory, removed afterwards.  For each workload W in turn, pair i runs
 `bench/run.py --workload W --seed S+i --seconds T --trace 0` once in each
 tree, T being BENCHMARK.json's run_seconds, the parent first on even i and
 the working tree first on odd i.  The script prints each side's median and
-quartiles of every end-to-end metric, and whether the working tree's median
-is worse than the parent's by more than that metric's bound in
-BENCHMARK.json (a fraction of the parent's median).  It prints the number
+quartiles of every end-to-end metric and its bound verdict (bound_verdict):
+a regression where the working tree's median is worse than the parent's by
+more than that metric's bound in BENCHMARK.json (a fraction of the parent's
+median), unresolved where the parent's own runs spread wider than the
+bound, and within bound otherwise.  It prints the number
 of pairs the working tree wins on each end-to-end metric, and whether the
 gain rule holds there: a win in at least 9 of every 10 pairs, and a median
 gain larger than the parent's interquartile range.  For every run whose
@@ -75,6 +77,28 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def bound_verdict(parent, change, bound, better):
+    """The verdict on one metric's runs, parent and change, against its
+    bound, and how much worse the change's median is, as a fraction of the
+    parent's median.  "regression" where that exceeds the bound;
+    "unresolved" where the parent's interquartile range, as a fraction of
+    its median, exceeds the bound, unless every change run reads better
+    than every parent run; "within bound" otherwise."""
+    ps, cs = summary(parent), summary(change)
+    sign = 1.0 if better == "lower" else -1.0
+    # > 0 when the change's median is worse
+    worse = sign * (cs["median"] - ps["median"]) / ps["median"]
+    if worse > bound:
+        return "regression", worse
+    if better == "lower":
+        clear = max(change) < min(parent)
+    else:
+        clear = min(change) > max(parent)
+    if (ps["q3"] - ps["q1"]) / ps["median"] > bound and not clear:
+        return "unresolved", worse
+    return "within bound", worse
+
+
 def compare(workload, args, parent_root, commit, benchmark):
     """Alternating pairs on one workload: prints the verdicts and returns
     them as one JSON-ready dict."""
@@ -110,17 +134,17 @@ def compare(workload, args, parent_root, commit, benchmark):
         if name not in summaries["parent"]:
             continue
         ps, cs = summaries["parent"][name], summaries["change"][name]
-        # > 0 when the change's median is worse, as a fraction of the parent's
-        worse = ((1.0 if better[name] == "lower" else -1.0)
-                 * (cs["median"] - ps["median"]) / ps["median"])
-        within = worse <= bounds[name]
+        verdict, worse = bound_verdict(
+            [r[name] for r in runs["parent"]],
+            [r[name] for r in runs["change"]], bounds[name], better[name])
         verdicts[name] = {"worse_by": worse, "bound": bounds[name],
-                          "within_bound": within}
+                          "verdict": verdict,
+                          "within_bound": verdict == "within bound"}
         print(f"{name}: parent {ps['median']:.4g} [{ps['q1']:.4g}-"
               f"{ps['q3']:.4g}]  change {cs['median']:.4g} "
               f"[{cs['q1']:.4g}-{cs['q3']:.4g}]  worse by {worse:+.1%}, "
               f"bound {bounds[name]:.0%}: "
-              f"{'within bound' if within else 'REGRESSION'}")
+              f"{verdict.upper() if verdict == 'regression' else verdict}")
 
     gains = {}
     for name in verdicts:

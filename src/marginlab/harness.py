@@ -3,7 +3,7 @@ over configurations, and the lemma verification suites behind `mgl verify`.
 
 Everything here is deterministic given the config: per-(config, seed) random
 streams are derived from the seed alone, so sweeps are byte-identical across
-worker counts.
+thread counts.
 """
 
 from __future__ import annotations

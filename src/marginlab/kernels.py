@@ -2,89 +2,39 @@
 expansion of the shipped kernels, RKHS norms of zonal functions, and
 Monte-Carlo kernel symmetrization.
 
-Kernel matrices are built in one output buffer: the inner products (or the
-feature products) come from one BLAS call, and a zonal profile is applied in
-place, in blocks of at most PROFILE_BLOCK entries, so the blocks stay in a
-core's L2 cache.  A Gram matrix holds its lower triangle only; the strict
-upper triangle is left undefined, so every reader of a Gram matrix reads
-its lower triangle: gram_product and min_eigenvalue below, or the diagonal.
-A profile may overwrite its argument: the shipped ones evaluate in place
-with out= ufuncs, which saves a fresh temporary per operation.
+Kernel matrices are formed in one buffer, and a zonal profile is applied in
+place, at most PROFILE_BLOCK entries at a time, so a block stays in a
+core's L2 cache; a profile may overwrite its argument.  A Gram matrix holds
+its lower triangle only, and the strict upper triangle is undefined: every
+reader reads the lower triangle, as gram_product and min_eigenvalue do.
 
-The storage precision is decided in gram alone: a Gram matrix of fewer than
-F32_MIN_N points is float64 (one dsyrk, then the profile, and dsymv in
-gram_product); from F32_MIN_N points on it is float32 (ssymv), built one
-_lower_blocks block at a time, an sgemm and the profile in float32 while
-the block is still in cache, which halves the memory traffic of every
-product.  Such a triangle only steers a solver: exact_gram_product gives
-K V in float64 from the points, one _lower_blocks strip at a time, without
-storing K, and that is what a caller reports numbers from.
+The storage precision is decided in gram alone: float64 below F32_MIN_N
+points and float32 from F32_MIN_N on.  A float32 triangle only steers a
+solver; exact_gram_product gives K V in float64 from the points, without
+storing K, and that is what a caller reports numbers from.  Test scores
+against F32_MIN_N support points or more are screened in float32 where
+screens says so: screened_scores gives each score with an a-priori bound
+on its distance to the float64 score, and a caller rescores with the
+float64 path every point that lies within its bound of a threshold, as
+learners.evaluate does.
 
-Test scores follow the same policy.  From F32_MIN_N support points on,
-screened_scores computes sum_j alpha_j k(x, s_j) from float32 kernel
-entries, summed in float32 over chunks of SCREEN_CHUNK support points and
-in float64 across the chunks, with an a-priori bound on its distance to the
-float64 score of cross_gram(k, X, support) @ alpha.  The bound needs the
-Taylor coefficients and the profile's rounding (KernelSpec.rounding);
-screens decides where it applies.  A screened score only decides the
-points that lie farther than the bound from a threshold; a caller rescores
-the others with the float64 path, as learners.evaluate does.
+A float32 triangle lives in an anonymous mapping of its own, on 4 KB pages
+where the platform allows, so only the pages that its build writes become
+resident.  A caller that reads its triangle no more hands it back
+(hand_back), and the next float32 gram of that size builds in it; the
+process keeps at most one such spare, and two live triangles never share
+memory.  While it waits, the spare lends the head of its mapping as
+scratch (_loan) to the exact pass, the screen and cross_gram_product: its
+first min(n, PAGESIZE / 4) columns, where every page holds lower-triangle
+bytes, so a loan faults in no page.  A loan takes the spare out of the
+module until it ends, and falls back to np.empty where there is no spare
+or its head is too small.  The spare is shared under a lock by the threads
+of harness.sweep.
 
-The three float32-regime passes, gram from F32_MIN_N points, its end pass
-exact_gram_product and screened_scores, spread their blocks over the CPUs
-the process may use (_WORKERS, from os.sched_getaffinity; there is no
-option).  The blocks are cut into _WORKERS contiguous runs of about equal
-work; the calling thread works the first run and a module pool of
-_WORKERS - 1 threads, made at its first use and shared by all callers,
-the others.  numpy releases the GIL in the sgemm and the profile's ufuncs,
-so the runs overlap, and a profile may be called from several threads at
-once.  The bits are those of one serial loop: gram's blocks and the
-screen's row blocks write disjoint parts of their output, and in the exact
-pass the first run adds into the output as it goes, while each later run
-keeps its strips' two products, which the calling thread adds in block
-order afterwards.  A worker holds one block buffer of its own (2 MB), and
-the exact pass holds the kept products too, (n - lo) m 8 bytes for each
-block [lo, hi) past the first run (0.5 MB at n = 4000, m = 2, two
-workers).  At one worker the passes are the plain loop with no
-pool, as are float64-regime calls.  gram_product stays serial: scipy's
-symv wrappers hold the GIL, and splitting the product would change its
-bits.  Each worker makes BLAS calls of its own, and where
-OPENBLAS_NUM_THREADS is unset each such call starts threads of its own,
-one per CPU, which oversubscribes the CPUs: run_single on the bench's
-headline config (2 CPUs) then took 0.386-0.397 s, against 0.374-0.394 s
-from the plain loop.  Runs should set OPENBLAS_NUM_THREADS=1, as the bench
-does; nothing here reads it.
-
-A float32 triangle lives in an anonymous mapping of its own, n^2 4 bytes,
-advised onto 4 KB pages where the platform defines MADV_NOHUGEPAGE, so
-only the pages that the build writes become resident: the lower triangle
-and the block corners, about n^2 2 bytes and one page per column (45 MiB
-at n = 4000, against 62 MiB on 2 MB pages).  A caller that reads its
-triangle no more hands it back (hand_back), as train_kernel_program does
-when its loop ends, and the next float32 gram of that size takes it, under
-a lock, in place of a fresh mapping, so it faults in no page.  The process
-keeps at most one such spare, until it exits or a later hand-back
-replaces it; a triangle that is not handed back is unmapped once it is
-freed, and two live triangles never share memory.  A build writes all of
-the lower triangle, so what the spare held before changes no bit.
-
-While it waits for the next gram, the spare lends scratch memory (_loan):
-the exact end pass takes its strip buffers from it, the screen its block
-buffers, and cross_gram_product the kernel matrix of a block of test
-points, so that nothing larger than a few rows is allocated between a
-training's hand-back and the next gram.  A loan gives out the head of the
-mapping, its first min(n, PAGESIZE / 4) columns (16 MB at n = 4000): in
-each of those columns the unread upper part is shorter than a page, so
-every page there holds lower-triangle bytes, which the build has made
-resident, and the loan faults in no page.  The spare is out of the module
-while it is lent, so a gram that runs meanwhile maps a fresh triangle, as
-when there is no spare, and no loan shares memory with a live triangle;
-the spare comes back when the loan ends, unless a hand-back has replaced
-it.  A loan falls back to np.empty where there is no spare, where another
-loan holds it, or where its head is too small for the buffers asked for
-(the end pass and the screen ask for one 2 MB buffer per worker, and the
-screen its float32 points besides).  What a
-loan writes is scratch: the next build overwrites every byte it reads.
+Every pass is one serial loop over its blocks, and every buffer policy
+above keeps the floating-point operations and their order, so the bits are
+those of the plain forms: a build writes all of the lower triangle, and
+what a loan writes is scratch, so what a spare held changes no bit.
 
 A symmetric (zonal) kernel k(x, y) = kappa(<x, y>) decomposes as
 kappa(s) = sum_n b_n P_{d,n}(s) with b_n >= 0, and the RKHS norm of a zonal
@@ -98,11 +48,9 @@ exactly, sum b_n = kappa(1) and sum b_n P_{d,n} = kappa within a few ulps.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import math
 import mmap
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -141,11 +89,6 @@ U32, U64 = 2.0**-24, 2.0**-53
 # float32's smallest normal number: a float32 operation that underflows is
 # off by less than this
 TINY32 = float(np.finfo(np.float32).tiny)
-
-try:  # threads of the float32 passes: the CPUs this process may run on
-    _WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:  # no sched_getaffinity on this platform
-    _WORKERS = os.cpu_count() or 1
 
 
 class KernelError(ValueError):
@@ -217,58 +160,9 @@ def _lower_blocks(n: int):
         lo = hi
 
 
-def _lower_runs(n: int) -> list:
-    """The blocks of _lower_blocks(n) cut into runs, each block weighed by
-    its entries."""
-    blocks = list(_lower_blocks(n))
-    return _runs(blocks, [(hi - lo) * (n - lo) for lo, hi in blocks])
-
-
-def _runs(blocks: list, weights: list) -> list:
-    """The blocks cut into at most _WORKERS contiguous runs of about equal
-    weight: a block joins the run its weight's midpoint falls in."""
-    total, runs, before = sum(weights), [[] for _ in range(_WORKERS)], 0
-    for block, weight in zip(blocks, weights):
-        runs[min(int(_WORKERS * (before + weight / 2) / total),
-                 _WORKERS - 1)].append(block)
-        before += weight
-    return [run for run in runs if run]
-
-
-_pool = None
-_pool_lock = threading.Lock()
 # the mapping of a float32 triangle that hand_back was given, or None
 _spare = None
 _spare_lock = threading.Lock()
-
-
-def _forget_pool():  # a forked child has none of its parent's threads
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _spread(work, runs: list) -> list:
-    """[work(run) for run in runs]: the first run on the calling thread, the
-    others on the module's pool of _WORKERS - 1 threads, made at its first
-    use.  Every run has finished when this returns or raises; the first
-    error, in run order, is raised."""
-    global _pool
-    if len(runs) < 2:
-        return [work(run) for run in runs]
-    with _pool_lock:
-        if _pool is None:
-            _pool = concurrent.futures.ThreadPoolExecutor(
-                _WORKERS - 1, thread_name_prefix="marginlab-kernels")
-    futures = [_pool.submit(work, run) for run in runs[1:]]
-    try:
-        first = work(runs[0])
-    finally:
-        concurrent.futures.wait(futures)
-    return [first] + [future.result() for future in futures]
 
 
 def _triangle(n: int) -> np.ndarray:
@@ -381,8 +275,7 @@ def gram(k: KernelSpec, points: np.ndarray) -> np.ndarray:
     points on each such block, columns lo..hi-1 of G from row lo down, is
     one sgemm of the float32 points, written into G, and the profile, in
     float32, runs on it while it is still in cache, without a second pass
-    over the triangle from memory; the runs of blocks (module docstring)
-    write disjoint parts of G, which is the spare triangle or a fresh
+    over the triangle from memory; G is the spare triangle or a fresh
     mapping (module docstring).  The sgemm of a block of two rows or more
     gave the bits of one ssyrk's triangle in every case measured (scipy's
     OpenBLAS, n in {7, 600, 2048, 2085, 4000}, d in {3, 25}, one and two
@@ -405,16 +298,11 @@ def gram(k: KernelSpec, points: np.ndarray) -> np.ndarray:
     else:
         G = dsyrk(1.0, points, lower=1)
     GT = G.T  # C-ordered: row j of GT is column j of G
-
-    def build(run):  # the runs write disjoint blocks of G
-        for lo, hi in run:
-            block = GT[lo:hi, lo:]
-            if f32:
-                np.matmul(P[lo:hi], P[lo:].T, out=block)
-            _apply_profile(k.profile, block)
-
-    n = len(G)
-    _spread(build, _lower_runs(n) if f32 else [list(_lower_blocks(n))])
+    for lo, hi in _lower_blocks(len(G)):
+        block = GT[lo:hi, lo:]
+        if f32:
+            np.matmul(P[lo:hi], P[lo:].T, out=block)
+        _apply_profile(k.profile, block)
     return G
 
 
@@ -438,9 +326,9 @@ def exact_gram_product(k: KernelSpec, points: np.ndarray,
     A feature map gives F (F' V).  A zonal kernel is evaluated one
     _lower_blocks strip K[lo:hi, lo:] at a time (at most PROFILE_BLOCK
     entries, or one row if a row is longer), which adds its rows into
-    out[lo:hi] and, by symmetry, its columns past hi into out[hi:].  The
-    strips of a run (module docstring) are formed in one buffer of that
-    size, lent by the spare triangle where it can, so K is never stored.
+    out[lo:hi] and, by symmetry, its columns past hi into out[hi:].  Every
+    strip is formed in one buffer of that size, lent by the spare triangle
+    where it can, so K is never stored.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     V = np.asarray(V, dtype=float)
@@ -449,30 +337,13 @@ def exact_gram_product(k: KernelSpec, points: np.ndarray,
         return F @ (F.T @ V)
     n = len(points)
     out = np.zeros(V.shape)
-    runs = _lower_runs(n) if n >= F32_MIN_N else [list(_lower_blocks(n))]
-
-    def add(lo, hi, rows, columns):
-        out[lo:hi] += rows
-        out[hi:] += columns
-
-    def product(work):  # each run forms its strips in its own buffer
-        buffer, run = work
-        kept = []
-        for lo, hi in run:
+    with _loan((max(PROFILE_BLOCK, n),)) as buffer:
+        for lo, hi in _lower_blocks(n):
             strip = buffer[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
             np.matmul(points[lo:hi], points[lo:].T, out=strip)
             _apply_profile(k.profile, strip)
-            kept.append((lo, hi, strip @ V[lo:],
-                         strip[:, hi - lo:].T @ V[lo:hi]))
-            if run is runs[0]:  # the calling thread's run adds as it goes
-                add(*kept.pop())
-        return kept
-
-    with _loan((len(runs), max(PROFILE_BLOCK, n))) as buffers:
-        done = _spread(product, list(zip(buffers, runs)))
-    for kept in done:  # in block order, as one loop adds
-        for strip_product in kept:
-            add(*strip_product)
+            out[lo:hi] += strip @ V[lo:]
+            out[hi:] += strip[:, hi - lo:].T @ V[lo:hi]
     return out
 
 
@@ -509,11 +380,11 @@ def screened_scores(k: KernelSpec, X: np.ndarray, support: np.ndarray,
 
     The support and X are cast to float32, and the entries of a block of
     test points are one sgemm, S32 X32', into one buffer that every block
-    of a run (module docstring) reuses, with the profile applied in place
-    in float32; each SCREEN_CHUNK rows of that block give one float32
-    partial sum with the float32 alpha, and the partial sums add in
-    float64.  The casts, the blocks' buffers and the squares behind the
-    points' norms are formed in loans of the spare triangle.
+    reuses, with the profile applied in place in float32; each SCREEN_CHUNK
+    rows of that block give one float32 partial sum with the float32
+    alpha, and the partial sums add in float64.  The casts, the block
+    buffer and the squares behind the points' norms are formed in loans of
+    the spare triangle.
 
     The bound.  Write t = <x, s>, K = kappa(clip(t)) and f = sum_j alpha_j
     K_j for exact arithmetic on the float64 inputs, and u = U32, v = U64,
@@ -557,12 +428,14 @@ def screened_scores(k: KernelSpec, X: np.ndarray, support: np.ndarray,
     # float64 profile block; Kt's rows are the support points, so its
     # chunks are one C-ordered (chunks, M, rows) view
     rows = max(2 * PROFILE_BLOCK // n, 1)
-    blocks = [(lo, min(lo + rows, len(X))) for lo in range(0, len(X), rows)]
-
-    def score(work):  # each run forms its blocks in its own buffer
-        buffer, run = work
-        for lo, hi in run:
-            Kt = buffer[:n * (hi - lo)].reshape(n, hi - lo)
+    cast = (n + len(X)) * d
+    with _loan((cast + n * min(rows, len(X)),), np.float32) as scratch:
+        S32 = scratch[:n * d].reshape(n, d)
+        X32 = scratch[n * d:cast].reshape(len(X), d)
+        S32[...], X32[...] = support, X  # the casts of astype(np.float32)
+        for lo in range(0, len(X), rows):
+            hi = min(lo + rows, len(X))
+            Kt = scratch[cast:cast + n * (hi - lo)].reshape(n, hi - lo)
             np.matmul(S32, X32[lo:hi].T, out=Kt)
             _apply_profile(k.profile, Kt)
             partial = np.matmul(chunked, Kt[:full].reshape(-1, M, hi - lo))
@@ -570,15 +443,6 @@ def screened_scores(k: KernelSpec, X: np.ndarray, support: np.ndarray,
             if full < n:
                 out += a32[full:] @ Kt[full:]
             scores[lo:hi] = out
-
-    runs = _runs(blocks, [hi - lo for lo, hi in blocks])
-    size, cast = n * min(rows, len(X)), (n + len(X)) * d
-    with _loan((cast + len(runs) * size,), np.float32) as scratch:
-        S32 = scratch[:n * d].reshape(n, d)
-        X32 = scratch[n * d:cast].reshape(len(X), d)
-        S32[...], X32[...] = support, X  # the casts of astype(np.float32)
-        buffers = scratch[cast:].reshape(len(runs), size)
-        _spread(score, list(zip(buffers, runs)))
 
     taylor = np.asarray(k.taylor, dtype=float)
     kappa, slope = float(taylor.sum()), float(np.arange(len(taylor)) @ taylor)

@@ -327,18 +327,6 @@ def test_khachiyan_matches_reference(m, symmetric):
                          expect)
 
 
-def mutated_design_weights(Q, eps, old, new):
-    """geometry._design_weights, and the simplex projection it calls, with
-    the source string old replaced by new once."""
-    source = "\n\n".join(inspect.getsource(f) for f in (
-        geometry._simplex_projection, geometry._design_weights))
-    assert source.count(old) == 1
-    source = source.replace(old, new)
-    scope = dict(vars(geometry))
-    exec(source, scope)
-    return scope["_design_weights"](Q, eps)
-
-
 def mutated_khachiyan(Q, eps):
     """reference_khachiyan with the sign of tau * w_i in the Sherman-Morrison
     coefficient flipped and the exact stopping test removed: the loop stops
@@ -371,23 +359,23 @@ def test_mutated_rank_one_sign_is_caught():
         assert float(np.max(ell.quad(P))) <= 1 + geometry.MVEE_EPS
 
 
-def test_mutated_design_ascent_is_caught():
+def test_mutated_design_ascent_is_caught(mutated):
     # a projection without the simplex shift lets sum(u) grow past 1, which
     # shrinks the leverages below the bound early; a stop that reads a trial
     # point's leverages before the line search accepts it returns the weights
     # from before the step.  The oracle rejects both on each input (the
     # symmetric m = 1 case is a closed form that neither touches)
-    mutations = [
+    mutants = [mutated(geometry, old, new) for old, new in [
         ("return np.maximum(v - theta, 0.0)", "return np.maximum(v, 0.0)"),
         ("            trial = _design(QT, u_t)\n",
          "            trial = _design(QT, u_t)\n"
          "            if trial is not None and trial[1].max() <= bound:\n"
-         "                return u\n")]
+         "                return u\n")]]
     for m, symmetric in [(1, False), (3, True), (10, False), (30, True)]:
         Q = oracle_input(m, symmetric)
         expect = reference_khachiyan(Q, geometry.MVEE_EPS)
-        for old, new in mutations:
-            u = mutated_design_weights(Q, geometry.MVEE_EPS, old, new)
+        for mutant in mutants:
+            u = mutant._design_weights(Q, geometry.MVEE_EPS)
             with pytest.raises(AssertionError):
                 assert_design_oracle(Q, u, expect)
 

@@ -2,6 +2,8 @@ import contextlib
 import json
 import math
 import mmap
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -191,39 +193,54 @@ def test_sweep_samples_each_distribution_and_seed_once(monkeypatch):
 def test_sweep_at_float32_sizes_is_thread_invariant(monkeypatch):
     # with the float32 regime from 100 points on and small blocks, every
     # trial builds a float32 triangle, ends with the exact pass and screens
-    # its test points, their blocks spread over the one kernel pool that
-    # the sweep's threads share: the same CSV bytes at 1, 2 and 4 threads,
-    # and as from one kernel worker.  Each sweep runs twice, so the second
-    # trains on triangles that the first handed back
+    # its test points, while the sweep's threads share the spare: the same
+    # CSV bytes at 1, 2 and 4 threads.  Each sweep runs twice, so the
+    # second trains on triangles that the first handed back
     monkeypatch.setattr(kernels, "_spare", None)
     monkeypatch.setattr(kernels, "F32_MIN_N", 100)
     monkeypatch.setattr(kernels, "PROFILE_BLOCK", 2**10)
-    spread = kernels._spread
-    spread_runs = []
-
-    def counted(work, runs):
-        spread_runs.append(len(runs))
-        return spread(work, runs)
-
-    monkeypatch.setattr(kernels, "_spread", counted)
     cfgs = [small_config(kernel=kernel, kernel_params=params, n_seeds=2)
             for kernel, params in (("linear", {}), ("rbf", {"sigma": 2.0}),
                                    ("poly", {"degree": 3}))]
-    monkeypatch.setattr(kernels, "_WORKERS", 1)
     serial = harness.sweep_to_csv(harness.sweep(cfgs, threads=1))
-    assert set(spread_runs) == {1}
-    monkeypatch.setattr(kernels, "_WORKERS", 2)
-    spread_runs.clear()
     lent = lending(monkeypatch)
     for threads in (1, 2, 4) * 2:
         rows = harness.sweep(cfgs, threads=threads)
         assert all(r["error"] == "" for r in rows)
         assert harness.sweep_to_csv(rows) == serial
-    assert set(spread_runs) == {2}
     assert kernels._spare is not None
     # the end passes and the screens borrowed the spare, while the other
     # threads' trials built and borrowed too
     assert any(lent)
+
+
+NO_THREAD_TRIAL = """
+import threading
+from marginlab import harness, kernels, learners
+kernels.F32_MIN_N, kernels.PROFILE_BLOCK = 100, 2**10
+screened, calls = learners.screened_scores, []
+learners.screened_scores = lambda *args: calls.append(1) or screened(*args)
+cfg = harness.ExperimentConfig(
+    d=8, gamma=0.02, theta=0.7, lambda3=0.05, kernel="rbf",
+    kernel_params={"sigma": 2.0}, C=3.0, loss="hinge", n_train=120,
+    n_test=300, n_seeds=1, seed=0, max_iters=60, n_restarts=3)
+before = threading.active_count()
+row = harness.run_single(cfg, 0)
+assert row["error"] == "" and calls, (row["error"], calls)
+assert threading.active_count() == before, (before, threading.active_count())
+"""
+
+
+def test_float32_trial_starts_no_thread():
+    # a trial that builds a float32 triangle in many blocks, runs the exact
+    # pass and screens its test points does all of it on the calling
+    # thread.  It runs in a fresh interpreter, so that no earlier test has
+    # started a thread that the trial could reuse
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
+    done = subprocess.run([sys.executable, "-c", NO_THREAD_TRIAL],
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_float32_trial_on_a_nan_spare_keeps_its_row(monkeypatch):

@@ -1,12 +1,6 @@
-import concurrent.futures
 import math
 import mmap
-import os
 import resource
-import subprocess
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -325,12 +319,18 @@ ZONAL = [("linear", {}), ("sss", {}), ("rbf", {"sigma": 0.3}),
 
 
 @pytest.mark.parametrize("n", [kernels.F32_MIN_N, kernels.F32_MIN_N + 37,
-                               4000])
+                               4000, 300])
 @pytest.mark.parametrize("d", [3, 25])
-def test_cached_blocks_match_references(n, d):
+def test_cached_blocks_match_references(monkeypatch, n, d):
     # the float32 triangle, the exact pass and the screen give the bits of
     # the forms they replaced; the test points span two whole screen
-    # blocks and a partial one
+    # blocks and a partial one.  At 300 points the float32 regime starts at
+    # 100 points, and blocks of 2^12 entries cut the triangle into many
+    # blocks of many rows, none of one row
+    if n < kernels.F32_MIN_N:
+        monkeypatch.setattr(kernels, "PROFILE_BLOCK", 2**12)
+        monkeypatch.setattr(kernels, "F32_MIN_N", 100)
+        assert all(hi - lo > 1 for lo, hi in kernels._lower_blocks(n))
     X = sphere_points(d, n, n + d)
     rng = np.random.default_rng(n + d)
     V = rng.standard_normal((n, 2))
@@ -369,160 +369,6 @@ def test_one_row_blocks_match_references(monkeypatch):
                               reference_screened_scores(k, T, X, alpha))
 
 
-@pytest.mark.parametrize("block, n", [(64, 150), (2**12, 300)])
-def test_worker_counts_match_references(monkeypatch, block, n):
-    # the float32 passes give the bits of one worker's loop however many
-    # workers share their blocks: one-row first blocks (64 entries, rows of
-    # 150) and many blocks of many rows, with as many runs as workers.  One
-    # worker's exact pass and screen are the references'; its triangle is
-    # ssyrk's where no block is one row (a one-row sgemm is a BLAS gemv,
-    # which rounds otherwise)
-    monkeypatch.setattr(kernels, "PROFILE_BLOCK", block)
-    monkeypatch.setattr(kernels, "F32_MIN_N", 100)
-    X = sphere_points(5, n, n)
-    rng = np.random.default_rng(n)
-    V = rng.standard_normal((n, 2))
-    rows = max(2 * block // n, 1)
-    T = sphere_points(5, 5 * rows + 3, n + 1)
-    alpha = rng.standard_normal(n)
-    one_row = any(hi - lo == 1 for lo, hi in kernels._lower_blocks(n))
-    for name, params in ZONAL:
-        k = kernels.standard_kernel(name, **params)
-        monkeypatch.setattr(kernels, "_WORKERS", 1)
-        serial = kernels.gram(k, X)
-        assert one_row or same_lower_triangle(serial, reference_gram32(k, X))
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(kernels, "_WORKERS", workers)
-            assert len(kernels._lower_runs(n)) == workers
-            G = kernels.gram(k, X)
-            assert G.dtype == np.float32
-            assert same_lower_triangle(G, serial), (workers, name, params)
-            for W in (V, V[:, 0]):
-                assert np.array_equal(kernels.exact_gram_product(k, X, W),
-                                      reference_exact_gram_product(k, X, W))
-            assert np.array_equal(kernels.screened_scores(k, T, X, alpha)[0],
-                                  reference_screened_scores(k, T, X, alpha))
-
-
-def test_profile_error_on_one_block_is_raised_after_every_run(monkeypatch):
-    # a profile that fails on one block, in the calling thread's run or in
-    # a pool run, makes the pass raise that error once every run has ended:
-    # no profile call is still running or starts afterwards
-    monkeypatch.setattr(kernels, "PROFILE_BLOCK", 2**10)
-    monkeypatch.setattr(kernels, "F32_MIN_N", 100)
-    monkeypatch.setattr(kernels, "_WORKERS", 3)
-    n = 200
-    X = sphere_points(5, n, 16)
-    T = sphere_points(5, 47, 17)  # screen blocks of 10 rows, the last of 7
-    lock, state = threading.Lock(), {"running": 0, "calls": 0}
-
-    class Planted(Exception):
-        pass
-
-    def planted(width):
-        def profile(s):
-            with lock:
-                state["running"] += 1
-                state["calls"] += 1
-            try:
-                time.sleep(0.002)
-                if s.shape[-1] == width:
-                    raise Planted(width)
-                return np.exp(s - 1.0)
-            finally:
-                with lock:
-                    state["running"] -= 1
-        return kernels.KernelSpec(name="planted", profile=profile)
-
-    first, last = kernels._lower_runs(n)[0][0], kernels._lower_runs(n)[-1][-1]
-    passes = [(kernels.gram, (X,), n - first[0]),
-              (kernels.gram, (X,), n - last[0]),
-              (kernels.exact_gram_product, (X, np.ones(n)), n - first[0]),
-              (kernels.exact_gram_product, (X, np.ones(n)), n - last[0]),
-              (kernels.screened_scores, (T, X, np.ones(n)), 7)]
-    for f, args, width in passes:
-        with pytest.raises(Planted) as raised:
-            f(planted(width), *args)
-        assert raised.value.args == (width,)
-        calls = state["calls"]
-        assert state["running"] == 0
-        time.sleep(0.05)
-        assert state["calls"] == calls and state["running"] == 0
-
-
-def test_concurrent_callers_share_one_pool(monkeypatch):
-    # more callers than cores, with a short switch interval, start from no
-    # pool at once: one pool is made, and every caller gets one worker's
-    # bits
-    monkeypatch.setattr(kernels, "PROFILE_BLOCK", 2**10)
-    monkeypatch.setattr(kernels, "F32_MIN_N", 100)
-    monkeypatch.setattr(kernels, "_WORKERS", 1)
-    k = kernels.standard_kernel("rbf", sigma=0.5)
-    X = sphere_points(5, 200, 18)
-    V = np.random.default_rng(18).standard_normal((200, 2))
-    serial = kernels.gram(k, X), kernels.exact_gram_product(k, X, V)
-    monkeypatch.setattr(kernels, "_WORKERS", 3)
-    monkeypatch.setattr(kernels, "_pool", None)
-    made, got = [], []
-    executor = concurrent.futures.ThreadPoolExecutor
-
-    def counted(*args, **kwargs):
-        time.sleep(0.01)  # widens the window between the check and the store
-        made.append(executor(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
-    start = threading.Barrier(12)
-
-    def call():
-        start.wait(timeout=60)
-        got.append((kernels.gram(k, X), kernels.exact_gram_product(k, X, V)))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=call) for _ in range(12)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(got) == 12 and made == [kernels._pool]
-    for G, product in got:
-        assert same_lower_triangle(G, serial[0])
-        assert np.array_equal(product, serial[1])
-
-
-FORK_CHILD = """
-import os, signal, sys
-import numpy as np
-from marginlab import kernels
-kernels.F32_MIN_N, kernels.PROFILE_BLOCK, kernels._WORKERS = 100, 2**10, 2
-k = kernels.standard_kernel("rbf")
-X = np.random.default_rng(0).standard_normal((200, 5))
-G = np.tril(kernels.gram(k, X))
-pid = os.fork()
-if pid == 0:
-    signal.alarm(30)  # a child that hangs is killed, and the parent told
-    os._exit(0 if np.array_equal(np.tril(kernels.gram(k, X)), G) else 1)
-sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
-def test_forked_child_makes_its_own_pool():
-    # a child forked after the pool was made has none of its threads: it
-    # makes a pool of its own, where the parent's would leave its runs
-    # queued for ever
-    src = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
-    done = subprocess.run([sys.executable, "-c", FORK_CHILD], timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True)
-    assert done.returncode == 0, done.stderr
-
-
 def traced_peak(f, *args):
     """The peak of the bytes traced by tracemalloc while f(*args) runs,
     numpy's array data included, above what was traced before, and what f
@@ -537,17 +383,15 @@ def traced_peak(f, *args):
 
 
 def test_cached_blocks_memory_contract(monkeypatch):
-    # the exact pass holds one float64 block buffer per worker, the strip
-    # products that the runs after the first keep for the calling thread to
-    # add in block order, its output and products of the output's size,
-    # never K (n^2 8 bytes, 35 MB here); at one worker that is one buffer.
+    # the exact pass holds one float64 block buffer, its output and
+    # products of the output's size, never K (n^2 8 bytes, 35 MB here).
     # The float32 build's triangle is an anonymous mapping, which
     # tracemalloc does not see: the traced build holds less than a block
-    # besides, at any worker count, and returns the n^2 4 bytes of its
-    # mapping, and after a hand-back the next build of that size returns
-    # the same mapping.  With that spare present, the exact pass, the
-    # screen and a rescored block of test points borrow its head: each
-    # holds less than one float64 block of its own
+    # besides, and returns the n^2 4 bytes of its mapping, and after a
+    # hand-back the next build of that size returns the same mapping.  With
+    # that spare present, the exact pass, the screen and a rescored block
+    # of test points borrow its head: each holds less than one float64
+    # block of its own
     monkeypatch.setattr(kernels, "_spare", None)
     n = kernels.F32_MIN_N + 37
     X = sphere_points(25, n, 15)
@@ -556,38 +400,30 @@ def test_cached_blocks_memory_contract(monkeypatch):
     hinge = learners.make_loss("hinge")
     slack = 64 * 1024
     block = 8 * max(kernels.PROFILE_BLOCK, n)
-    for workers in (kernels._WORKERS, 1):
-        monkeypatch.setattr(kernels, "_WORKERS", workers)
-        # a kept pair of a block [lo, hi) is V's rows lo.. in two parts
-        kept = sum(8 * V.shape[1] * (n - lo)
-                   for run in kernels._lower_runs(n)[1:] for lo, _ in run)
-        assert (workers > 1) == (kept > 0)
-        for name, params in ZONAL:
-            k = kernels.standard_kernel(name, **params)
-            peak, _ = traced_peak(kernels.exact_gram_product, k, X, V)
-            assert peak <= workers * block + kept + 3 * V.nbytes + slack, \
-                (workers, name, params)
-            peak, G = traced_peak(kernels.gram, k, X)
-            assert peak <= 4 * kernels.PROFILE_BLOCK + slack, \
-                (workers, name, params)
-            assert isinstance(G.base, mmap.mmap)
-            assert len(G.base) == G.nbytes == 4 * n * n
-            kernels.hand_back(G)
-            peak, again = traced_peak(kernels.gram, k, X)
-            assert peak <= 4 * kernels.PROFILE_BLOCK + slack
-            assert again.base is G.base
-            kernels.hand_back(again)
-            model = learners.KernelModel(support=X, alpha=V[:, 0], b=0.0,
-                                         C=1.0, kernel=k, loss=hinge)
-            for f, args in ((kernels.exact_gram_product, (k, X, V)),
-                            (kernels.screened_scores, (k, T, X, V[:, 0])),
-                            (model.decision_function,
-                             (T[:learners.TEST_BLOCK],))):
-                peak, _ = traced_peak(f, *args)
-                assert peak < 8 * kernels.PROFILE_BLOCK, \
-                    (workers, name, params, f.__name__)
-                assert kernels._spare is G.base
-            del G, again
+    for name, params in ZONAL:
+        k = kernels.standard_kernel(name, **params)
+        peak, _ = traced_peak(kernels.exact_gram_product, k, X, V)
+        assert peak <= block + 3 * V.nbytes + slack, (name, params)
+        peak, G = traced_peak(kernels.gram, k, X)
+        assert peak <= 4 * kernels.PROFILE_BLOCK + slack, (name, params)
+        assert isinstance(G.base, mmap.mmap)
+        assert len(G.base) == G.nbytes == 4 * n * n
+        kernels.hand_back(G)
+        peak, again = traced_peak(kernels.gram, k, X)
+        assert peak <= 4 * kernels.PROFILE_BLOCK + slack
+        assert again.base is G.base
+        kernels.hand_back(again)
+        model = learners.KernelModel(support=X, alpha=V[:, 0], b=0.0,
+                                     C=1.0, kernel=k, loss=hinge)
+        for f, args in ((kernels.exact_gram_product, (k, X, V)),
+                        (kernels.screened_scores, (k, T, X, V[:, 0])),
+                        (model.decision_function,
+                         (T[:learners.TEST_BLOCK],))):
+            peak, _ = traced_peak(f, *args)
+            assert peak < 8 * kernels.PROFILE_BLOCK, \
+                (name, params, f.__name__)
+            assert kernels._spare is G.base
+        del G, again
 
 
 @pytest.mark.parametrize("block, n", [(2**12, 300),
@@ -596,7 +432,7 @@ def test_cached_blocks_memory_contract(monkeypatch):
 def test_spare_full_of_nan_changes_no_bit(monkeypatch, block, n):
     # a build writes all of the lower triangle, so a spare whose every
     # entry is NaN, as stale as a spare can be, gives a fresh mapping's
-    # bits, at one worker and at two
+    # bits
     monkeypatch.setattr(kernels, "_spare", None)
     monkeypatch.setattr(kernels, "PROFILE_BLOCK", block)
     monkeypatch.setattr(kernels, "F32_MIN_N", 100)
@@ -604,15 +440,13 @@ def test_spare_full_of_nan_changes_no_bit(monkeypatch, block, n):
     for name, params in ZONAL:
         k = kernels.standard_kernel(name, **params)
         fresh = kernels.gram(k, X)
-        for workers in (1, 2):
-            monkeypatch.setattr(kernels, "_WORKERS", workers)
-            spare = kernels.gram(k, X)
-            spare.fill(np.nan)
-            kernels.hand_back(spare)
-            G = kernels.gram(k, X)
-            assert G.base is spare.base and kernels._spare is None
-            assert same_lower_triangle(G, fresh), (workers, name, params)
-            assert not np.isnan(np.tril(G)).any()
+        spare = kernels.gram(k, X)
+        spare.fill(np.nan)
+        kernels.hand_back(spare)
+        G = kernels.gram(k, X)
+        assert G.base is spare.base and kernels._spare is None
+        assert same_lower_triangle(G, fresh), (name, params)
+        assert not np.isnan(np.tril(G)).any()
 
 
 def test_triangles_held_at_once_never_share_memory(monkeypatch):

@@ -1,12 +1,8 @@
 import dataclasses
-import inspect
 import math
-import sys
 import threading
 import time
-import types
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -488,19 +484,6 @@ def test_carried_scores_match_recomputed_objective():
         assert model.norm <= 3.0
 
 
-def mutated_learners(old, new):
-    """A copy of the learners module with one planted source change."""
-    source = inspect.getsource(L)
-    assert source.count(old) == 1
-    module = types.ModuleType("marginlab.mutated_learners")
-    module.__package__ = "marginlab"
-    # dataclasses look their module up in sys.modules
-    with mock.patch.dict(sys.modules, {module.__name__: module}):
-        exec(compile(source.replace(old, new), L.__file__, "exec"),
-             module.__dict__)
-    return module
-
-
 TINY_OPTS = L.SolverOptions(max_iters=100, n_restarts=3)
 # the schedule of the benchmark's tiny programs
 BENCH_OPTS = L.SolverOptions(max_iters=600, n_restarts=14)
@@ -642,10 +625,10 @@ def caught_mutation(module):
     return caught
 
 
-def test_mutated_support_sign_is_caught():
+def test_mutated_support_sign_is_caught(mutated):
     # adding C sqrt(a' Q a) to the bound instead of subtracting it
-    assert caught_mutation(mutated_learners(
-        "bound = h - C * sqrt(aQa)", "bound = h + C * sqrt(aQa)")) > 0
+    assert caught_mutation(mutated(
+        L, "bound = h - C * sqrt(aQa)", "bound = h + C * sqrt(aQa)")) > 0
 
 
 @pytest.mark.parametrize("old, new", [
@@ -657,11 +640,11 @@ def test_mutated_support_sign_is_caught():
     ("root[0] = lam / scale\n        return y * a",
      "return y * np.clip(c, L, U)"),
 ], ids=["dropped_sqrt", "bias_kink", "projection_misses_y"])
-def test_mutated_dual_solver_is_caught(old, new):
-    assert caught_mutation(mutated_learners(old, new)) > 0
+def test_mutated_dual_solver_is_caught(mutated, old, new):
+    assert caught_mutation(mutated(L, old, new)) > 0
 
 
-def test_mutated_projector_count_raises():
+def test_mutated_projector_count_raises(mutated):
     # the free coordinates counted on the wrong side of lam where phi > 0:
     # once lam sits on the middle kink of a bracket of one kink, lo stays
     # put and the search picks that kink again; the cap on its rounds turns
@@ -671,18 +654,18 @@ def test_mutated_projector_count_raises():
     z = np.array([-1.0, 1.75, 0.5, 1.75])
     a = L._projector(y, 0.0 * upper, upper)(z)
     assert np.array_equal(a, [0.25, 0.125, 0.0, 0.125])
-    miscounted = mutated_learners('side = "right" if rising else "left"',
-                                  'side = "left"')
+    miscounted = mutated(L, 'side = "right" if rising else "left"',
+                         'side = "left"')
     with pytest.raises(miscounted.LossError, match="miscounted"):
         miscounted._projector(y, 0.0 * upper, upper)(z)
 
 
-def test_bracket_stop_fires():
+def test_bracket_stop_fires(mutated):
     # the tiny programs close their brackets in a few products, far inside
     # the budget, and a run to the budget ends within GAP_TOL of the stop
     rng = np.random.default_rng(11)
     hinge, lin = L.make_loss("hinge"), kernels.standard_kernel("linear")
-    no_stop = mutated_learners("if gap <= GAP_TOL or", "if gap < 0 or")
+    no_stop = mutated(L, "if gap <= GAP_TOL or", "if gap < 0 or")
     budget = TINY_OPTS.max_iters * TINY_OPTS.n_restarts
     saved = 0
     for _ in range(10):
@@ -699,12 +682,12 @@ def test_bracket_stop_fires():
     assert saved >= 9 * budget
 
 
-def test_stop_on_certified_gap_is_caught():
+def test_stop_on_certified_gap_is_caught(mutated):
     # stopping once the certificate reads <= eps_opt (0.1) leaves the
     # objective above the LP optimum by more than the oracle's tolerance, on
     # the programs and schedule on which test_kernel_program_matches_lp_oracle
     # shows the shipped solver within it
-    early = mutated_learners("if gap <= GAP_TOL or", "if gap <= opts.eps_opt or")
+    early = mutated(L, "if gap <= GAP_TOL or", "if gap <= opts.eps_opt or")
     rng = np.random.default_rng(7)
     opts = L.SolverOptions(max_iters=600, n_restarts=14)
     caught = 0
@@ -798,10 +781,10 @@ def test_float32_path_reports_exact_numbers(float32_programs):
     # alpha left where the exact norm puts it outside the ball
     ("if norm > C:", "if False:", "ball"),
 ], ids=["carried_objective", "float32_norm", "no_rescale"])
-def test_mutated_float32_end_pass_is_caught(old, new, fault,
+def test_mutated_float32_end_pass_is_caught(mutated, old, new, fault,
                                             float32_programs):
-    mutated = mutated_learners(old, new)
-    assert any(fault in float32_faults(mutated, *program)
+    module = mutated(L, old, new)
+    assert any(fault in float32_faults(module, *program)
                for program in float32_programs)
 
 
@@ -905,8 +888,8 @@ def test_planted_thresholds_match_float64(planted_models):
      "rows = np.flatnonzero(~decided)\n"
      "        scores[rows] = model.decision_function(X[rows])"),
 ], ids=["no_recheck", "bound_1e-3", "rows_alone"])
-def test_mutated_screen_is_caught(old, new, planted_models):
-    assert planted_faults(mutated_learners(old, new), planted_models) > 0
+def test_mutated_screen_is_caught(mutated, old, new, planted_models):
+    assert planted_faults(mutated(L, old, new), planted_models) > 0
 
 
 def test_float32_trial_errors_match_float64():

@@ -1,7 +1,4 @@
-import inspect
 import math
-import sys
-import types
 from unittest import mock
 
 import numpy as np
@@ -354,19 +351,6 @@ def test_batch_matches_single_calls_bit_for_bit(band_suite_draws):
         assert got == op.changes_slowly_gap(f, gamma, K)
 
 
-def mutated_orthopoly(old, new):
-    """A copy of the orthopoly module with one planted source change."""
-    source = inspect.getsource(op)
-    assert source.count(old) == 1
-    module = types.ModuleType("marginlab.mutated_orthopoly")
-    module.__package__ = "marginlab"
-    # dataclasses look their module up in sys.modules
-    with mock.patch.dict(sys.modules, {module.__name__: module}):
-        exec(compile(source.replace(old, new), op.__file__, "exec"),
-             module.__dict__)
-    return module
-
-
 def batch_faults(module, draws):
     """Draws on which module's batch differs bit for bit from its own single
     call, or from an independent evaluation (BLAS products with the
@@ -404,8 +388,8 @@ def test_batch_matches_independent_evaluation(band_suite_draws):
     # the second gamma reads the first one's -gamma column
     ("2 * j for j, g", "j for j, g"),
 ])
-def test_mutated_batch_is_caught(band_suite_draws, old, new):
-    assert batch_faults(mutated_orthopoly(old, new), band_suite_draws[0]) > 0
+def test_mutated_batch_is_caught(mutated, band_suite_draws, old, new):
+    assert batch_faults(mutated(op, old, new), band_suite_draws[0]) > 0
 
 
 def test_poly_coeffs_validation():
